@@ -19,6 +19,7 @@ from .imprim import (
     coordinate_system,
     is_refinement,
     is_system,
+    nonrefinable,
     nonrefinable_systems,
     nonrefinable_via_stabilizer,
     subspace_orbit,
@@ -90,6 +91,7 @@ __all__ = [
     "is_refinement",
     "is_system",
     "maximal_solvable_witness",
+    "nonrefinable",
     "nonrefinable_systems",
     "nonrefinable_via_stabilizer",
     "restrict_to_block",

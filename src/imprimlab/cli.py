@@ -20,7 +20,7 @@ from .descriptions import parse_group
 from .imprim import (
     DEFAULT_CAP_SUBSPACES,
     all_systems,
-    is_refinement,
+    nonrefinable,
 )
 from .verify import (
     VerificationReport,
@@ -129,11 +129,7 @@ def _systems_payload(args, only_nonrefinable: bool):
     desc = parse_group(_load_document(args.group, "group"), "group")
     group = desc.build_matrix_group(cap=args.cap_elements)
     systems = all_systems(group, cap_subspaces=args.cap_subspaces)
-    nonref_keys = {
-        s.key
-        for s in systems
-        if not any(d != s and is_refinement(d, s) for d in systems)
-    }
+    nonref_keys = {s.key for s in nonrefinable(systems)}
     rows = []
     for s in systems:
         flag = s.key in nonref_keys

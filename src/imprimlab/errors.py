@@ -29,10 +29,8 @@ class CapExceeded(CapError):
 
 
 class EnumerationCapExceeded(CapError):
-    def __init__(self, dim, count):
-        super().__init__(
-            f"{count} subspaces of dimension {dim} exceed the subspace cap"
-        )
+    def __init__(self, dim, count, limit="the subspace cap"):
+        super().__init__(f"{count} subspaces of dimension {dim} exceed {limit}")
         self.dim = dim
         self.count = count
 

@@ -150,24 +150,6 @@ def _commutator_generators(elements, p):
     return [Matrix(m, p) for m in seen.values()]
 
 
-def enumerate_group(gens, cap: int = DEFAULT_CAP_ELEMENTS):
-    """Closure of matrix generators; returns (elements tuple, order)."""
-    g = MatrixGroup(gens, cap=cap)
-    return g.elements, g.order
-
-
-def group_contains(g: MatrixGroup, m: Matrix) -> bool:
-    return g.contains(m)
-
-
-def is_subgroup(g1: MatrixGroup, g2: MatrixGroup) -> bool:
-    return g1.is_subgroup_of(g2)
-
-
-def is_solvable(g: MatrixGroup) -> bool:
-    return g.is_solvable()
-
-
 def primitive_root(p: int) -> int:
     """Smallest primitive root mod p."""
     if not is_prime(p):
@@ -543,10 +525,6 @@ def has_pair_partition(group: PermGroup) -> bool:
     if group.degree % 2 != 0:
         raise OddDegree(f"degree {group.degree} is odd")
     return bool(block_systems(group, 2))
-
-
-def perm_is_transitive(group: PermGroup) -> bool:
-    return group.is_transitive()
 
 
 def cyclic_group(k: int) -> PermGroup:

@@ -1,10 +1,21 @@
 """Systems of imprimitivity: enumeration, refinement order, nonrefinability.
 
-all_systems is the exhaustive oracle of the package: for every divisor d of
-n it walks every d-dimensional subspace, computes its orbit under the
-generators, and keeps the orbits that partition the space into a direct
-sum.  Orbits of a transitive part action are exactly the systems, so each
-subspace is visited once and deduplication is automatic.
+all_systems is the exhaustive scan of the package.  For every proper
+divisor d of n it enumerates every d-dimensional subspace once, as the
+(N, d, n) RREF stack of linalg.subspace_array, and turns each generator into
+a permutation table of that stack: the generator is applied to the whole
+stack, the images are row-reduced in batch and each is found by its packed
+base-p key.  Orbits come from min-label propagation over the tables, and
+the orbits of size n/d that decompose the space into a direct sum are the
+systems.  Orbits of a transitive part action are exactly the systems, so
+every system is found once.
+
+Memory: the stack is stored in the smallest integer dtype that holds p - 1
+and the tables as int32; only chunks of linalg.SCAN_CHUNK subspaces are
+widened to int64.  Packed keys need p^(d*n) < 2^63, checked with the
+subspace cap before anything is allocated.  The per-subspace loop (one
+subspace_orbit per unvisited subspace) this scan replaced is kept in the
+tests as the oracle the scan is checked against.
 
 Nonrefinability is decided by two independent routes: brute force (no other
 enumerated system properly refines it) and the stabilizer criterion (the
@@ -25,10 +36,12 @@ from .groups import MatrixGroup
 from .linalg import (
     Matrix,
     Subspace,
-    all_subspaces,
     direct_sum_check,
     divisors,
+    echelon_subspace,
     gaussian_binomial,
+    subspace_array,
+    subspace_tables,
 )
 from .reprs import is_primitive_linear, restrict_to_block
 
@@ -138,13 +151,27 @@ def is_system(g: MatrixGroup, parts) -> bool:
     return True
 
 
+def _orbit_labels(tables: np.ndarray) -> np.ndarray:
+    """The smallest point of every point's orbit under permutation tables."""
+    labels = np.arange(tables.shape[1], dtype=tables.dtype)
+    while True:
+        new = labels
+        for table in tables:
+            new = np.minimum(new, new[table])
+        new = new[new]  # every label lies in its point's orbit: jump ahead
+        if np.array_equal(new, labels):
+            return labels
+        labels = new
+
+
 def all_systems(g: MatrixGroup, cap_subspaces: int = DEFAULT_CAP_SUBSPACES,
                 stats: dict | None = None) -> list[ImprimitivitySystem]:
     """Every system of imprimitivity of g whose parts form a single orbit.
 
     For irreducible g the part action of any system is transitive, so this
     is the complete list.  Fails fast with EnumerationCapExceeded when some
-    candidate dimension has too many subspaces to scan.
+    candidate dimension has too many subspaces to scan, or too many for
+    64-bit packed keys.
     """
     n = g.n
     candidate_dims = [d for d in divisors(n) if d < n]
@@ -152,19 +179,21 @@ def all_systems(g: MatrixGroup, cap_subspaces: int = DEFAULT_CAP_SUBSPACES,
         count = gaussian_binomial(n, d, g.p)
         if count > cap_subspaces:
             raise EnumerationCapExceeded(d, count)
+        if g.p ** (d * n) >= 2**63:
+            raise EnumerationCapExceeded(d, count, "the range of 64-bit packed keys")
     scanned = 0
     systems = []
     for d in candidate_dims:
         target = n // d
-        visited = set()
-        for w in all_subspaces(n, d, g.p):
-            scanned += 1
-            if w.key in visited:
-                continue
-            orbit = subspace_orbit(g, w)
-            visited.update(s.key for s in orbit)
-            if len(orbit) == target and direct_sum_check(orbit):
-                systems.append(ImprimitivitySystem(orbit))
+        subs = subspace_array(n, d, g.p)
+        scanned += len(subs)
+        labels = _orbit_labels(subspace_tables(g.gens, subs, g.p))
+        members = np.flatnonzero(np.bincount(labels)[labels] == target)
+        orbits = members[np.argsort(labels[members], kind="stable")]
+        for orbit in orbits.reshape(-1, target):
+            parts = [echelon_subspace(subs[i], g.p) for i in orbit]
+            if direct_sum_check(parts):
+                systems.append(ImprimitivitySystem(parts))
     if stats is not None:
         stats["subspaces_scanned"] = stats.get("subspaces_scanned", 0) + scanned
         stats["systems_found"] = len(systems)
@@ -184,17 +213,19 @@ def is_refinement(delta: ImprimitivitySystem, gamma: ImprimitivitySystem) -> boo
     return used == delta.component_count
 
 
+def nonrefinable(systems) -> list[ImprimitivitySystem]:
+    """The systems that no other system in the list properly refines."""
+    return [
+        gamma
+        for gamma in systems
+        if not any(delta != gamma and is_refinement(delta, gamma) for delta in systems)
+    ]
+
+
 def nonrefinable_systems(g: MatrixGroup, cap_subspaces: int = DEFAULT_CAP_SUBSPACES,
                          stats: dict | None = None) -> list[ImprimitivitySystem]:
     """Systems admitting no proper refinement among all enumerated systems."""
-    systems = all_systems(g, cap_subspaces=cap_subspaces, stats=stats)
-    out = []
-    for gamma in systems:
-        if not any(
-            delta != gamma and is_refinement(delta, gamma) for delta in systems
-        ):
-            out.append(gamma)
-    return out
+    return nonrefinable(all_systems(g, cap_subspaces=cap_subspaces, stats=stats))
 
 
 def part_stabilizer_elements(g: MatrixGroup, w: Subspace) -> list[Matrix]:

@@ -9,7 +9,9 @@ Conventions used by the whole package:
 
 Matrices are small dense numpy int64 arrays.  Intermediate products must fit
 in 64 bits, so construction rejects moduli where n * (p-1)^2 would overflow;
-in practice every instance here has p < 100.
+in practice every instance here has p < 100.  A scan over every subspace of
+one dimension works on a stack of RREF bases (subspace_array) instead of
+one Subspace object per subspace.
 """
 
 from __future__ import annotations
@@ -198,14 +200,6 @@ class Matrix:
 
     def __repr__(self):
         return f"Matrix({self.a.tolist()}, p={self.p})"
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    return a * b
-
-
-def mat_inv(m: Matrix) -> Matrix:
-    return m.inv()
 
 
 def nullspace_rows(a: np.ndarray, p: int) -> np.ndarray:
@@ -400,19 +394,24 @@ def gaussian_binomial(n: int, k: int, p: int) -> int:
     return num // den
 
 
-def all_subspaces(n: int, d: int, p: int):
-    """Yield every d-dimensional subspace of GF(p)^n, deterministically.
+def _entry_dtype(p: int):
+    """Smallest signed integer dtype that holds every residue mod p."""
+    for dtype in (np.int8, np.int16, np.int32):
+        if p - 1 <= np.iinfo(dtype).max:
+            return dtype
+    return np.int64
 
-    Enumerates echelon bases directly: pivot columns run through
-    combinations in lexicographic order and the free cells (right of each
-    pivot, outside pivot columns) run through all field values.
+
+def subspace_array(n: int, d: int, p: int) -> np.ndarray:
+    """Every d-dimensional subspace of GF(p)^n as an (N, d, n) RREF stack.
+
+    Pivot columns run through combinations in lexicographic order and the
+    free cells (right of each pivot, outside pivot columns, row by row) run
+    through all field values, the last cell fastest.  Entries are stored in
+    _entry_dtype(p) to keep large scans small.
     """
     p = _check_modulus(p)
-    if d == 0:
-        yield Subspace.zero(n, p)
-        return
-    if d > n:
-        return
+    blocks = []
     for pivots in itertools.combinations(range(n), d):
         pivot_set = set(pivots)
         free_cells = [
@@ -421,17 +420,127 @@ def all_subspaces(n: int, d: int, p: int):
             for j in range(pivots[i] + 1, n)
             if j not in pivot_set
         ]
-        base = np.zeros((d, n), dtype=np.int64)
-        for i, c in enumerate(pivots):
-            base[i, c] = 1
-        if not free_cells:
-            yield Subspace(base.copy(), pivots, p, n)
-            continue
-        for values in itertools.product(range(p), repeat=len(free_cells)):
-            mat = base.copy()
-            for (i, j), v in zip(free_cells, values):
-                mat[i, j] = v
-            yield Subspace(mat, pivots, p, n)
+        count = p ** len(free_cells)
+        block = np.zeros((count, d, n), dtype=_entry_dtype(p))
+        block[:, np.arange(d), np.array(pivots, dtype=np.intp)] = 1
+        index = np.arange(count, dtype=np.int64)
+        for k, (i, j) in enumerate(reversed(free_cells)):
+            block[:, i, j] = index // p**k % p
+        blocks.append(block)
+    if not blocks:
+        return np.zeros((0, d, n), dtype=_entry_dtype(p))
+    return np.concatenate(blocks)
+
+
+def echelon_subspace(rows: np.ndarray, p: int) -> Subspace:
+    """The Subspace whose RREF basis is rows (one entry of subspace_array)."""
+    basis = rows.astype(np.int64)
+    pivots = tuple(int(j) for j in (basis != 0).argmax(axis=1))
+    return Subspace(basis, pivots, p, basis.shape[1])
+
+
+def all_subspaces(n: int, d: int, p: int):
+    """Yield every d-dimensional subspace of GF(p)^n in subspace_array order."""
+    p = _check_modulus(p)
+    for rows in subspace_array(n, d, p):
+        yield echelon_subspace(rows, p)
+
+
+# Rows per chunk of a subspace scan: only a chunk is ever widened to int64.
+SCAN_CHUNK = 1024
+
+
+def image_chunks(subs: np.ndarray, g: Matrix):
+    """Yield (start, chunk, image) over subs, with image = chunk @ g mod p.
+
+    chunk and image are int64 arrays of at most SCAN_CHUNK subspaces.
+    """
+    n = subs.shape[2]
+    for start in range(0, len(subs), SCAN_CHUNK):
+        chunk = subs[start : start + SCAN_CHUNK].astype(np.int64)
+        image = (chunk.reshape(-1, n) @ g.a % g.p).reshape(chunk.shape)
+        yield start, chunk, image
+
+
+def _inverse_mod(x: np.ndarray, p: int) -> np.ndarray:
+    """Elementwise x^(p-2) mod p, the inverse of every nonzero entry."""
+    result = np.ones_like(x)
+    base = x % p
+    e = p - 2
+    while e:
+        if e & 1:
+            result = result * base % p
+        base = base * base % p
+        e >>= 1
+    return result
+
+
+def rref_batch(a: np.ndarray, p: int) -> np.ndarray:
+    """Reduced row echelon form over GF(p) of every matrix in an (N, m, n) stack.
+
+    Row for row the same canonical form as rref, for all N matrices at once.
+    A matrix leaves the working set once it has a pivot in every row.
+    """
+    a = np.asarray(a, dtype=np.int64) % p
+    out = np.empty_like(a)
+    m, n = a.shape[1:]
+    rows = np.arange(m)
+    live = np.arange(len(a))  # indices into out of the working set
+    row = np.zeros(len(a), dtype=np.intp)  # next pivot row of each matrix
+    for col in range(n):
+        done = row == m
+        if done.any():
+            out[live[done]] = a[done]
+            a, row, live = a[~done], row[~done], live[~done]
+        if not len(live):
+            break
+        every = np.arange(len(live))
+        hits = (a[:, :, col] != 0) & (rows >= row[:, None])
+        found = hits.any(axis=1)
+        target = np.minimum(row, m - 1)
+        hit = np.where(found, hits.argmax(axis=1), target)
+        # columns left of col are zero in the pivot row, so only col: changes
+        pivot_row = a[every, hit, col:]
+        a[every, hit] = a[every, target]
+        pivot_row = pivot_row * _inverse_mod(pivot_row[:, 0], p)[:, None] % p
+        factors = a[:, :, col] * found[:, None]
+        factors[every, target] = 0
+        a[:, :, col:] -= factors[:, :, None] * pivot_row[:, None, :]
+        a[:, :, col:] %= p
+        a[every, target, col:] = np.where(
+            found[:, None], pivot_row, a[every, target, col:]
+        )
+        row += found
+    out[live] = a
+    return out
+
+
+def subspace_tables(gens, subs: np.ndarray, p: int) -> np.ndarray:
+    """Permutation tables of invertible generators on a subspace_array stack.
+
+    tables[k, i] is the index in subs of the image of subs[i] under gens[k].
+    Each image is row-reduced in batch and found by its packed base-p key,
+    which needs p^(d*n) < 2^63.
+    """
+    _, d, n = subs.shape
+    weights = np.array([p**k for k in range(d * n - 1, -1, -1)], dtype=np.int64)
+    keys = np.empty(len(subs), dtype=np.int64)
+    for start in range(0, len(subs), SCAN_CHUNK):
+        chunk = subs[start : start + SCAN_CHUNK]
+        keys[start : start + len(chunk)] = (
+            chunk.reshape(len(chunk), -1).astype(np.int64) @ weights
+        )
+    order = np.argsort(keys)
+    sorted_keys = keys[order]
+    tables = np.empty((len(gens), len(subs)), dtype=np.int32)
+    for k, g in enumerate(gens):
+        for start, _, image in image_chunks(subs, g):
+            image_keys = rref_batch(image, p).reshape(len(image), -1) @ weights
+            pos = np.minimum(np.searchsorted(sorted_keys, image_keys), len(subs) - 1)
+            if not np.array_equal(sorted_keys[pos], image_keys):
+                raise Singular("a generator maps a subspace to a smaller one")
+            tables[k, start : start + len(image)] = order[pos]
+    return tables
 
 
 def divisors(n: int) -> list[int]:

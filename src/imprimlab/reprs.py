@@ -22,7 +22,14 @@ from .errors import (
     ZeroVector,
 )
 from .groups import DEFAULT_CAP_ELEMENTS, MatrixGroup
-from .linalg import Matrix, Subspace, all_subspaces, rref
+from .linalg import (
+    Matrix,
+    Subspace,
+    echelon_subspace,
+    image_chunks,
+    rref,
+    subspace_array,
+)
 
 
 def spin(g: MatrixGroup, v) -> Subspace:
@@ -239,13 +246,22 @@ def invariant_subspaces(gens, n: int, p: int, dims=None) -> list[Subspace]:
     """All proper nonzero invariant subspaces, by exhaustive scan.
 
     dims restricts the scan to the given dimensions; default is 1..n-1.
+    Each dimension is scanned as one subspace_array stack in chunks: W is
+    invariant when every generator image of its RREF basis B is its own
+    pivot-column coordinates times B.
     """
     gens = list(gens)
     if dims is None:
         dims = range(1, n)
     found = []
     for d in dims:
-        for sub in all_subspaces(n, d, p):
-            if all(sub.contains_rows((sub.basis @ g.a) % p) for g in gens):
-                found.append(sub)
+        subs = subspace_array(n, d, p)
+        invariant = np.ones(len(subs), dtype=bool)
+        for g in gens:
+            for start, chunk, image in image_chunks(subs, g):
+                pivots = (chunk != 0).argmax(axis=2)[:, None, :]
+                coords = np.take_along_axis(image, pivots, axis=2)
+                moved = ((image - coords @ chunk) % p).any(axis=(1, 2))
+                invariant[start : start + len(chunk)] &= ~moved
+        found.extend(echelon_subspace(subs[i], p) for i in np.flatnonzero(invariant))
     return found

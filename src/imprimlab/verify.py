@@ -32,6 +32,7 @@ from .imprim import (
     all_systems,
     coordinate_system,
     is_refinement,
+    nonrefinable,
     nonrefinable_via_stabilizer,
 )
 from .linalg import Matrix, direct_sum_check, is_prime
@@ -118,14 +119,6 @@ class VerificationReport:
         return lines
 
 
-def _nonrefinable(systems) -> list:
-    return [
-        g
-        for g in systems
-        if not any(d != g and is_refinement(d, g) for d in systems)
-    ]
-
-
 def _criteria_agree(group, systems, nonref) -> bool:
     nonref_keys = {s.key for s in nonref}
     for system in systems:
@@ -168,7 +161,7 @@ def wreath_uniqueness_report(
         Claim("irreducible", True, is_irreducible(group)),
     ]
     systems = all_systems(group, cap_subspaces=cap_subspaces, stats=stats)
-    nonref = _nonrefinable(systems)
+    nonref = nonrefinable(systems)
     stats["nonrefinable_count"] = len(nonref)
     coord = coordinate_system(spec.degree, spec.block_dim, spec.p)
     if exceptional:
@@ -250,7 +243,7 @@ def induced_example_report(
         Claim("irreducible", True, is_irreducible(image)),
     ]
     systems = all_systems(image, cap_subspaces=cap_subspaces, stats=stats)
-    nonref = _nonrefinable(systems)
+    nonref = nonrefinable(systems)
     nonref_keys = {s.key for s in nonref}
     lines = [s for s in systems if s.component_dim == 1 and s.component_count == 4]
     planes = [s for s in systems if s.component_dim == 2 and s.component_count == 2]

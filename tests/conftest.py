@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from imprimlab import Matrix, MatrixGroup, PermGroup, Permutation
+
+# The host's speed can change twofold from one moment to the next, so no
+# example may fail for running long; max_examples bounds the suite's time.
+settings.register_profile("imprimlab", deadline=None, max_examples=40)
+settings.load_profile("imprimlab")
 
 
 def sign_group(p):

@@ -20,6 +20,7 @@ from imprimlab.imprim import (
     coordinate_system,
     is_refinement,
     is_system,
+    nonrefinable,
     nonrefinable_systems,
     nonrefinable_via_stabilizer,
     part_stabilizer_elements,
@@ -158,6 +159,22 @@ def test_nonrefinable_systems_examples():
 
     c4 = sign_wreath(cyclic_group(4), 3)
     assert len(nonrefinable_systems(c4)) == 2
+
+
+def test_nonrefinable_keeps_unrefined_systems_in_order():
+    lines = coordinate_system(4, 1, 3)
+    planes = coordinate_system(4, 2, 3)
+    skew = ImprimitivitySystem(
+        [
+            line([1, 0, 1, 0], 4, 3),
+            line([1, 0, -1, 0], 4, 3),
+            line([0, 1, 0, 1], 4, 3),
+            line([0, 1, 0, -1], 4, 3),
+        ]
+    )
+    assert nonrefinable([planes, skew, lines]) == [skew, lines]
+    assert nonrefinable([planes]) == [planes]
+    assert nonrefinable([]) == []
 
 
 def test_nonrefinable_via_stabilizer_examples():

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import numpy as np
@@ -23,8 +24,11 @@ from imprimlab.linalg import (
     gaussian_binomial,
     is_prime,
     rref,
+    rref_batch,
+    subspace_array,
     subspace_intersect,
     subspace_span,
+    subspace_tables,
 )
 
 from conftest import basis_row
@@ -125,6 +129,29 @@ def test_rref_idempotent(p, m, n, data):
     r2, rank2, piv2 = rref(r1, p)
     assert np.array_equal(r1, r2)
     assert rank1 == rank2 and piv1 == piv2
+
+
+@given(
+    st.sampled_from([2, 3, 5, 7, 131]),
+    st.integers(1, 4),
+    st.integers(1, 5),
+    st.data(),
+)
+def test_rref_batch_matches_rref(p, m, n, data):
+    stack = data.draw(
+        st.lists(
+            st.lists(
+                st.lists(st.integers(-p, 2 * p), min_size=n, max_size=n),
+                min_size=m,
+                max_size=m,
+            ),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    batch = rref_batch(np.array(stack, dtype=np.int64), p)
+    for a, r in zip(stack, batch):
+        assert np.array_equal(r, rref(np.array(a), p)[0])
 
 
 def test_rref_constant_on_row_equivalent_inputs():
@@ -271,6 +298,54 @@ def test_all_subspaces_complete_and_distinct(n, d, p):
     assert len({s.key for s in subs}) == len(subs)
     for s in subs:
         assert s.rank == d
+
+
+def reference_subspaces(n, d, p):
+    """The echelon bases of all d-subspaces, one at a time, in scan order."""
+    out = []
+    for pivots in itertools.combinations(range(n), d):
+        free_cells = [
+            (i, j)
+            for i in range(d)
+            for j in range(pivots[i] + 1, n)
+            if j not in pivots
+        ]
+        for values in itertools.product(range(p), repeat=len(free_cells)):
+            mat = np.zeros((d, n), dtype=np.int64)
+            mat[range(d), pivots] = 1
+            for (i, j), v in zip(free_cells, values):
+                mat[i, j] = v
+            out.append(mat)
+    return out
+
+
+@pytest.mark.parametrize(
+    "n,d,p",
+    [(1, 1, 2), (2, 1, 3), (3, 0, 5), (3, 2, 5), (4, 2, 3), (4, 3, 2), (2, 3, 3)],
+)
+def test_subspace_array_order_and_all_subspaces_agree(n, d, p):
+    subs = subspace_array(n, d, p)
+    expected = reference_subspaces(n, d, p)
+    assert subs.shape == (len(expected), d, n)
+    assert all(np.array_equal(a, b) for a, b in zip(subs, expected))
+    yielded = list(all_subspaces(n, d, p))
+    assert [w.basis.tolist() for w in yielded] == [b.tolist() for b in expected]
+    assert all(w == Subspace.span(w.basis, n, p) for w in yielded)
+
+
+def test_subspace_tables_are_the_generator_actions():
+    p = 3
+    gens = [Matrix([[0, 1, 0], [0, 0, 1], [1, 0, 0]], p), Matrix.diagonal([2, 1, 1], p)]
+    subs = subspace_array(3, 2, p)
+    tables = subspace_tables(gens, subs, p)
+    assert tables.dtype == np.int32 and tables.shape == (2, len(subs))
+    for table, g in zip(tables, gens):
+        assert sorted(table) == list(range(len(subs)))
+        for i, j in enumerate(table):
+            image = Subspace.span(subs[i].astype(np.int64) @ g.a, 3, p)
+            assert np.array_equal(subs[j], image.basis)
+    with pytest.raises(Singular):
+        subspace_tables([Matrix.diagonal([1, 1, 0], p)], subs, p)
 
 
 def test_matrix_rejects_nonprime_modulus():
