@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .errors import CapError, ImprimlabError
-from .groups import DEFAULT_CAP_ELEMENTS
+from .groups import DEFAULT_CAP_ELEMENTS, block_systems
 from .descriptions import parse_group
 from .imprim import (
     DEFAULT_CAP_SUBSPACES,
@@ -50,6 +49,18 @@ def _load_document(path: str, where: str):
         raise ImprimlabError(f"{where}: invalid JSON in {path} ({exc})") from exc
 
 
+def _load_group(path: str, where: str, perm: bool, cap: int):
+    """Load and build one group argument: a PermGroup if perm, else a
+    MatrixGroup (matrix, wreath and induced descriptions all qualify)."""
+    desc = parse_group(_load_document(path, where), where)
+    if (desc.kind == "perm") != perm:
+        wanted = "perm" if perm else "matrix, wreath or induced"
+        raise ImprimlabError(
+            f"{where}: expected a {wanted} description, got kind {desc.kind!r}"
+        )
+    return desc.build(cap) if perm else desc.build_matrix_group(cap)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
@@ -63,15 +74,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--json-only", action="store_true",
         help="suppress the human-readable summary on stderr",
-    )
-    common.add_argument(
-        "--seed-free", action="store_true",
-        help="assert that no randomness is used (always true; provided for CI)",
-    )
-    common.add_argument(
-        "--threads", type=int,
-        default=int(os.environ.get("IMPRIMLAB_THREADS", "1")),
-        help="worker bound; execution is deterministic regardless",
     )
 
     parser = argparse.ArgumentParser(
@@ -126,13 +128,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _systems_payload(args, only_nonrefinable: bool):
-    desc = parse_group(_load_document(args.group, "group"), "group")
-    group = desc.build_matrix_group(cap=args.cap_elements)
+    group = _load_group(args.group, "group", False, args.cap_elements)
     systems = all_systems(group, cap_subspaces=args.cap_subspaces)
-    nonref_keys = {s.key for s in nonrefinable(systems)}
+    nonref = set(nonrefinable(systems))
     rows = []
     for s in systems:
-        flag = s.key in nonref_keys
+        flag = s in nonref
         if only_nonrefinable and not flag:
             continue
         rows.append(
@@ -155,9 +156,10 @@ def _systems_payload(args, only_nonrefinable: bool):
 
 
 def _wreath_spec_from_files(args):
-    h = parse_group(_load_document(args.h_file, "h"), "h").build(args.cap_elements)
-    k = parse_group(_load_document(args.k_file, "k"), "k").build(args.cap_elements)
-    return WreathSpec(h, k)
+    return WreathSpec(
+        _load_group(args.h_file, "h", False, args.cap_elements),
+        _load_group(args.k_file, "k", True, args.cap_elements),
+    )
 
 
 def _report_payload(report: VerificationReport):
@@ -212,22 +214,19 @@ def _census(args):
 
 
 def _inclusion(args):
-    h1 = parse_group(_load_document(args.h1, "h1"), "h1").build(args.cap_elements)
-    k1 = parse_group(_load_document(args.k1, "k1"), "k1").build(args.cap_elements)
-    h2 = parse_group(_load_document(args.h2, "h2"), "h2").build_matrix_group(
-        args.cap_elements
-    )
-    k2 = parse_group(_load_document(args.k2, "k2"), "k2").build(args.cap_elements)
+    cap = args.cap_elements
+    h1 = _load_group(args.h1, "h1", False, cap)
+    k1 = _load_group(args.k1, "k1", True, cap)
+    h2 = _load_group(args.h2, "h2", False, cap)
+    k2 = _load_group(args.k2, "k2", True, cap)
     return _report_payload(
-        wreath_inclusion_report(h1, k1, h2, k2, args.cap_elements)
+        wreath_inclusion_report(h1, k1, h2, k2, cap)
     )
 
 
 def _blocks(args):
-    group = parse_group(_load_document(args.group, "group"), "group").build(
-        args.cap_elements
-    )
-    systems = group.block_systems(args.size)
+    group = _load_group(args.group, "group", True, args.cap_elements)
+    systems = block_systems(group, args.size)
     payload = {
         "schema": QUERY_SCHEMA,
         "command": "blocks",
@@ -239,10 +238,7 @@ def _blocks(args):
 
 
 def run_command(argv) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if args.threads < 1:
-        parser.error("--threads must be at least 1")
+    args = _build_parser().parse_args(argv)
     try:
         if args.command == "systems":
             payload, code, summary = _systems_payload(args, only_nonrefinable=False)

@@ -301,12 +301,6 @@ class PermGroup:
     def is_transitive(self) -> bool:
         return len(self.orbit(0)) == self.degree
 
-    def block_systems(self, block_size: int) -> list["BlockSystem"]:
-        return block_systems(self, block_size)
-
-    def has_pair_partition(self) -> bool:
-        return has_pair_partition(self)
-
     def setwise_stabilizer(self, block) -> list[Permutation]:
         """All elements mapping the block to itself as a set."""
         block = frozenset(block)
@@ -495,16 +489,12 @@ def _block_systems_seeded(group: PermGroup, block_size: int) -> list[BlockSystem
     return sorted(out)
 
 
-EXHAUSTIVE_BLOCK_DEGREE = 12
-
-
 def block_systems(group: PermGroup, block_size: int) -> list[BlockSystem]:
     """All equal-size block systems of the group with the given block size.
 
-    Exhausts every partition for degree <= 12 (the brute-force oracle) and
-    switches to pair-seeded congruence closure above that; the seeded route
-    requires transitivity, so intransitive large-degree inputs fall back to
-    exhaustion.
+    Transitive groups take the pair-seeded congruence closure; the seeded
+    route requires transitivity, so intransitive groups are exhausted over
+    every partition (the brute-force oracle).
     """
     k = group.degree
     if block_size < 1 or k % block_size != 0:
@@ -515,7 +505,7 @@ def block_systems(group: PermGroup, block_size: int) -> list[BlockSystem]:
         return [BlockSystem([(i,) for i in range(k)], k)]
     if block_size == k:
         return [BlockSystem([tuple(range(k))], k)]
-    if k <= EXHAUSTIVE_BLOCK_DEGREE or not group.is_transitive():
+    if not group.is_transitive():
         return _block_systems_exhaustive(group, block_size)
     return _block_systems_seeded(group, block_size)
 

@@ -194,10 +194,6 @@ class Matrix:
     def transpose(self) -> "Matrix":
         return Matrix(self.a.T, self.p)
 
-    def rref(self) -> tuple["Matrix", int]:
-        r, rank, _ = rref(self.a, self.p)
-        return Matrix(r, self.p), rank
-
     def __repr__(self):
         return f"Matrix({self.a.tolist()}, p={self.p})"
 
@@ -332,11 +328,6 @@ class Subspace:
         rows = (kernel[:, : self.rank] @ self.basis) % self.p
         return Subspace.span(rows, self.ambient, self.p)
 
-    def coordinates(self, v) -> np.ndarray:
-        """Coefficients of a member vector in the RREF basis."""
-        v = np.asarray(v, dtype=np.int64) % self.p
-        return v[self._pivot_arr]
-
     def _check_compatible(self, other: "Subspace"):
         if self.ambient != other.ambient or self.p != other.p:
             raise AmbientMismatch(
@@ -346,14 +337,6 @@ class Subspace:
 
     def __repr__(self):
         return f"Subspace({self.basis.tolist()}, p={self.p}, ambient={self.ambient})"
-
-
-def subspace_span(rows, ambient: int, p: int) -> Subspace:
-    return Subspace.span(rows, ambient, p)
-
-
-def subspace_intersect(w1: Subspace, w2: Subspace) -> Subspace:
-    return w1.intersect(w2)
 
 
 def direct_sum_check(parts) -> bool:

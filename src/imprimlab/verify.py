@@ -44,13 +44,7 @@ from .reprs import (
     is_irreducible,
     restrict_matrix,
 )
-from .wreath import (
-    WreathSpec,
-    check_hypotheses,
-    expected_exceptional_systems,
-    is_exceptional,
-    wreath_product,
-)
+from .wreath import WreathSpec, check_hypotheses, wreath_product
 
 REPORT_SCHEMA = "imprimlab-report/1"
 
@@ -84,8 +78,8 @@ class VerificationReport:
                 return c
         raise KeyError(claim_id)
 
-    def to_dict(self, include_timing: bool = False) -> dict:
-        out = {
+    def to_dict(self) -> dict:
+        return {
             "schema": REPORT_SCHEMA,
             "scenario": self.scenario,
             "instance": self.instance,
@@ -101,9 +95,6 @@ class VerificationReport:
             "stats": self.stats,
             "pass": self.passed,
         }
-        if include_timing:
-            out["wall_time_ms"] = self.wall_time_ms
-        return out
 
     def summary_lines(self) -> list[str]:
         ok = sum(c.passed for c in self.claims)
@@ -119,13 +110,11 @@ class VerificationReport:
         return lines
 
 
-def _criteria_agree(group, systems, nonref) -> bool:
-    nonref_keys = {s.key for s in nonref}
-    for system in systems:
-        brute = system.key in nonref_keys
-        if brute != nonrefinable_via_stabilizer(group, system):
-            return False
-    return True
+def _criteria_agree(group, systems, nonref: set) -> bool:
+    return all(
+        (system in nonref) == nonrefinable_via_stabilizer(group, system)
+        for system in systems
+    )
 
 
 def wreath_uniqueness_report(
@@ -142,8 +131,8 @@ def wreath_uniqueness_report(
     and stabilizer nonrefinability criteria agree.
     """
     t0 = time.perf_counter()
-    check_hypotheses(spec)
-    exceptional = is_exceptional(spec)
+    census = check_hypotheses(spec)
+    exceptional = census is not None
     group = wreath_product(spec, cap=cap_elements)
     stats = {"group_order": group.order}
     instance = {
@@ -161,32 +150,23 @@ def wreath_uniqueness_report(
         Claim("irreducible", True, is_irreducible(group)),
     ]
     systems = all_systems(group, cap_subspaces=cap_subspaces, stats=stats)
-    nonref = nonrefinable(systems)
+    nonref = set(nonrefinable(systems))
     stats["nonrefinable_count"] = len(nonref)
     coord = coordinate_system(spec.degree, spec.block_dim, spec.p)
     if exceptional:
-        census = expected_exceptional_systems(spec)
         stats["census_count"] = census.count
         stats["pair_partition_count"] = len(census.pair_systems)
         claims.append(
             Claim("nonrefinable_count", census.count, len(nonref))
         )
         claims.append(
-            Claim(
-                "census_matches_scan",
-                True,
-                sorted(s.key for s in census.systems)
-                == sorted(s.key for s in nonref),
-            )
+            Claim("census_matches_scan", True, set(census.systems) == nonref)
         )
-        claims.append(
-            Claim("standard_system_nonrefinable", True,
-                  any(s == coord for s in nonref))
-        )
+        claims.append(Claim("standard_system_nonrefinable", True, coord in nonref))
     else:
         claims.append(Claim("nonrefinable_count", 1, len(nonref)))
         claims.append(
-            Claim("unique_nonrefinable_is_standard", True, nonref == [coord])
+            Claim("unique_nonrefinable_is_standard", True, nonref == {coord})
         )
     claims.append(
         Claim("criteria_agreement", True, _criteria_agree(group, systems, nonref))
@@ -243,8 +223,7 @@ def induced_example_report(
         Claim("irreducible", True, is_irreducible(image)),
     ]
     systems = all_systems(image, cap_subspaces=cap_subspaces, stats=stats)
-    nonref = nonrefinable(systems)
-    nonref_keys = {s.key for s in nonref}
+    nonref = set(nonrefinable(systems))
     lines = [s for s in systems if s.component_dim == 1 and s.component_count == 4]
     planes = [s for s in systems if s.component_dim == 2 and s.component_count == 2]
     stats["line_system_count"] = len(lines)
@@ -252,11 +231,11 @@ def induced_example_report(
     stats["nonrefinable_count"] = len(nonref)
     claims.append(
         Claim("nonrefinable_line_system", True,
-              any(s.key in nonref_keys for s in lines))
+              any(s in nonref for s in lines))
     )
     claims.append(
         Claim("nonrefinable_plane_system", True,
-              any(s.key in nonref_keys for s in planes))
+              any(s in nonref for s in planes))
     )
     claims.append(
         Claim(
@@ -364,8 +343,7 @@ def wreath_inclusion_report(
     """
     t0 = time.perf_counter()
     spec1 = WreathSpec(h1, k1)
-    check_hypotheses(spec1)
-    if is_exceptional(spec1):
+    if check_hypotheses(spec1) is not None:
         raise ExceptionalInstance(
             "inclusion conditions exclude the exceptional shape"
         )

@@ -6,9 +6,9 @@ closure is exactly H^k extended by the block permutations of K; the order
 |H|^k * |K| then certifies the construction.  In the exceptional shape
 (1-dimensional blocks, |H| = 2, even degree, K preserving a pair partition)
 the nonrefinable systems are classified by the invariant pair partitions of
-K together with a scalar whose square is +-1; expected_exceptional_systems
-builds that census explicitly so an exhaustive scan can be checked against
-it.
+K together with a scalar whose square is +-1.  check_hypotheses decides the
+hypotheses and the shape once and builds that census explicitly, so an
+exhaustive scan can be checked against it.
 """
 
 from __future__ import annotations
@@ -25,11 +25,10 @@ from .groups import (
     PermGroup,
     Permutation,
     block_systems,
-    has_pair_partition,
 )
-from .imprim import ImprimitivitySystem, coordinate_system
+from .imprim import ImprimitivitySystem, all_systems, coordinate_system
 from .linalg import Matrix, Subspace
-from .reprs import is_irreducible, is_primitive_linear
+from .reprs import is_irreducible
 
 
 @dataclass(frozen=True)
@@ -89,32 +88,6 @@ def wreath_product(spec: WreathSpec, cap: int = DEFAULT_CAP_ELEMENTS) -> MatrixG
     return MatrixGroup(gens, cap=cap)
 
 
-def check_hypotheses(spec: WreathSpec):
-    """Validate the uniqueness-statement hypotheses, naming any failure."""
-    if spec.block_count < 2:
-        raise HypothesisViolation("k > 1")
-    if spec.h.order < 2:
-        raise HypothesisViolation("H nontrivial")
-    if not is_irreducible(spec.h):
-        raise HypothesisViolation("H irreducible")
-    if not is_primitive_linear(spec.h):
-        raise HypothesisViolation("H primitive")
-    if not spec.k.is_transitive():
-        raise HypothesisViolation("K transitive")
-
-
-def is_exceptional(spec: WreathSpec) -> bool:
-    """d = 1, even point degree, |H| = 2, and K preserves a pair partition."""
-    check_hypotheses(spec)
-    if spec.block_dim != 1:
-        return False
-    if spec.block_count % 2 != 0:
-        return False
-    if spec.h.order != 2:
-        return False
-    return has_pair_partition(spec.k)
-
-
 @dataclass
 class ExceptionalCensus:
     """Predicted nonrefinable line systems of an exceptional wreath product."""
@@ -138,7 +111,7 @@ def _lambda_classes(p: int) -> list[int]:
     return out
 
 
-def expected_exceptional_systems(spec: WreathSpec) -> ExceptionalCensus:
+def _census(spec: WreathSpec, pair_systems: list[BlockSystem]) -> ExceptionalCensus:
     """Standard line system plus one system per (pair partition, scalar).
 
     For a pair partition {{a,b}, ...} and a scalar s with s^2 = +-1 the
@@ -146,10 +119,7 @@ def expected_exceptional_systems(spec: WreathSpec) -> ExceptionalCensus:
     -s give the same system, so one representative per class is used and
     the result is deduplicated defensively.
     """
-    if not is_exceptional(spec):
-        raise NotExceptional("instance is not in the exceptional shape")
     n, p = spec.degree, spec.p
-    pair_systems = block_systems(spec.k, 2)
     lambdas = _lambda_classes(p)
     eye = np.eye(n, dtype=np.int64)
     found = {}
@@ -171,3 +141,39 @@ def expected_exceptional_systems(spec: WreathSpec) -> ExceptionalCensus:
         lambdas=lambdas,
         systems=sorted(found.values()),
     )
+
+
+def check_hypotheses(spec: WreathSpec) -> ExceptionalCensus | None:
+    """Decide the uniqueness-statement hypotheses and the exceptional shape.
+
+    Raises HypothesisViolation naming the first hypothesis that fails.
+    Returns the census of the exceptional shape (d = 1, even point degree,
+    |H| = 2, K preserving a pair partition), or None outside it.
+    """
+    if spec.block_count < 2:
+        raise HypothesisViolation("k > 1")
+    if spec.h.order < 2:
+        raise HypothesisViolation("H nontrivial")
+    if not is_irreducible(spec.h):
+        raise HypothesisViolation("H irreducible")
+    if all_systems(spec.h):
+        raise HypothesisViolation("H primitive")
+    if not spec.k.is_transitive():
+        raise HypothesisViolation("K transitive")
+    if spec.block_dim != 1 or spec.block_count % 2 != 0 or spec.h.order != 2:
+        return None
+    pair_systems = block_systems(spec.k, 2)
+    return _census(spec, pair_systems) if pair_systems else None
+
+
+def is_exceptional(spec: WreathSpec) -> bool:
+    """d = 1, even point degree, |H| = 2, and K preserves a pair partition."""
+    return check_hypotheses(spec) is not None
+
+
+def expected_exceptional_systems(spec: WreathSpec) -> ExceptionalCensus:
+    """The census of an exceptional instance; NotExceptional otherwise."""
+    census = check_hypotheses(spec)
+    if census is None:
+        raise NotExceptional("instance is not in the exceptional shape")
+    return census

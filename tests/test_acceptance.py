@@ -19,7 +19,7 @@ from imprimlab.groups import (
     symmetric_group,
 )
 from imprimlab.imprim import all_systems, is_system
-from imprimlab.linalg import Matrix, rref, subspace_span
+from imprimlab.linalg import Matrix, Subspace, rref
 from imprimlab.reprs import Character, induced_module, invariant_subspaces, is_monomial
 from imprimlab.verify import (
     induced_example_report,
@@ -219,7 +219,7 @@ def test_criterion_8_infrastructure_properties():
                 [rng.randrange(p) for _ in range(n)]
                 for _ in range(rng.randint(0, n))
             ]
-            return subspace_span(rows, n, p)
+            return Subspace.span(rows, n, p)
 
         w1, w2 = draw(), draw()
         ok = ok and (

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +10,7 @@ from imprimlab.groups import MatrixGroup
 from imprimlab.linalg import Matrix
 from imprimlab.wreath import WreathSpec
 
+DATA = Path(__file__).parent / "data"
 SIGN_P3 = {"kind": "matrix", "p": 3, "n": 1, "generators": [[[2]]]}
 C4 = {"kind": "perm", "degree": 4, "generators": [[2, 3, 4, 1]]}
 C2 = {"kind": "perm", "degree": 2, "generators": [[2, 1]]}
@@ -239,21 +241,39 @@ def test_blocks_command(tmp_path, capsys):
     assert payload["systems"] == [[[1, 3], [2, 4]]]
 
 
-def test_seed_free_and_threads_flags(tmp_path, capsys, monkeypatch):
-    k = write(tmp_path, "k.json", C4)
-    code, payload, _ = run(
-        capsys, "blocks", "--group", k, "--size", "2", "--seed-free", "--threads", "2"
-    )
-    assert code == 0 and payload["systems"] == [[[1, 3], [2, 4]]]
+@pytest.mark.parametrize(
+    "argv,wrong",
+    [
+        (["blocks", "--group", "{m}", "--size", "2"], "group"),
+        (["theorem", "--h", "{p}", "--k", "{p}"], "h"),
+        (["theorem", "--h", "{m}", "--k", "{m}"], "k"),
+        (["census", "--h", "{p}", "--k", "{p}"], "h"),
+        (["census", "--h", "{m}", "--k", "{m}"], "k"),
+        (["inclusion", "--h1", "{p}", "--k1", "{p}", "--h2", "{m}", "--k2", "{p}"], "h1"),
+    ],
+    ids=["blocks-matrix", "theorem-h-perm", "theorem-k-matrix", "census-h-perm",
+         "census-k-matrix", "inclusion-h1-perm"],
+)
+def test_description_of_wrong_kind_is_usage_error(tmp_path, capsys, argv, wrong):
+    files = {"{m}": write(tmp_path, "m.json", SIGN_P3), "{p}": write(tmp_path, "p.json", C4)}
+    code, payload, err = run(capsys, *(files.get(a, a) for a in argv))
+    assert code == 2
+    assert payload is None
+    assert err.startswith(f"error: {wrong}: expected a")
 
-    monkeypatch.setenv("IMPRIMLAB_THREADS", "3")
-    code, payload, _ = run(capsys, "blocks", "--group", k, "--size", "2")
-    assert code == 0 and payload["systems"] == [[[1, 3], [2, 4]]]
 
-    with pytest.raises(SystemExit) as exc:
-        main(["blocks", "--group", k, "--size", "2", "--threads", "0"])
-    assert exc.value.code == 2
-    capsys.readouterr()
+@pytest.mark.parametrize(
+    "argv,recorded",
+    [
+        (["theorem", "--regression", "--json-only"], "theorem_regression.json"),
+        (["example21", "--q", "7", "--json-only"], "example21_q7.json"),
+    ],
+    ids=["theorem-regression", "example21-q7"],
+)
+def test_report_matches_recorded_output(capsys, argv, recorded):
+    # the canonical reports must stay byte-identical to these recordings
+    assert main(argv) == 0
+    assert capsys.readouterr().out == (DATA / recorded).read_text()
 
 
 def test_cap_exceeded_exit_code(tmp_path, capsys):

@@ -26,7 +26,7 @@ from imprimlab.imprim import (
     part_stabilizer_elements,
     subspace_orbit,
 )
-from imprimlab.linalg import Matrix, Subspace, subspace_span
+from imprimlab.linalg import Matrix, Subspace
 from imprimlab.reprs import invariant_subspaces
 from imprimlab.wreath import WreathSpec, wreath_product
 
@@ -38,7 +38,7 @@ def sign_wreath(k_group, p):
 
 
 def line(coeffs, n, p):
-    return subspace_span([coeffs], n, p)
+    return Subspace.span([coeffs], n, p)
 
 
 def test_subspace_orbit_examples():
@@ -92,8 +92,8 @@ def test_all_systems_sign_wreath_c4_frozen():
     )
     pair_planes = ImprimitivitySystem(
         [
-            subspace_span([basis_row(0, 4), basis_row(2, 4)], 4, 3),
-            subspace_span([basis_row(1, 4), basis_row(3, 4)], 4, 3),
+            Subspace.span([basis_row(0, 4), basis_row(2, 4)], 4, 3),
+            Subspace.span([basis_row(1, 4), basis_row(3, 4)], 4, 3),
         ]
     )
     assert sorted(systems) == sorted([coord, lam_lines, pair_planes])

@@ -26,8 +26,6 @@ from imprimlab.linalg import (
     rref,
     rref_batch,
     subspace_array,
-    subspace_intersect,
-    subspace_span,
     subspace_tables,
 )
 
@@ -172,14 +170,14 @@ def test_rref_constant_on_row_equivalent_inputs():
 
 
 def test_subspace_span_examples():
-    zero = subspace_span([], 3, 5)
+    zero = Subspace.span([], 3, 5)
     assert zero.rank == 0 and zero.is_zero()
 
-    w = subspace_span([basis_row(0, 3), 2 * basis_row(0, 3)], 3, 5)
+    w = Subspace.span([basis_row(0, 3), 2 * basis_row(0, 3)], 3, 5)
     assert w.rank == 1
     assert np.array_equal(w.basis, [[1, 0, 0]])
 
-    w = subspace_span([[1, 1, 0, 0], [1, -1, 0, 0]], 4, 7)
+    w = Subspace.span([[1, 1, 0, 0], [1, -1, 0, 0]], 4, 7)
     assert w.rank == 2
     assert np.array_equal(w.basis, [[1, 0, 0, 0], [0, 1, 0, 0]])
 
@@ -190,44 +188,44 @@ def test_subspace_span_of_own_basis_is_identity():
         p = rng.choice([3, 5, 7])
         n = rng.randint(1, 5)
         rows = [[rng.randrange(p) for _ in range(n)] for _ in range(rng.randint(0, n))]
-        w = subspace_span(rows, n, p)
-        assert subspace_span(w.basis, n, p) == w
+        w = Subspace.span(rows, n, p)
+        assert Subspace.span(w.basis, n, p) == w
 
 
 def test_subspace_ordering_key():
     # rank first, then flattened entries: [[0,1]] precedes [[1,0]]
-    a = subspace_span([basis_row(0, 2)], 2, 3)
-    b = subspace_span([basis_row(1, 2)], 2, 3)
+    a = Subspace.span([basis_row(0, 2)], 2, 3)
+    b = Subspace.span([basis_row(1, 2)], 2, 3)
     full = Subspace.full(2, 3)
     assert sorted([full, a, b]) == [b, a, full]
 
 
 def test_direct_sum_check_examples():
-    e1 = subspace_span([basis_row(0, 2)], 2, 3)
-    e2 = subspace_span([basis_row(1, 2)], 2, 3)
-    mixed = subspace_span([[1, 1]], 2, 3)
+    e1 = Subspace.span([basis_row(0, 2)], 2, 3)
+    e2 = Subspace.span([basis_row(1, 2)], 2, 3)
+    mixed = Subspace.span([[1, 1]], 2, 3)
     assert direct_sum_check([e1, e2])
     assert not direct_sum_check([e1, mixed, e2])
 
-    plus = subspace_span([[1, 1]], 2, 7)
-    minus = subspace_span([[1, -1]], 2, 7)
+    plus = Subspace.span([[1, 1]], 2, 7)
+    minus = Subspace.span([[1, -1]], 2, 7)
     assert direct_sum_check([plus, minus])
 
     with pytest.raises(AmbientMismatch):
-        direct_sum_check([e1, subspace_span([[1, 0, 0]], 3, 3)])
+        direct_sum_check([e1, Subspace.span([[1, 0, 0]], 3, 3)])
 
 
 def test_subspace_intersect_examples():
-    w = subspace_span([[1, 2, 0], [0, 0, 1]], 3, 5)
-    assert subspace_intersect(w, w) == w
+    w = Subspace.span([[1, 2, 0], [0, 0, 1]], 3, 5)
+    assert w.intersect(w) == w
 
-    e1 = subspace_span([basis_row(0, 3)], 3, 5)
-    e2 = subspace_span([basis_row(1, 3)], 3, 5)
-    assert subspace_intersect(e1, e2).is_zero()
+    e1 = Subspace.span([basis_row(0, 3)], 3, 5)
+    e2 = Subspace.span([basis_row(1, 3)], 3, 5)
+    assert e1.intersect(e2).is_zero()
 
-    w12 = subspace_span([basis_row(0, 3), basis_row(1, 3)], 3, 5)
-    w23 = subspace_span([basis_row(1, 3), basis_row(2, 3)], 3, 5)
-    assert subspace_intersect(w12, w23) == e2
+    w12 = Subspace.span([basis_row(0, 3), basis_row(1, 3)], 3, 5)
+    w23 = Subspace.span([basis_row(1, 3), basis_row(2, 3)], 3, 5)
+    assert w12.intersect(w23) == e2
 
 
 @settings(max_examples=60, deadline=None)
@@ -242,7 +240,7 @@ def test_dimension_formula(p, n, data):
                 max_size=m,
             )
         )
-        return subspace_span(rows, n, p)
+        return Subspace.span(rows, n, p)
 
     w1, w2 = draw_subspace(), draw_subspace()
     total = w1.sum(w2)
@@ -258,7 +256,7 @@ def test_fixed_space_examples():
     g = Matrix.diagonal([-1, 1, 1, 1], 7)
     fixed = fixed_space(g)
     assert fixed.rank == 3
-    assert fixed == subspace_span(
+    assert fixed == Subspace.span(
         [basis_row(1, 4), basis_row(2, 4), basis_row(3, 4)], 4, 7
     )
 

@@ -12,7 +12,7 @@ from imprimlab.errors import (
     ZeroVector,
 )
 from imprimlab.groups import MatrixGroup, cyclic_group, general_linear_group, symmetric_group
-from imprimlab.linalg import Matrix, Subspace, subspace_span
+from imprimlab.linalg import Matrix, Subspace
 from imprimlab.reprs import (
     Character,
     hom_dimension,
@@ -41,7 +41,7 @@ def sign_wreath(k_group, p):
 
 def test_spin_examples():
     g = diag_group()
-    assert spin(g, basis_row(0, 2)) == subspace_span([basis_row(0, 2)], 2, 3)
+    assert spin(g, basis_row(0, 2)) == Subspace.span([basis_row(0, 2)], 2, 3)
     assert spin(g, [1, 1]).rank == 2
 
     gl = general_linear_group(2, 3)
@@ -209,7 +209,7 @@ def test_restrict_to_block_examples():
     assert {m.key for m in same.gens} == {m.key for m in gl.gens}
 
     wr = sign_wreath(cyclic_group(2), 3)
-    e1 = subspace_span([basis_row(0, 2)], 2, 3)
+    e1 = Subspace.span([basis_row(0, 2)], 2, 3)
     base_gens = [g for g in wr.gens if e1.contains_rows(e1.basis @ g.a % 3)]
     restricted = restrict_to_block(base_gens, e1)
     assert restricted.n == 1

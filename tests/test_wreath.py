@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from imprimlab.errors import HypothesisViolation, NotExceptional
 from imprimlab.groups import (
     MatrixGroup,
     PermGroup,
+    block_systems,
     cyclic_group,
     general_linear_group,
     symmetric_group,
@@ -12,6 +15,7 @@ from imprimlab.groups import (
 from imprimlab.imprim import all_systems, is_system, nonrefinable_systems
 from imprimlab.linalg import Matrix
 from imprimlab.reprs import is_irreducible
+from imprimlab.verify import wreath_inclusion_report, wreath_uniqueness_report
 from imprimlab.wreath import (
     WreathSpec,
     block_permutation_matrix,
@@ -138,3 +142,44 @@ def test_census_matches_nonrefinable_scan_degree_two():
     assert sorted(s.key for s in all_systems(group)) == sorted(
         s.key for s in census.systems
     )
+
+
+def count_calls(monkeypatch, original):
+    """Wrap a library function in every imprimlab module that holds it and
+    return the list the wrapper appends each call's arguments to."""
+    calls = []
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] != "imprimlab":
+            continue
+        if getattr(module, original.__name__, None) is original:
+            monkeypatch.setattr(module, original.__name__, wrapper)
+    return calls
+
+
+def test_hypotheses_are_decided_once_per_report(monkeypatch):
+    spins = count_calls(monkeypatch, is_irreducible)
+    pairings = count_calls(monkeypatch, block_systems)
+
+    def spins_of(h):
+        return sum(args[0] is h for args in spins)
+
+    exceptional = WreathSpec(sign_group(3), cyclic_group(4))
+    assert wreath_uniqueness_report(exceptional).instance["exceptional"] is True
+    assert spins_of(exceptional.h) == 1
+    assert sum(args == (exceptional.k, 2) for args in pairings) == 1
+
+    plain = WreathSpec(sign_group(3), symmetric_group(3))
+    assert wreath_uniqueness_report(plain).instance["exceptional"] is False
+    assert spins_of(plain.h) == 1
+
+    c3 = MatrixGroup([Matrix([[2]], 7)])
+    outer = wreath_product(WreathSpec(c3, cyclic_group(2)))
+    report = wreath_inclusion_report(c3, PermGroup([perm(3, 4, 2, 1)]), outer,
+                                     cyclic_group(2))
+    assert report.passed
+    assert spins_of(c3) == 1
