@@ -21,6 +21,7 @@ from .imprim import (
     all_systems,
     nonrefinable,
 )
+from .reprs import is_irreducible
 from .verify import (
     VerificationReport,
     induced_example_report,
@@ -152,6 +153,11 @@ def _systems_payload(args, only_nonrefinable: bool):
         "systems": rows,
     }
     summary = [f"{payload['command']}: {len(rows)} system(s) listed"]
+    if not is_irreducible(group):
+        # all_systems finds only systems whose parts form one orbit
+        payload["complete"] = False
+        summary.append("incomplete: the group is reducible, so systems whose "
+                       "parts fall into several orbits are not listed")
     return payload, EXIT_OK, summary
 
 

@@ -301,6 +301,16 @@ class Subspace:
         residual = (rows - rows[:, self._pivot_arr] @ self.basis) % self.p
         return not residual.any()
 
+    def fixed_by(self, stack) -> np.ndarray:
+        """Which matrices of an (s, n, n) stack map this subspace into itself.
+
+        One batched containment test: an image of the RREF basis lies in the
+        subspace iff it equals its pivot-column coordinates times the basis.
+        """
+        images = self.basis @ np.asarray(stack) % self.p
+        residual = (images - images[:, :, self._pivot_arr] @ self.basis) % self.p
+        return ~residual.any(axis=(1, 2))
+
     def contains(self, other: "Subspace") -> bool:
         self._check_compatible(other)
         return self.contains_rows(other.basis)
@@ -377,10 +387,14 @@ def gaussian_binomial(n: int, k: int, p: int) -> int:
     return num // den
 
 
-def _entry_dtype(p: int):
-    """Smallest signed integer dtype that holds every residue mod p."""
+def entry_dtype(m: int):
+    """Smallest signed integer dtype that holds every integer in [0, m).
+
+    That is every residue mod a modulus m, or every point of a permutation
+    of degree m.
+    """
     for dtype in (np.int8, np.int16, np.int32):
-        if p - 1 <= np.iinfo(dtype).max:
+        if m - 1 <= np.iinfo(dtype).max:
             return dtype
     return np.int64
 
@@ -391,7 +405,7 @@ def subspace_array(n: int, d: int, p: int) -> np.ndarray:
     Pivot columns run through combinations in lexicographic order and the
     free cells (right of each pivot, outside pivot columns, row by row) run
     through all field values, the last cell fastest.  Entries are stored in
-    _entry_dtype(p) to keep large scans small.
+    entry_dtype(p) to keep large scans small.
     """
     p = _check_modulus(p)
     blocks = []
@@ -404,14 +418,14 @@ def subspace_array(n: int, d: int, p: int) -> np.ndarray:
             if j not in pivot_set
         ]
         count = p ** len(free_cells)
-        block = np.zeros((count, d, n), dtype=_entry_dtype(p))
+        block = np.zeros((count, d, n), dtype=entry_dtype(p))
         block[:, np.arange(d), np.array(pivots, dtype=np.intp)] = 1
         index = np.arange(count, dtype=np.int64)
         for k, (i, j) in enumerate(reversed(free_cells)):
             block[:, i, j] = index // p**k % p
         blocks.append(block)
     if not blocks:
-        return np.zeros((0, d, n), dtype=_entry_dtype(p))
+        return np.zeros((0, d, n), dtype=entry_dtype(p))
     return np.concatenate(blocks)
 
 

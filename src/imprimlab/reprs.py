@@ -21,7 +21,7 @@ from .errors import (
     ValidationError,
     ZeroVector,
 )
-from .groups import DEFAULT_CAP_ELEMENTS, MatrixGroup
+from .groups import DEFAULT_CAP_ELEMENTS, MatrixGroup, byte_keys
 from .linalg import (
     Matrix,
     Subspace,
@@ -122,34 +122,45 @@ class Character:
         self.modulus = modulus
         self._table = self._extend()
 
-    def _extend(self):
-        identity = self.group.identity
-        table = {identity.key: 1}
-        frontier = [identity]
-        gen_values = list(zip(self.group.gens, self.values))
-        while frontier:
-            new = []
-            for a in frontier:
-                va = table[a.key]
-                for g, vg in gen_values:
-                    b = g * a
-                    vb = vg * va % self.modulus
-                    known = table.get(b.key)
-                    if known is None:
-                        table[b.key] = vb
-                        new.append(b)
-                    elif known != vb:
-                        raise InconsistentCharacter(
-                            "generator values do not extend to the group"
-                        )
-            frontier = new
+    def _extend(self) -> np.ndarray:
+        """The value of every element of the group, in element_array order.
+
+        Values spread breadth-first from the identity along each generator's
+        table of left multiplication (value(g a) = value(g) value(a)); then
+        every edge of every table is checked.
+        """
+        group, q = self.group, self.modulus
+        elements = group.element_array
+        tables = [group.positions(g.a @ elements) for g in group.gens]
+        table = np.zeros(group.order, dtype=np.int64)
+        table[0] = 1
+        known = np.zeros(group.order, dtype=bool)
+        known[0] = True
+        frontier = np.zeros(1, dtype=np.intp)
+        while len(frontier):
+            reached = []
+            for images, v in zip(tables, self.values):
+                dst = images[frontier]
+                fresh = ~known[dst]
+                table[dst[fresh]] = table[frontier[fresh]] * v % q
+                known[dst[fresh]] = True
+                reached.append(dst[fresh])
+            frontier = np.concatenate(reached)
+        for images, v in zip(tables, self.values):
+            if not np.array_equal(table[images], table * v % q):
+                raise InconsistentCharacter(
+                    "generator values do not extend to the group"
+                )
         return table
 
     def __call__(self, element: Matrix) -> int:
-        value = self._table.get(element.key)
-        if value is None:
+        group = self.group
+        if element.p != group.p or element.a.shape != (group.n, group.n):
             raise ValidationError("element is not in the character's group")
-        return value
+        index = group.positions(element.a[None])[0]
+        if index < 0:
+            raise ValidationError("element is not in the character's group")
+        return int(self._table[index])
 
 
 class InducedRep:
@@ -167,9 +178,8 @@ class InducedRep:
             raise ValidationError("character must be defined on the subgroup")
         if subgroup.p != source.p or subgroup.n != source.n:
             raise NotASubgroup("subgroup lives in a different ambient group")
-        for e in subgroup.elements:
-            if not source.contains(e):
-                raise NotASubgroup("subgroup element outside the ambient group")
+        if not source.member_mask(subgroup.element_array).all():
+            raise NotASubgroup("subgroup element outside the ambient group")
         self.source = source
         self.subgroup = subgroup
         self.character = character
@@ -234,12 +244,19 @@ def restrict_matrix(g: Matrix, w: Subspace) -> Matrix:
 
 
 def restrict_to_block(stab_gens, w: Subspace) -> MatrixGroup:
-    """Action of stabilizing generators on w, as a rank(w)-degree group."""
-    deduped = {}
-    for g in stab_gens:
-        m = restrict_matrix(g, w)
-        deduped.setdefault(m.key, m)
-    return MatrixGroup(list(deduped.values()))
+    """Action of stabilizing matrices on w, as a rank(w)-degree group.
+
+    stab_gens is an (s, n, n) stack or a list of Matrix.  The restrictions
+    are the pivot-column coordinates of the images of w's basis, taken for
+    all matrices at once and kept once each, in first-occurrence order.
+    """
+    if not isinstance(stab_gens, np.ndarray):
+        stab_gens = np.array([g.a for g in stab_gens]).reshape(-1, w.ambient, w.ambient)
+    if not w.fixed_by(stab_gens).all():
+        raise NotStabilized("a matrix moves the subspace")
+    coords = (w.basis @ stab_gens % w.p)[:, :, list(w.pivots)]
+    _, first = np.unique(byte_keys(coords), return_index=True)
+    return MatrixGroup([Matrix(c, w.p) for c in coords[np.sort(first)]])
 
 
 def invariant_subspaces(gens, n: int, p: int, dims=None) -> list[Subspace]:

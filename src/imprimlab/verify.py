@@ -399,12 +399,11 @@ def maximal_solvable_witness(
     base = MatrixGroup(monomial_gens, cap=cap_elements)
     ambient_solvable = ambient.is_solvable()
     witness = None
-    cache: dict[frozenset, bool] = {}
-    for g in ambient.elements:
-        if base.contains(g):
-            continue
-        candidate = MatrixGroup(list(monomial_gens) + [g], cap=cap_elements)
-        key = frozenset(candidate.element_keys)
+    cache: dict[bytes, bool] = {}
+    outside = ambient.element_array[~base.member_mask(ambient.element_array)]
+    for a in outside:
+        candidate = MatrixGroup(list(monomial_gens) + [Matrix(a, q)], cap=cap_elements)
+        key = candidate.sorted_keys.tobytes()
         if key not in cache:
             if candidate.order == ambient.order and not ambient_solvable:
                 cache[key] = False

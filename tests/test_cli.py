@@ -142,6 +142,23 @@ def test_nonrefinable_command(tmp_path, capsys):
     assert all(s["nonrefinable"] for s in payload["systems"])
 
 
+def test_reducible_group_systems_are_labelled_incomplete(tmp_path, capsys):
+    # <diag(-1,1), diag(1,-1)> over GF(3): {<e1>, <e2>} is a system whose
+    # parts are two orbits, which the single-orbit scan does not list
+    diagonal = {"kind": "matrix", "p": 3, "n": 2,
+                "generators": [[[2, 0], [0, 1]], [[1, 0], [0, 2]]]}
+    group_file = write(tmp_path, "g.json", diagonal)
+    for command in ("systems", "nonrefinable"):
+        code, payload, err = run(capsys, command, "--group", group_file)
+        assert code == 0
+        assert payload["complete"] is False
+        assert [s["parts"] for s in payload["systems"]] == [[[[1, 1]], [[1, 2]]]]
+        assert "incomplete" in err
+    irreducible = write(tmp_path, "w.json", {"kind": "wreath", "h": SIGN_P3, "k": C4})
+    _, payload, _ = run(capsys, "systems", "--group", irreducible)
+    assert "complete" not in payload
+
+
 def test_theorem_command(tmp_path, capsys):
     h = write(tmp_path, "h.json", SIGN_P3)
     k = write(tmp_path, "k.json", S3)
