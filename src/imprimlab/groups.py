@@ -2,8 +2,11 @@
 
 Enumeration is an explicit breadth-first closure under left multiplication,
 capped so runaway inputs fail fast instead of eating memory.  The closure
-doubles as the membership, containment, and solvability oracle: everything
-here is checked on the full element list, never inferred structurally.
+doubles as the membership and containment oracle: both are checked on the
+full element list, never inferred structurally.  Solvability closes each
+term of the derived series in full; a derived subgroup is found as the
+normal closure of its group's generator commutators, so only generators
+are multiplied as Matrix objects.
 
 The closure works on arrays.  A group's elements are one (|G|, n, n) stack
 of matrices (or (|G|, k) stack of permutation images) in the smallest
@@ -39,7 +42,7 @@ from .errors import (
     OddDegree,
     ValidationError,
 )
-from .linalg import Matrix, entry_dtype, is_prime, rref_batch
+from .linalg import Matrix, entry_dtype, is_prime
 
 DEFAULT_CAP_ELEMENTS = 2**20
 
@@ -202,9 +205,27 @@ class MatrixGroup(_ElementArray):
         return bool(other.member_mask(self._generator_stack).all())
 
     def derived_subgroup(self) -> "MatrixGroup":
-        comms = _commutator_generators(self.element_array, self.p)
-        gens = [Matrix(c, self.p) for c in comms] or [self.identity]
-        return MatrixGroup(gens, cap=self.cap)
+        """[G, G] as the normal closure of the generators' commutators.
+
+        The commutators x^-1 y^-1 x y of pairs of generators generate a
+        subgroup N.  Conjugates of N's generators by G's generators that
+        fall outside N join its generators until none do; N is then
+        normal, G/N is abelian because the generators commute mod N, and
+        N holds no element outside [G, G].
+        """
+        pairs = [(g, g.inv()) for g in self.gens]
+        gens = [
+            x_inv * y_inv * x * y
+            for (x, x_inv), (y, y_inv) in itertools.combinations(pairs, 2)
+        ]
+        while True:
+            gens = _dedupe(g for g in gens if not g.is_identity())
+            subgroup = MatrixGroup(gens or [self.identity], cap=self.cap)
+            conjugates = [x_inv * g * x for g in subgroup.gens for x, x_inv in pairs]
+            outside = ~subgroup.member_mask(np.stack([c.a for c in conjugates]))
+            if not outside.any():
+                return subgroup
+            gens += itertools.compress(conjugates, outside)
 
     def derived_series_orders(self) -> list[int]:
         """Orders along the derived series, computed until stabilization."""
@@ -225,32 +246,6 @@ class MatrixGroup(_ElementArray):
 
     def __repr__(self):
         return f"MatrixGroup(degree={self.n}, p={self.p}, gens={len(self.gens)})"
-
-
-def _commutator_generators(elements: np.ndarray, p: int) -> np.ndarray:
-    """Distinct commutators a^-1 b^-1 a b over all element pairs, except 1.
-
-    elements is a group's element stack; the commutators come back as one
-    stack in its dtype, in first-occurrence order with a outer and b inner.
-    The inverses come from one batched RREF of [E | I].  The commutators
-    are formed for a block of a at a time, about CLOSE_PRODUCTS per block,
-    and deduplicated by byte key.
-    """
-    count, n = elements.shape[:2]
-    wide = elements.astype(np.int64)
-    eye = np.broadcast_to(np.eye(n, dtype=np.int64), wide.shape)
-    inv = rref_batch(np.concatenate([wide, eye], axis=2), p)[:, :, n:]
-    seen = byte_keys(np.eye(n, dtype=elements.dtype)[None])  # drops 1
-    found = []
-    step = max(1, CLOSE_PRODUCTS // count)
-    for start in range(0, count, step):
-        a = wide[start : start + step, None]
-        a_inv = inv[start : start + step, None]
-        block = (a_inv @ inv % p @ a % p @ wide % p).astype(elements.dtype)
-        block = block.reshape(-1, n, n)
-        fresh, seen = first_new(byte_keys(block), seen)
-        found.append(block[fresh])
-    return np.concatenate(found)
 
 
 def primitive_root(p: int) -> int:
@@ -432,9 +427,10 @@ class PermGroup(_ElementArray):
         return f"PermGroup(degree={self.degree}, gens={len(self.gens)})"
 
 
-def _dedupe(perms):
+def _dedupe(elements):
+    """The elements in order, each key once."""
     seen = {}
-    for g in perms:
+    for g in elements:
         seen.setdefault(g.key, g)
     return list(seen.values())
 

@@ -3,9 +3,9 @@
 mulclose_oracle is the breadth-first closure the library ran before group
 elements became one array: one Matrix or Permutation object per product,
 deduplicated in a dict.  commutator_oracle, stabilizer_oracle and
-character_oracle are the per-element routes of the commutators, the part
-stabilizer and the character table.  They are kept here, and only here, as
-the references the library is checked against.
+character_oracle are the per-element routes of the derived subgroup's
+generators, the part stabilizer and the character table.  They are kept
+here, and only here, as the references the library is checked against.
 """
 
 import numpy as np
@@ -18,7 +18,6 @@ from imprimlab.groups import (
     MatrixGroup,
     PermGroup,
     Permutation,
-    _commutator_generators,
     general_linear_group,
     general_linear_order,
     primitive_root,
@@ -206,15 +205,23 @@ def test_closing_gl33_builds_no_matrix_per_element(monkeypatch):
 
 
 @given(matrix_groups(max_n=2))
-def test_commutators_match_oracle(gens):
+def test_derived_subgroup_matches_oracle(gens):
+    # [G, G] is generated by the commutators of all pairs of elements
     group = MatrixGroup(gens, cap=200)
     try:
         group.order
     except CapExceeded:
         return
-    expected = commutator_oracle(group.elements, group.p)
-    found = _commutator_generators(group.element_array, group.p)
-    assert [Matrix(c, group.p).key for c in found] == [c.key for c in expected]
+    n, p = group.n, group.p
+    expected = mulclose_oracle(
+        commutator_oracle(group.elements, p), Matrix.identity(n, p), group.order
+    )
+    assert set(group.derived_subgroup().element_keys) == set(expected)
+
+
+def test_derived_subgroup_of_gl33_is_sl33():
+    # beyond the oracle's reach: |G|^2 = 1.3e8 commutators
+    assert general_linear_group(3, 3).derived_series_orders() == [11232, 5616]
 
 
 @given(matrix_groups(), st.data())
