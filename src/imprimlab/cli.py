@@ -14,13 +14,9 @@ import json
 import sys
 
 from .errors import CapError, ImprimlabError
-from .groups import DEFAULT_CAP_ELEMENTS, block_systems
+from .groups import DEFAULT_CAP_ELEMENTS, DEFAULT_CAP_SUBSPACES, block_systems
 from .descriptions import parse_group
-from .imprim import (
-    DEFAULT_CAP_SUBSPACES,
-    all_systems,
-    nonrefinable,
-)
+from .imprim import all_systems, nonrefinable
 from .reprs import is_irreducible
 from .verify import (
     VerificationReport,

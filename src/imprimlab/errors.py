@@ -35,6 +35,15 @@ class EnumerationCapExceeded(CapError):
         self.count = count
 
 
+class PhaseCapExceeded(CapError):
+    """An exhaustive loop of the named phase would run past its cap."""
+
+    def __init__(self, phase, count, items, cap):
+        super().__init__(f"{phase}: {count} {items} exceed the cap of {cap}")
+        self.phase = phase
+        self.count = count
+
+
 class ZeroInverse(ValidationError):
     pass
 

@@ -33,6 +33,7 @@ Permutations are stored 0-based and compose left to right:
 from __future__ import annotations
 
 import itertools
+import math
 from functools import cached_property
 
 import numpy as np
@@ -40,11 +41,17 @@ import numpy as np
 from .errors import (
     CapExceeded,
     OddDegree,
+    PhaseCapExceeded,
     ValidationError,
 )
 from .linalg import Matrix, entry_dtype, is_prime
 
 DEFAULT_CAP_ELEMENTS = 2**20
+# Subspaces scanned per dimension, and projective points spun when the
+# irreducibility certificate fails.
+DEFAULT_CAP_SUBSPACES = 10**6
+# Equal partitions tried by the exhaustive block-system route.
+DEFAULT_CAP_PARTITIONS = 10**6
 
 # Products formed in one step of a closure: a chunk of the frontier times
 # every generator.
@@ -501,6 +508,11 @@ def _equal_partitions(points, block_size):
 
 
 def _block_systems_exhaustive(group: PermGroup, block_size: int) -> list[BlockSystem]:
+    k, b = group.degree, block_size
+    count = math.factorial(k) // (math.factorial(b) ** (k // b) * math.factorial(k // b))
+    if count > DEFAULT_CAP_PARTITIONS:
+        raise PhaseCapExceeded("block systems", count, "equal partitions",
+                               DEFAULT_CAP_PARTITIONS)
     out = []
     for blocks in _equal_partitions(range(group.degree), block_size):
         system = BlockSystem(blocks, group.degree)
@@ -591,7 +603,8 @@ def block_systems(group: PermGroup, block_size: int) -> list[BlockSystem]:
 
     Transitive groups take the pair-seeded congruence closure; the seeded
     route requires transitivity, so intransitive groups are exhausted over
-    every partition (the brute-force oracle).
+    every partition (the brute-force oracle), once their number is known
+    not to exceed DEFAULT_CAP_PARTITIONS (PhaseCapExceeded otherwise).
     """
     k = group.degree
     if block_size < 1 or k % block_size != 0:

@@ -32,7 +32,7 @@ from .errors import (
     NotTransitiveOnParts,
     ValidationError,
 )
-from .groups import MatrixGroup
+from .groups import DEFAULT_CAP_SUBSPACES, MatrixGroup
 from .linalg import (
     Subspace,
     direct_sum_check,
@@ -43,8 +43,6 @@ from .linalg import (
     subspace_tables,
 )
 from .reprs import is_primitive_linear, restrict_to_block
-
-DEFAULT_CAP_SUBSPACES = 10**6
 
 
 class ImprimitivitySystem:

@@ -1,8 +1,15 @@
 """Representation-theoretic operations on matrix groups.
 
-Irreducibility is decided by spinning: a group is irreducible iff every
-nonzero vector generates the full space, and it suffices to spin one
-representative per 1-dimensional subspace.  Induced modules are built from
+Irreducibility is first decided by a certificate (Burnside's theorem, as
+in Holt & Rees's irreducibility test, without its random choices): if the
+products of the generators span all of M_n(GF(p)), every invariant
+subspace is invariant under every matrix, so the group is irreducible.
+The certificate multiplies only generators, never the group's elements.
+When the span is smaller, the group is reducible or irreducible but not
+absolutely irreducible, and irreducibility is decided by spinning: a
+group is irreducible iff every nonzero vector generates the full space,
+and it suffices to spin one representative per 1-dimensional subspace.
+That spin counts against the subspace cap.  Induced modules are built from
 a linear character of a subgroup via an explicit coset table; the images
 are monomial matrices over the (possibly different) target field.
 """
@@ -18,14 +25,16 @@ from .errors import (
     LengthMismatch,
     NotASubgroup,
     NotStabilized,
+    PhaseCapExceeded,
     ValidationError,
     ZeroVector,
 )
-from .groups import DEFAULT_CAP_ELEMENTS, MatrixGroup, byte_keys
+from .groups import DEFAULT_CAP_ELEMENTS, DEFAULT_CAP_SUBSPACES, MatrixGroup, byte_keys
 from .linalg import (
     Matrix,
     Subspace,
     echelon_subspace,
+    gaussian_binomial,
     image_chunks,
     rref,
     subspace_array,
@@ -37,19 +46,8 @@ def spin(g: MatrixGroup, v) -> Subspace:
     v = np.asarray(v, dtype=np.int64) % g.p
     if not v.any():
         raise ZeroVector("cannot spin the zero vector")
-    sub = Subspace.span([v], g.n, g.p)
-    changed = True
-    while changed and sub.rank < g.n:
-        changed = False
-        for gen in g.gens:
-            images = (sub.basis @ gen.a) % g.p
-            fresh = [row for row in images if not sub.contains_vector(row)]
-            if fresh:
-                sub = Subspace.span(
-                    np.concatenate([sub.basis, np.array(fresh)]), g.n, g.p
-                )
-                changed = True
-    return sub
+    rows = _invariant_span(v[None], np.stack([m.a for m in g.gens]), g.p)
+    return Subspace.span(rows, g.n, g.p)
 
 
 def projective_representatives(n: int, p: int):
@@ -63,8 +61,67 @@ def projective_representatives(n: int, p: int):
             yield vec
 
 
+def _mul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """a @ b mod p for entries in [0, p), in runs of the inner index short
+    enough that no partial sum overflows int64."""
+    step = max(1, 2**62 // (p - 1) ** 2)
+    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
+    for start in range(0, a.shape[1], step):
+        out = (out + a[:, start : start + step] @ b[start : start + step]) % p
+    return out
+
+
+def _invariant_span(start: np.ndarray, gens: np.ndarray, p: int) -> np.ndarray:
+    """Rows spanning the smallest subspace that contains the nonzero
+    (1, width) row start and is mapped into itself by every matrix of the
+    (m, n, n) stack gens; a row of width r * n is read as an (r, n) matrix
+    and multiplied on the right.
+
+    Each round multiplies the rows the last round added by every generator
+    at once and keeps what the images add beyond the span, until they add
+    nothing.  The rows are kept reduced (each has a pivot column where it
+    is 1 and every other row is 0), so an image's remainder modulo the span
+    is the image minus its pivot-column entries times the rows.
+    """
+    n, width = gens.shape[1], start.shape[1]
+    rows, _, pivots = rref(start, p)
+    pivots = np.array(pivots)
+    fresh = rows
+    while len(rows) < width:
+        images = (fresh.reshape(-1, 1, width // n, n) @ gens % p).reshape(-1, width)
+        remainder = (images - _mul_mod(images[:, pivots], rows, p)) % p
+        if not remainder.any():
+            break
+        fresh, rank, fresh_pivots = rref(remainder[remainder.any(axis=1)], p)
+        fresh = fresh[:rank]
+        rows = np.concatenate([(rows - _mul_mod(rows[:, fresh_pivots], fresh, p)) % p, fresh])
+        pivots = np.concatenate([pivots, fresh_pivots])
+    return rows
+
+
+def algebra_dimension(g: MatrixGroup) -> int:
+    """Dimension of g's enveloping algebra: the span of all generator products.
+
+    It is the span of the identity matrix, read as one row of GF(p)^(n^2),
+    under right multiplication by the generators.
+    """
+    identity = np.eye(g.n, dtype=np.int64).reshape(1, -1)
+    return len(_invariant_span(identity, np.stack([m.a for m in g.gens]), g.p))
+
+
 def is_irreducible(g: MatrixGroup) -> bool:
-    """True iff no proper nonzero subspace is invariant under g."""
+    """True iff no proper nonzero subspace is invariant under g.
+
+    An enveloping algebra of dimension n^2 certifies irreducibility.  Below
+    that, one vector per projective point is spun, which raises
+    PhaseCapExceeded when the points outnumber the subspace cap.
+    """
+    if algebra_dimension(g) == g.n * g.n:
+        return True
+    points = gaussian_binomial(g.n, 1, g.p)
+    if points > DEFAULT_CAP_SUBSPACES:
+        raise PhaseCapExceeded("irreducibility spin", points, "projective points",
+                               DEFAULT_CAP_SUBSPACES)
     for v in projective_representatives(g.n, g.p):
         if spin(g, v).rank < g.n:
             return False

@@ -19,6 +19,7 @@ from typing import Any
 from .errors import BadModulus, ExceptionalInstance, ValidationError
 from .groups import (
     DEFAULT_CAP_ELEMENTS,
+    DEFAULT_CAP_SUBSPACES,
     MatrixGroup,
     PermGroup,
     Permutation,
@@ -28,7 +29,6 @@ from .groups import (
     primitive_root,
 )
 from .imprim import (
-    DEFAULT_CAP_SUBSPACES,
     all_systems,
     coordinate_system,
     is_refinement,

@@ -1,6 +1,9 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import settings
+from hypothesis import strategies as st
 
 from imprimlab import Matrix, MatrixGroup, PermGroup, Permutation
 
@@ -63,3 +66,46 @@ def basis_row(i, n):
     row = np.zeros(n, dtype=np.int64)
     row[i] = 1
     return row
+
+
+@st.composite
+def matrix_groups(draw, max_n=3, primes=(2, 3, 5, 7)):
+    """1-3 random invertible or monomial generators, n <= max_n, p in primes."""
+    p = draw(st.sampled_from(primes))
+    n = draw(st.integers(1, max_n))
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        if draw(st.booleans()):
+            perm = draw(st.permutations(range(n)))
+            diag = draw(st.lists(st.integers(1, p - 1), min_size=n, max_size=n))
+            a = np.zeros((n, n), dtype=np.int64)
+            a[np.arange(n), perm] = diag
+        else:  # P L U: permutation, unitriangular, invertible triangular
+            lower = np.eye(n, dtype=np.int64)
+            upper = np.diag(
+                draw(st.lists(st.integers(1, p - 1), min_size=n, max_size=n))
+            )
+            for i, j in zip(*np.tril_indices(n, -1)):
+                lower[i, j] = draw(st.integers(0, p - 1))
+                upper[j, i] = draw(st.integers(0, p - 1))
+            perm = draw(st.permutations(range(n)))
+            a = np.eye(n, dtype=np.int64)[list(perm)] @ lower @ upper
+        gens.append(Matrix(a, p))
+    return gens
+
+
+def count_calls(monkeypatch, original):
+    """Wrap a library function in every imprimlab module that holds it and
+    return the list the wrapper appends each call's arguments to."""
+    calls = []
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] != "imprimlab":
+            continue
+        if getattr(module, original.__name__, None) is original:
+            monkeypatch.setattr(module, original.__name__, wrapper)
+    return calls

@@ -304,6 +304,19 @@ def test_cap_exceeded_exit_code(tmp_path, capsys):
     assert "cap" in err
 
 
+def test_block_systems_over_the_cap_exit_code(tmp_path, capsys, monkeypatch):
+    from imprimlab import groups
+
+    # the fixed points make the group intransitive: every pairing is tried
+    swaps = {"kind": "perm", "degree": 6, "generators": [[2, 1, 3, 4, 5, 6]]}
+    k = write(tmp_path, "k.json", swaps)
+    monkeypatch.setattr(groups, "DEFAULT_CAP_PARTITIONS", 14)
+    code, payload, err = run(capsys, "blocks", "--group", k, "--size", "2")
+    assert code == 3
+    assert payload is None
+    assert "block systems: 15 equal partitions" in err
+
+
 def test_json_only_suppresses_summary(tmp_path, capsys):
     # GL1(3) wr C2 is the smallest exceptional shape: coordinate lines plus
     # the paired-sign line system

@@ -26,6 +26,8 @@ from imprimlab.imprim import part_stabilizer_elements
 from imprimlab.linalg import Matrix, echelon_subspace, subspace_array
 from imprimlab.reprs import Character, restrict_matrix, restrict_to_block
 
+from conftest import matrix_groups
+
 
 def mulclose_oracle(gens, identity, cap):
     """Breadth-first closure of the generators, identity first, as a dict."""
@@ -79,32 +81,6 @@ def character_oracle(group, values, modulus):
                     raise InconsistentCharacter("inconsistent")
         frontier = new
     return table
-
-
-@st.composite
-def matrix_groups(draw, max_n=3):
-    """1-3 random invertible or monomial generators, n <= 3, p in {2,3,5,7}."""
-    p = draw(st.sampled_from([2, 3, 5, 7]))
-    n = draw(st.integers(1, max_n))
-    gens = []
-    for _ in range(draw(st.integers(1, 3))):
-        if draw(st.booleans()):
-            perm = draw(st.permutations(range(n)))
-            diag = draw(st.lists(st.integers(1, p - 1), min_size=n, max_size=n))
-            a = np.zeros((n, n), dtype=np.int64)
-            a[np.arange(n), perm] = diag
-        else:  # P L U: permutation, unitriangular, invertible triangular
-            lower = np.eye(n, dtype=np.int64)
-            upper = np.diag(
-                draw(st.lists(st.integers(1, p - 1), min_size=n, max_size=n))
-            )
-            for i, j in zip(*np.tril_indices(n, -1)):
-                lower[i, j] = draw(st.integers(0, p - 1))
-                upper[j, i] = draw(st.integers(0, p - 1))
-            perm = draw(st.permutations(range(n)))
-            a = np.eye(n, dtype=np.int64)[list(perm)] @ lower @ upper
-        gens.append(Matrix(a, p))
-    return gens
 
 
 @st.composite

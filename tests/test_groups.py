@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from imprimlab.errors import CapExceeded, OddDegree, ValidationError
+from imprimlab.errors import CapError, CapExceeded, OddDegree, ValidationError
 from imprimlab.groups import (
     BlockSystem,
     MatrixGroup,
@@ -10,6 +10,7 @@ from imprimlab.groups import (
     Permutation,
     _block_systems_exhaustive,
     _block_systems_seeded,
+    _equal_partitions,
     block_systems,
     cyclic_group,
     general_linear_group,
@@ -191,6 +192,19 @@ def test_seeded_matches_exhaustive(klein_group, dihedral8_group):
             assert _block_systems_seeded(group, size) == _block_systems_exhaustive(
                 group, size
             )
+
+
+@pytest.mark.parametrize("k,b", [(6, 2), (6, 3), (8, 2), (8, 4)])
+def test_exhaustive_block_systems_count_partitions_against_the_cap(monkeypatch, k, b):
+    from imprimlab import groups
+
+    trivial = PermGroup([Permutation.identity(k)])  # every partition is a system
+    count = len(list(_equal_partitions(range(k), b)))
+    monkeypatch.setattr(groups, "DEFAULT_CAP_PARTITIONS", count)
+    assert len(block_systems(trivial, b)) == count
+    monkeypatch.setattr(groups, "DEFAULT_CAP_PARTITIONS", count - 1)
+    with pytest.raises(CapError, match=f"block systems: {count} equal partitions"):
+        block_systems(trivial, b)
 
 
 def test_block_systems_large_degree_uses_seeding():

@@ -2,8 +2,12 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from imprimlab import reprs
 from imprimlab.errors import (
+    CapError,
     InconsistentCharacter,
     LengthMismatch,
     NotASubgroup,
@@ -15,6 +19,7 @@ from imprimlab.groups import MatrixGroup, cyclic_group, general_linear_group, sy
 from imprimlab.linalg import Matrix, Subspace
 from imprimlab.reprs import (
     Character,
+    algebra_dimension,
     hom_dimension,
     induced_module,
     invariant_subspaces,
@@ -26,9 +31,16 @@ from imprimlab.reprs import (
     restrict_to_block,
     spin,
 )
+from imprimlab.verify import induced_example_report
 from imprimlab.wreath import WreathSpec, wreath_product
 
-from conftest import basis_row, sign_group
+from conftest import (
+    basis_row,
+    block_diagonal_product,
+    count_calls,
+    matrix_groups,
+    sign_group,
+)
 
 
 def diag_group():
@@ -90,6 +102,111 @@ def test_irreducible_matches_full_vector_scan():
             if any(v)
         )
         assert is_irreducible(g) == full
+
+
+def spin_reference(g, v):
+    """Smallest g-invariant subspace containing v, grown one image at a time."""
+    sub = Subspace.span([v], g.n, g.p)
+    grown = True
+    while grown:
+        grown = False
+        for gen in g.gens:
+            for row in sub.basis @ gen.a % g.p:
+                if not sub.contains_vector(row):
+                    sub = Subspace.span([*sub.basis, row], g.n, g.p)
+                    grown = True
+    return sub
+
+
+def spin_oracle(g):
+    """Irreducibility by spinning one vector per projective point."""
+    return all(
+        spin_reference(g, v).rank == g.n for v in projective_representatives(g.n, g.p)
+    )
+
+
+@given(matrix_groups(max_n=4), st.data())
+def test_spin_matches_reference(gens, data):
+    g = MatrixGroup(gens)
+    v = data.draw(st.lists(st.integers(0, g.p - 1), min_size=g.n, max_size=g.n)
+                  .filter(any))
+    assert spin(g, v) == spin_reference(g, v)
+
+
+def companion_group(coefficients, p):
+    """The cyclic group of the companion matrix of x^n - sum c_i x^i, row action."""
+    n = len(coefficients)
+    a = np.zeros((n, n), dtype=np.int64)
+    a[np.arange(n - 1), np.arange(1, n)] = 1
+    a[n - 1] = coefficients
+    return MatrixGroup([Matrix(a, p)])
+
+
+@given(matrix_groups(max_n=4))
+def test_irreducible_matches_spin_oracle(gens):
+    g = MatrixGroup(gens)
+    assert is_irreducible(g) == spin_oracle(g)
+
+
+@given(st.sampled_from([2, 3, 5, 7]).flatmap(
+    lambda p: st.lists(matrix_groups(max_n=2, primes=(p,)), min_size=2, max_size=2)),
+    st.data())
+def test_block_triangular_groups_are_reducible(factor_gens, data):
+    # block-diagonal products, then random entries above the diagonal blocks;
+    # either way the last block's coordinates span an invariant subspace
+    product, dims, _ = block_diagonal_product([MatrixGroup(gens) for gens in factor_gens])
+    a, n, p = dims[0], product.n, product.p
+    above = st.lists(st.integers(0, p - 1), min_size=a * (n - a), max_size=a * (n - a))
+    gens = []
+    for m in product.gens:
+        glued = m.a.copy()
+        glued[:a, a:] = np.reshape(data.draw(above), (a, n - a))
+        gens.append(Matrix(glued, p))
+    g = MatrixGroup(gens)
+    assert is_irreducible(g) is spin_oracle(g) is False
+
+
+@pytest.mark.parametrize(
+    "g,irreducible",
+    [
+        (companion_group([2, 0], 3), True),  # x^2 + 1 over GF(3)
+        (companion_group([1, 1, 0], 3), True),  # x^3 - x - 1 over GF(3)
+        (diag_group(), False),
+    ],
+    ids=["x2+1", "x3-x-1", "diagonal"],
+)
+def test_uncertified_groups_fall_back_to_the_spin(monkeypatch, g, irreducible):
+    # irreducible but not absolutely irreducible, or reducible: the
+    # enveloping algebra is smaller than M_n, so the points are spun
+    assert algebra_dimension(g) == g.n < g.n * g.n
+    spins = count_calls(monkeypatch, spin)
+    assert is_irreducible(g) is irreducible
+    assert spins
+
+
+def test_algebra_products_do_not_overflow_for_large_moduli():
+    # sixteen products (p-1)^2 ~ 2^60 overflow one int64 sum; mod p each is 1
+    p = 1_073_741_789
+    rows = np.full((2, 16), p - 1, dtype=np.int64)
+    assert (reprs._mul_mod(rows, rows.T, p) == 16).all()
+
+
+def test_spin_fallback_counts_against_the_subspace_cap(monkeypatch):
+    monkeypatch.setattr(reprs, "DEFAULT_CAP_SUBSPACES", 3)
+    with pytest.raises(CapError, match="irreducibility spin: 4 projective points"):
+        is_irreducible(companion_group([2, 0], 3))
+    # a certified group spins nothing, so the cap does not apply
+    assert is_irreducible(general_linear_group(2, 3))
+
+
+def test_large_groups_are_certified_without_a_spin(monkeypatch):
+    irreducible = count_calls(monkeypatch, is_irreducible)
+    spins = count_calls(monkeypatch, spin)
+    assert reprs.is_irreducible(sign_wreath(symmetric_group(6), 3))
+    assert induced_example_report(13).passed
+    # the wreath, the induced group, its restrictions to summands and parts
+    assert {args[0].n for args in irreducible} == {6, 4, 2, 1}
+    assert spins == []
 
 
 def test_is_primitive_linear():

@@ -1,5 +1,3 @@
-import sys
-
 import numpy as np
 import pytest
 
@@ -25,7 +23,7 @@ from imprimlab.wreath import (
     wreath_product,
 )
 
-from conftest import perm, sign_group
+from conftest import count_calls, perm, sign_group
 
 
 def test_block_permutation_row_convention():
@@ -142,23 +140,6 @@ def test_census_matches_nonrefinable_scan_degree_two():
     assert sorted(s.key for s in all_systems(group)) == sorted(
         s.key for s in census.systems
     )
-
-
-def count_calls(monkeypatch, original):
-    """Wrap a library function in every imprimlab module that holds it and
-    return the list the wrapper appends each call's arguments to."""
-    calls = []
-
-    def wrapper(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-
-    for name, module in list(sys.modules.items()):
-        if name.partition(".")[0] != "imprimlab":
-            continue
-        if getattr(module, original.__name__, None) is original:
-            monkeypatch.setattr(module, original.__name__, wrapper)
-    return calls
 
 
 def test_hypotheses_are_decided_once_per_report(monkeypatch):
