@@ -66,7 +66,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument(
         "--cap-subspaces", type=int, default=DEFAULT_CAP_SUBSPACES,
-        help="maximum subspaces scanned per dimension (default %(default)s)",
+        help="maximum subspaces scanned per dimension, and projective points "
+             "spun by the irreducibility fallback (default %(default)s)",
     )
     common.add_argument(
         "--json-only", action="store_true",
@@ -149,7 +150,7 @@ def _systems_payload(args, only_nonrefinable: bool):
         "systems": rows,
     }
     summary = [f"{payload['command']}: {len(rows)} system(s) listed"]
-    if not is_irreducible(group):
+    if not is_irreducible(group, args.cap_subspaces):
         # all_systems finds only systems whose parts form one orbit
         payload["complete"] = False
         summary.append("incomplete: the group is reducible, so systems whose "
@@ -198,7 +199,7 @@ def _theorem(args):
 
 def _census(args):
     spec = _wreath_spec_from_files(args)
-    census = expected_exceptional_systems(spec)
+    census = expected_exceptional_systems(spec, args.cap_subspaces)
     payload = {
         "schema": QUERY_SCHEMA,
         "command": "census",
@@ -222,7 +223,7 @@ def _inclusion(args):
     h2 = _load_group(args.h2, "h2", False, cap)
     k2 = _load_group(args.k2, "k2", True, cap)
     return _report_payload(
-        wreath_inclusion_report(h1, k1, h2, k2, cap)
+        wreath_inclusion_report(h1, k1, h2, k2, cap, args.cap_subspaces)
     )
 
 

@@ -192,14 +192,6 @@ class MatrixGroup(_ElementArray):
     def elements(self) -> tuple[Matrix, ...]:
         return tuple(Matrix(a, self.p) for a in self.element_array)
 
-    @property
-    def element_keys(self) -> tuple:
-        """The Matrix.key of every element, in discovery order."""
-        shape = (self.n, self.n)
-        return tuple(
-            (self.p, shape, a.tobytes()) for a in self.element_array.astype(np.int64)
-        )
-
     def contains(self, m: Matrix) -> bool:
         if m.p != self.p or m.rows != self.n or m.cols != self.n:
             raise ValidationError("element has the wrong modulus or degree")
@@ -285,13 +277,6 @@ def general_linear_group(n: int, p: int, cap: int = DEFAULT_CAP_ELEMENTS) -> Mat
         trans[0, 1] = 1
         gens += [Matrix(cycle, p), Matrix(trans, p)]
     return MatrixGroup(gens, cap=cap)
-
-
-def general_linear_order(n: int, q: int) -> int:
-    order = 1
-    for i in range(n):
-        order *= q**n - q**i
-    return order
 
 
 class Permutation:
@@ -403,6 +388,15 @@ class PermGroup(_ElementArray):
 
     def is_transitive(self) -> bool:
         return len(self.orbit(0)) == self.degree
+
+    def orbit_representatives(self) -> list[int]:
+        """The smallest point of every orbit, in increasing order."""
+        reps, covered = [], set()
+        for x in range(self.degree):
+            if x not in covered:
+                reps.append(x)
+                covered |= self.orbit(x)
+        return reps
 
     def setwise_stabilizer(self, block) -> list[Permutation]:
         """All elements mapping the block to itself as a set."""
@@ -643,14 +637,18 @@ def symmetric_group(k: int) -> PermGroup:
 def perm_wreath(x: PermGroup, y: PermGroup, cap: int = DEFAULT_CAP_ELEMENTS) -> PermGroup:
     """Imprimitive wreath action on x.degree * y.degree points.
 
-    Points are grouped into consecutive blocks of size x.degree; the x
-    generators act inside each block and the y generators permute blocks.
+    Points are grouped into consecutive blocks of size x.degree; the y
+    generators permute the blocks, and the x generators act inside the
+    smallest block of each y-orbit only.  Conjugating a block's copy of x
+    by the block permutations moves it to every block of that orbit, so
+    these generators still give the whole base group x^y.degree.
     """
     s, ell = x.degree, y.degree
     degree = s * ell
+    blocks = y.orbit_representatives()
     gens = []
     for g in x.gens:
-        for j in range(ell):
+        for j in blocks:
             images = list(range(degree))
             for t in range(s):
                 images[j * s + t] = j * s + g(t)

@@ -109,19 +109,19 @@ def algebra_dimension(g: MatrixGroup) -> int:
     return len(_invariant_span(identity, np.stack([m.a for m in g.gens]), g.p))
 
 
-def is_irreducible(g: MatrixGroup) -> bool:
+def is_irreducible(g: MatrixGroup, cap_subspaces: int = DEFAULT_CAP_SUBSPACES) -> bool:
     """True iff no proper nonzero subspace is invariant under g.
 
     An enveloping algebra of dimension n^2 certifies irreducibility.  Below
     that, one vector per projective point is spun, which raises
-    PhaseCapExceeded when the points outnumber the subspace cap.
+    PhaseCapExceeded when the points outnumber cap_subspaces.
     """
     if algebra_dimension(g) == g.n * g.n:
         return True
     points = gaussian_binomial(g.n, 1, g.p)
-    if points > DEFAULT_CAP_SUBSPACES:
+    if points > cap_subspaces:
         raise PhaseCapExceeded("irreducibility spin", points, "projective points",
-                               DEFAULT_CAP_SUBSPACES)
+                               cap_subspaces)
     for v in projective_representatives(g.n, g.p):
         if spin(g, v).rank < g.n:
             return False

@@ -131,7 +131,7 @@ def wreath_uniqueness_report(
     and stabilizer nonrefinability criteria agree.
     """
     t0 = time.perf_counter()
-    census = check_hypotheses(spec)
+    census = check_hypotheses(spec, cap_subspaces)
     exceptional = census is not None
     group = wreath_product(spec, cap=cap_elements)
     stats = {"group_order": group.order}
@@ -147,7 +147,7 @@ def wreath_uniqueness_report(
     claims = [
         Claim("order_formula", spec.h.order ** spec.block_count * spec.k.order,
               group.order),
-        Claim("irreducible", True, is_irreducible(group)),
+        Claim("irreducible", True, is_irreducible(group, cap_subspaces)),
     ]
     systems = all_systems(group, cap_subspaces=cap_subspaces, stats=stats)
     nonref = set(nonrefinable(systems))
@@ -220,7 +220,7 @@ def induced_example_report(
         Claim("subgroup_order", 12, dihedral.order),
         Claim("index", 4, rep.degree),
         Claim("faithful_order", ambient.order, image.order),
-        Claim("irreducible", True, is_irreducible(image)),
+        Claim("irreducible", True, is_irreducible(image, cap_subspaces)),
     ]
     systems = all_systems(image, cap_subspaces=cap_subspaces, stats=stats)
     nonref = set(nonrefinable(systems))
@@ -267,8 +267,8 @@ def induced_example_report(
         rest2 = [restrict_matrix(m, w2) for m in restricted_gens]
         claims.append(
             Claim("restriction_summands_irreducible", True,
-                  is_irreducible(MatrixGroup(rest1))
-                  and is_irreducible(MatrixGroup(rest2)))
+                  is_irreducible(MatrixGroup(rest1), cap_subspaces)
+                  and is_irreducible(MatrixGroup(rest2), cap_subspaces))
         )
         claims.append(
             Claim("summands_nonisomorphic_hom_dim", 0,
@@ -333,6 +333,7 @@ def wreath_inclusion_report(
     h2: MatrixGroup,
     k2: PermGroup,
     cap_elements: int = DEFAULT_CAP_ELEMENTS,
+    cap_subspaces: int = DEFAULT_CAP_SUBSPACES,
 ) -> VerificationReport:
     """Literal containment of one wreath product in another, checked against
     the structural conditions (divisor shape, block systems, inner inclusion).
@@ -343,7 +344,7 @@ def wreath_inclusion_report(
     """
     t0 = time.perf_counter()
     spec1 = WreathSpec(h1, k1)
-    if check_hypotheses(spec1) is not None:
+    if check_hypotheses(spec1, cap_subspaces) is not None:
         raise ExceptionalInstance(
             "inclusion conditions exclude the exceptional shape"
         )

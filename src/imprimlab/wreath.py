@@ -1,9 +1,12 @@
 """Wreath products H wr K as explicit matrix groups, and the exceptional
 census of their line systems.
 
-The base-group generators are embedded at every block position, so the
-closure is exactly H^k extended by the block permutations of K; the order
-|H|^k * |K| then certifies the construction.  In the exceptional shape
+The generators of H are embedded at one block of each K-orbit (its
+smallest), next to the block permutations of K.  A block permutation
+conjugates the copy of H at block i to the copy at its image, so the copies
+at every block of that orbit lie in the group, and the closure is exactly
+H^k extended by K: one copy per orbit, not one per block, is enough.  The
+order |H|^k * |K| then certifies the construction.  In the exceptional shape
 (1-dimensional blocks, |H| = 2, even degree, K preserving a pair partition)
 the nonrefinable systems are classified by the invariant pair partitions of
 K together with a scalar whose square is +-1.  check_hypotheses decides the
@@ -20,6 +23,7 @@ import numpy as np
 from .errors import HypothesisViolation, NotExceptional
 from .groups import (
     DEFAULT_CAP_ELEMENTS,
+    DEFAULT_CAP_SUBSPACES,
     BlockSystem,
     MatrixGroup,
     PermGroup,
@@ -77,10 +81,14 @@ def embed_at_block(m: Matrix, block: int, count: int) -> Matrix:
 
 
 def wreath_product(spec: WreathSpec, cap: int = DEFAULT_CAP_ELEMENTS) -> MatrixGroup:
-    """H wr K as a matrix group of degree d*k over GF(p)."""
+    """H wr K as a matrix group of degree d*k over GF(p).
+
+    H's generators sit at the smallest block of each K-orbit; K's
+    generators become block permutation matrices.
+    """
     d, k = spec.block_dim, spec.block_count
     gens = []
-    for i in range(k):
+    for i in spec.k.orbit_representatives():
         for a in spec.h.gens:
             gens.append(embed_at_block(a, i, k))
     for perm in spec.k.gens:
@@ -143,20 +151,23 @@ def _census(spec: WreathSpec, pair_systems: list[BlockSystem]) -> ExceptionalCen
     )
 
 
-def check_hypotheses(spec: WreathSpec) -> ExceptionalCensus | None:
+def check_hypotheses(spec: WreathSpec,
+                     cap_subspaces: int = DEFAULT_CAP_SUBSPACES) -> ExceptionalCensus | None:
     """Decide the uniqueness-statement hypotheses and the exceptional shape.
 
     Raises HypothesisViolation naming the first hypothesis that fails.
     Returns the census of the exceptional shape (d = 1, even point degree,
-    |H| = 2, K preserving a pair partition), or None outside it.
+    |H| = 2, K preserving a pair partition), or None outside it.  The
+    irreducibility spin and the primitivity scan of H count against
+    cap_subspaces.
     """
     if spec.block_count < 2:
         raise HypothesisViolation("k > 1")
     if spec.h.order < 2:
         raise HypothesisViolation("H nontrivial")
-    if not is_irreducible(spec.h):
+    if not is_irreducible(spec.h, cap_subspaces):
         raise HypothesisViolation("H irreducible")
-    if all_systems(spec.h):
+    if all_systems(spec.h, cap_subspaces=cap_subspaces):
         raise HypothesisViolation("H primitive")
     if not spec.k.is_transitive():
         raise HypothesisViolation("K transitive")
@@ -171,9 +182,11 @@ def is_exceptional(spec: WreathSpec) -> bool:
     return check_hypotheses(spec) is not None
 
 
-def expected_exceptional_systems(spec: WreathSpec) -> ExceptionalCensus:
+def expected_exceptional_systems(
+    spec: WreathSpec, cap_subspaces: int = DEFAULT_CAP_SUBSPACES
+) -> ExceptionalCensus:
     """The census of an exceptional instance; NotExceptional otherwise."""
-    census = check_hypotheses(spec)
+    census = check_hypotheses(spec, cap_subspaces)
     if census is None:
         raise NotExceptional("instance is not in the exceptional shape")
     return census

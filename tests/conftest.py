@@ -18,6 +18,22 @@ def sign_group(p):
     return MatrixGroup([Matrix([[p - 1]], p)])
 
 
+def general_linear_order(n, q):
+    """|GL_n(q)| by the product formula."""
+    order = 1
+    for i in range(n):
+        order *= q**n - q**i
+    return order
+
+
+def element_keys(group):
+    """The Matrix.key of every element of a matrix group, in discovery order."""
+    shape = (group.n, group.n)
+    return tuple(
+        (group.p, shape, a.tobytes()) for a in group.element_array.astype(np.int64)
+    )
+
+
 def block_diagonal_product(factors):
     """Direct product of matrix groups acting block-diagonally.
 

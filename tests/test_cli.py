@@ -284,8 +284,10 @@ def test_description_of_wrong_kind_is_usage_error(tmp_path, capsys, argv, wrong)
     [
         (["theorem", "--regression", "--json-only"], "theorem_regression.json"),
         (["example21", "--q", "7", "--json-only"], "example21_q7.json"),
+        (["theorem", "--h", str(DATA / "sign_p3.json"), "--k", str(DATA / "s6.json"),
+          "--json-only"], "theorem_sign_wr_s6_p3.json"),
     ],
-    ids=["theorem-regression", "example21-q7"],
+    ids=["theorem-regression", "example21-q7", "theorem-sign-wr-s6-p3"],
 )
 def test_report_matches_recorded_output(capsys, argv, recorded):
     # the canonical reports must stay byte-identical to these recordings
@@ -302,6 +304,39 @@ def test_cap_exceeded_exit_code(tmp_path, capsys):
     assert code == 3
     assert payload is None
     assert "cap" in err
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["theorem", "--h", "{h}", "--k", "{k}"],
+     ["census", "--h", "{h}", "--k", "{k}"],
+     ["inclusion", "--h1", "{h}", "--k1", "{k}", "--h2", "{h}", "--k2", "{k}"]],
+    ids=["theorem", "census", "inclusion"],
+)
+@pytest.mark.parametrize(
+    "cap,code,message",
+    [
+        ([], 3, "error: irreducibility spin: 1000004 projective points exceed"),
+        (["--cap-subspaces", "2000000"], 2, "error: hypothesis violated: H irreducible"),
+    ],
+    ids=["default-cap", "raised-cap"],
+)
+def test_cap_subspaces_reaches_the_hypothesis_checks(tmp_path, capsys, command, cap,
+                                                     code, message):
+    # <diag(-1, 1)> over GF(1000003) is reducible; its certificate fails, and
+    # its 1000004 projective points may be spun only under the raised cap,
+    # where the first one (e_1) already spans an invariant line
+    p = 1000003
+    files = {
+        "{h}": write(tmp_path, "h.json", {"kind": "matrix", "p": p, "n": 2,
+                                          "generators": [[[p - 1, 0], [0, 1]]]}),
+        "{k}": write(tmp_path, "k.json", C2),
+    }
+    argv = [files.get(a, a) for a in command]
+    got, payload, err = run(capsys, *argv, *cap)
+    assert got == code
+    assert payload is None
+    assert err.startswith(message)
 
 
 def test_block_systems_over_the_cap_exit_code(tmp_path, capsys, monkeypatch):

@@ -14,7 +14,6 @@ from imprimlab.groups import (
     block_systems,
     cyclic_group,
     general_linear_group,
-    general_linear_order,
     has_pair_partition,
     perm_wreath,
     primitive_root,
@@ -22,7 +21,7 @@ from imprimlab.groups import (
 )
 from imprimlab.linalg import Matrix
 
-from conftest import perm
+from conftest import element_keys, general_linear_order, perm
 
 
 def dihedral12():
@@ -66,7 +65,7 @@ def test_closure_axioms(make):
     g = make()
     elems = g.elements
     assert g.order <= 200
-    keys = set(g.element_keys)
+    keys = set(element_keys(g))
     assert g.identity.key in keys
     for a, b in itertools.product(elems, repeat=2):
         assert (a * b).key in keys

@@ -191,12 +191,11 @@ def test_algebra_products_do_not_overflow_for_large_moduli():
     assert (reprs._mul_mod(rows, rows.T, p) == 16).all()
 
 
-def test_spin_fallback_counts_against_the_subspace_cap(monkeypatch):
-    monkeypatch.setattr(reprs, "DEFAULT_CAP_SUBSPACES", 3)
+def test_spin_fallback_counts_against_the_subspace_cap():
     with pytest.raises(CapError, match="irreducibility spin: 4 projective points"):
-        is_irreducible(companion_group([2, 0], 3))
+        is_irreducible(companion_group([2, 0], 3), cap_subspaces=3)
     # a certified group spins nothing, so the cap does not apply
-    assert is_irreducible(general_linear_group(2, 3))
+    assert is_irreducible(general_linear_group(2, 3), cap_subspaces=3)
 
 
 def test_large_groups_are_certified_without_a_spin(monkeypatch):

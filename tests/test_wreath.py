@@ -1,29 +1,95 @@
+"""Wreath products, their hypotheses and the exceptional census.
+
+The library generates H wr K from one copy of H per K-orbit of blocks.
+wreath_product_oracle and perm_wreath_oracle are the constructions it
+replaced, with a copy of H at every block; they are kept here, and only
+here, as the references the reduced generator sets are checked against.
+"""
+
+import math
+
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
+from imprimlab import verify
 from imprimlab.errors import HypothesisViolation, NotExceptional
 from imprimlab.groups import (
+    DEFAULT_CAP_ELEMENTS,
     MatrixGroup,
     PermGroup,
+    Permutation,
     block_systems,
     cyclic_group,
     general_linear_group,
+    perm_wreath,
     symmetric_group,
 )
 from imprimlab.imprim import all_systems, is_system, nonrefinable_systems
 from imprimlab.linalg import Matrix
 from imprimlab.reprs import is_irreducible
-from imprimlab.verify import wreath_inclusion_report, wreath_uniqueness_report
+from imprimlab.verify import (
+    _structural_conditions,
+    wreath_inclusion_report,
+    wreath_uniqueness_report,
+)
 from imprimlab.wreath import (
     WreathSpec,
     block_permutation_matrix,
     check_hypotheses,
+    embed_at_block,
     expected_exceptional_systems,
     is_exceptional,
     wreath_product,
 )
 
-from conftest import count_calls, perm, sign_group
+from conftest import count_calls, matrix_groups, perm, sign_group
+
+# Largest group the oracle tests close: |H|^k * k! stays under it.
+ORACLE_ORDER = 2**13
+
+
+def wreath_product_oracle(spec, cap=DEFAULT_CAP_ELEMENTS):
+    """H wr K with every generator of H embedded at every block."""
+    d, k = spec.block_dim, spec.block_count
+    gens = [embed_at_block(a, i, k) for i in range(k) for a in spec.h.gens]
+    gens += [block_permutation_matrix(g, d, spec.p) for g in spec.k.gens]
+    return MatrixGroup(gens, cap=cap)
+
+
+def perm_wreath_oracle(x, y, cap=DEFAULT_CAP_ELEMENTS):
+    """The imprimitive wreath action with x's generators in every block."""
+    s, ell = x.degree, y.degree
+    degree = s * ell
+    gens = []
+    for g in x.gens:
+        for j in range(ell):
+            images = list(range(degree))
+            for t in range(s):
+                images[j * s + t] = j * s + g(t)
+            gens.append(Permutation(images))
+    for g in y.gens:
+        gens.append(Permutation([g(i // s) * s + (i % s) for i in range(degree)]))
+    return PermGroup(gens, cap=cap)
+
+
+@st.composite
+def perm_groups(draw, max_degree=4):
+    """1-2 random permutations of one degree <= max_degree; often intransitive."""
+    degree = draw(st.integers(1, max_degree))
+    images = draw(st.lists(st.permutations(range(degree)), min_size=1, max_size=2))
+    return PermGroup([Permutation(g) for g in images])
+
+
+def max_block_count(block_order):
+    """Largest k <= 4 with block_order^k * k! within ORACLE_ORDER."""
+    return max(k for k in range(1, 5)
+               if block_order**k * math.factorial(k) <= ORACLE_ORDER)
+
+
+def transitivity_event(k):
+    event("K transitive" if k.is_transitive() else "K intransitive")
 
 
 def test_block_permutation_row_convention():
@@ -164,3 +230,74 @@ def test_hypotheses_are_decided_once_per_report(monkeypatch):
                                      cyclic_group(2))
     assert report.passed
     assert spins_of(c3) == 1
+
+
+@settings(max_examples=100)
+@given(st.data())
+def test_reduced_wreath_generators_close_to_the_full_group(data):
+    h = MatrixGroup(data.draw(matrix_groups(max_n=2, primes=(2, 3, 5))))
+    k = data.draw(perm_groups(max_degree=max_block_count(h.order)))
+    transitivity_event(k)
+    spec = WreathSpec(h, k)
+    reduced = wreath_product(spec)
+    orbits = len(k.orbit_representatives())
+    assert len(reduced.gens) == orbits * len(h.gens) + len(k.gens)
+    assert np.array_equal(reduced.sorted_keys, wreath_product_oracle(spec).sorted_keys)
+
+
+@settings(max_examples=100)
+@given(st.data())
+def test_reduced_perm_wreath_generators_close_to_the_full_group(data):
+    x = data.draw(perm_groups(max_degree=3))
+    y = data.draw(perm_groups(max_degree=max_block_count(x.order)))
+    transitivity_event(y)
+    reduced = perm_wreath(x, y)
+    assert np.array_equal(reduced.sorted_keys, perm_wreath_oracle(x, y).sorted_keys)
+
+
+def test_wreath_generators_are_one_copy_of_h_per_orbit():
+    # sign wr S6: one sign plus two generators of S6
+    spec = WreathSpec(sign_group(3), symmetric_group(6))
+    assert len(wreath_product(spec).gens) == 3
+    # GL(2,3) wr S3: three generators of GL(2,3) plus two of S3
+    spec = WreathSpec(general_linear_group(2, 3), symmetric_group(3))
+    assert len(wreath_product(spec).gens) == 5
+    # an intransitive K with orbits {1, 2} and {3}: one copy of H per orbit
+    spec = WreathSpec(sign_group(3), PermGroup([perm(2, 1, 3)]))
+    assert len(wreath_product(spec).gens) == 3
+    assert wreath_product(spec).order == 2**3 * 2
+
+
+def test_structural_conditions_with_intransitive_stabilizer_action(monkeypatch):
+    # K = <(1 2)> on 6 points is intransitive.  Each of its block systems
+    # with blocks of size 3 puts 1 and 2 in the first block, whose
+    # stabilizer acts on it as <(1 2)>: intransitive, fixing the third point.
+    spec1 = WreathSpec(sign_group(3), PermGroup([perm(2, 1, 3, 4, 5, 6)]))
+    built = []
+
+    def record(build, oracle):
+        def wrapper(*args, cap):
+            group = build(*args, cap=cap)
+            built.append((args, group, oracle(*args, cap=cap)))
+            return group
+        return wrapper
+
+    monkeypatch.setattr(verify, "wreath_product", record(wreath_product, wreath_product_oracle))
+    monkeypatch.setattr(verify, "perm_wreath", record(perm_wreath, perm_wreath_oracle))
+    signs = wreath_product_oracle(WreathSpec(sign_group(3), symmetric_group(3)))
+    holds, witness = _structural_conditions(spec1, signs, cyclic_group(2),
+                                            DEFAULT_CAP_ELEMENTS)
+    assert holds and witness.blocks[0] == (0, 1, 2)
+    # the inner wreath product has signs at all three points, so it is not
+    # in the group with signs at points 1 and 2 only
+    short = MatrixGroup([Matrix.diagonal([2, 1, 1], 3),
+                         block_permutation_matrix(perm(2, 1, 3), 1, 3)])
+    assert short.order == 8
+    assert _structural_conditions(spec1, short, cyclic_group(2),
+                                  DEFAULT_CAP_ELEMENTS) == (False, None)
+    specs = [args[0] for args, _, _ in built if len(args) == 1]
+    stab_actions = [args[0] for args, _, _ in built if len(args) == 2]
+    assert specs and not any(spec.k.is_transitive() for spec in specs)
+    assert stab_actions and not any(x.is_transitive() for x in stab_actions)
+    for _, group, oracle in built:
+        assert np.array_equal(group.sorted_keys, oracle.sorted_keys)
