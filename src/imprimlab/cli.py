@@ -172,6 +172,13 @@ def _report_payload(report: VerificationReport):
 
 def _theorem(args):
     if args.regression:
+        given = [flag for flag, value in (("--h", args.h_file), ("--k", args.k_file),
+                                          ("--p", args.modulus)) if value is not None]
+        if given:
+            raise ImprimlabError(
+                f"theorem --regression runs the built-in instances and takes no "
+                f"{', '.join(given)}"
+            )
         named = [
             (name, wreath_uniqueness_report(spec, args.cap_elements, args.cap_subspaces))
             for name, spec in regression_theorem_instances(args.cap_elements)

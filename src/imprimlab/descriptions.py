@@ -6,10 +6,15 @@ ingestion; permutations are 1-based in documents (and 0-based internally).
 Parsing validates structure eagerly with positional messages; group-level
 facts that need enumeration (subgroup membership, character consistency)
 are checked when the description is built into an actual group.
+
+A parsed description holds its normalized document: only the fields of its
+kind, matrix entries and character values reduced into [0, p), and an
+induced subgroup given by generator_indices resolved to its matrices.
 """
 
 from __future__ import annotations
 
+import copy
 import json
 from dataclasses import dataclass
 from typing import Any
@@ -25,15 +30,18 @@ KINDS = ("matrix", "perm", "wreath", "induced")
 
 @dataclass(frozen=True)
 class GroupDescription:
-    kind: str
-    payload: tuple
+    document: dict
+
+    @property
+    def kind(self) -> str:
+        return self.document["kind"]
 
     def to_dict(self) -> dict:
-        return _emit(self)
+        return copy.deepcopy(self.document)
 
     def build(self, cap: int = DEFAULT_CAP_ELEMENTS):
         """Construct the described object (enumeration-level checks happen here)."""
-        return _build(self, cap)
+        return _build(self.document, cap)
 
     def build_matrix_group(self, cap: int = DEFAULT_CAP_ELEMENTS) -> MatrixGroup:
         built = self.build(cap)
@@ -96,16 +104,15 @@ def _parse_matrix(doc, where):
         label = f"{where}.generators[{idx}]"
         if not isinstance(rows, list) or len(rows) != n:
             raise ParseError(f"{label}: expected {n} rows")
-        flat = []
+        reduced = []
         for r, row in enumerate(rows):
             if not isinstance(row, list) or len(row) != n:
                 raise ParseError(f"{label}[{r}]: expected {n} entries")
-            flat.append(tuple(_int(x, f"{label}[{r}]") % p for x in row))
-        mat = Matrix([list(row) for row in flat], p)
-        if not mat.is_invertible():
+            reduced.append([_int(x, f"{label}[{r}]") % p for x in row])
+        if not Matrix(reduced, p).is_invertible():
             raise ValidationError(f"{label}: generator is singular")
-        gens.append(tuple(flat))
-    return GroupDescription("matrix", ("matrix", p, n, tuple(gens)))
+        gens.append(reduced)
+    return GroupDescription({"kind": "matrix", "p": p, "n": n, "generators": gens})
 
 
 def _parse_perm(doc, where):
@@ -123,8 +130,8 @@ def _parse_perm(doc, where):
         one_based = [_int(x, label) for x in images]
         if sorted(one_based) != list(range(1, degree + 1)):
             raise ValidationError(f"{label}: not a bijection of 1..{degree}")
-        gens.append(tuple(one_based))
-    return GroupDescription("perm", ("perm", degree, tuple(gens)))
+        gens.append(one_based)
+    return GroupDescription({"kind": "perm", "degree": degree, "generators": gens})
 
 
 def _parse_wreath(doc, where):
@@ -134,7 +141,7 @@ def _parse_wreath(doc, where):
     k = parse_group(_need(doc, "k", where), f"{where}.k")
     if k.kind != "perm":
         raise ParseError(f"{where}.k: point group must have kind 'perm'")
-    return GroupDescription("wreath", ("wreath", h, k))
+    return GroupDescription({"kind": "wreath", "h": h.document, "k": k.document})
 
 
 def _parse_induced(doc, where):
@@ -143,7 +150,8 @@ def _parse_induced(doc, where):
         raise ParseError(f"{where}.ambient: must have kind 'matrix'")
     sub_doc = _need(doc, "subgroup", where)
     sub_where = f"{where}.subgroup"
-    _, p, n, ambient_gens = ambient.payload
+    p, n = ambient.document["p"], ambient.document["n"]
+    ambient_gens = ambient.document["generators"]
     if isinstance(sub_doc, dict) and "generator_indices" in sub_doc:
         indices = sub_doc["generator_indices"]
         if not isinstance(indices, list) or not indices:
@@ -155,7 +163,7 @@ def _parse_induced(doc, where):
                 raise ValidationError(
                     f"{sub_where}.generator_indices: index {i} out of range"
                 )
-            picked.append([list(row) for row in ambient_gens[i]])
+            picked.append(ambient_gens[i])
         subgroup = _parse_matrix(
             {"p": p, "n": n, "generators": picked}, sub_where
         )
@@ -163,7 +171,7 @@ def _parse_induced(doc, where):
         subgroup = parse_group(sub_doc, sub_where)
         if subgroup.kind != "matrix":
             raise ParseError(f"{sub_where}: must have kind 'matrix'")
-        if subgroup.payload[1] != p or subgroup.payload[2] != n:
+        if subgroup.document["p"] != p or subgroup.document["n"] != n:
             raise ValidationError(f"{sub_where}: modulus or degree differs from ambient")
     target_p = _int(_need(doc, "target_p", where), f"{where}.target_p")
     if not is_prime(target_p):
@@ -171,65 +179,40 @@ def _parse_induced(doc, where):
     values_doc = _need(doc, "character", where)
     if not isinstance(values_doc, list):
         raise ParseError(f"{where}.character: expected a list of values")
-    if len(values_doc) != len(subgroup.payload[3]):
+    if len(values_doc) != len(subgroup.document["generators"]):
         raise ValidationError(
             f"{where}.character: expected one value per subgroup generator"
         )
-    values = tuple(_int(v, f"{where}.character") % target_p for v in values_doc)
+    values = [_int(v, f"{where}.character") % target_p for v in values_doc]
     if any(v == 0 for v in values):
         raise ValidationError(f"{where}.character: values must be nonzero mod {target_p}")
-    return GroupDescription("induced", ("induced", ambient, subgroup, values, target_p))
-
-
-def _emit(desc: GroupDescription) -> dict:
-    kind = desc.kind
-    if kind == "matrix":
-        _, p, n, gens = desc.payload
-        return {
-            "kind": "matrix",
-            "p": p,
-            "n": n,
-            "generators": [[list(row) for row in g] for g in gens],
-        }
-    if kind == "perm":
-        _, degree, gens = desc.payload
-        return {"kind": "perm", "degree": degree, "generators": [list(g) for g in gens]}
-    if kind == "wreath":
-        _, h, k = desc.payload
-        return {"kind": "wreath", "h": _emit(h), "k": _emit(k)}
-    _, ambient, subgroup, values, target_p = desc.payload
-    return {
+    return GroupDescription({
         "kind": "induced",
-        "ambient": _emit(ambient),
-        "subgroup": _emit(subgroup),
-        "character": list(values),
+        "ambient": ambient.document,
+        "subgroup": subgroup.document,
+        "character": values,
         "target_p": target_p,
-    }
+    })
 
 
-def _build(desc: GroupDescription, cap: int):
-    kind = desc.kind
+def _build(doc: dict, cap: int):
+    kind = doc["kind"]
     if kind == "matrix":
-        _, p, n, gens = desc.payload
-        return MatrixGroup(
-            [Matrix([list(row) for row in g], p) for g in gens], cap=cap
-        )
+        return MatrixGroup([Matrix(g, doc["p"]) for g in doc["generators"]], cap=cap)
     if kind == "perm":
-        _, degree, gens = desc.payload
         return PermGroup(
-            [Permutation.from_one_based(g) for g in gens], cap=cap
+            [Permutation.from_one_based(g) for g in doc["generators"]], cap=cap
         )
     if kind == "wreath":
-        _, h, k = desc.payload
-        return WreathSpec(h=_build(h, cap), k=_build(k, cap))
-    _, ambient, subgroup, values, target_p = desc.payload
-    source = _build(ambient, cap)
-    sub = _build(subgroup, cap)
-    character = Character(sub, values, target_p)
+        return WreathSpec(h=_build(doc["h"], cap), k=_build(doc["k"], cap))
+    source = _build(doc["ambient"], cap)
+    sub = _build(doc["subgroup"], cap)
+    character = Character(sub, doc["character"], doc["target_p"])
     return induced_module(source, sub, character, cap=cap)
 
 
 def matrix_group_description(g: MatrixGroup) -> GroupDescription:
     """Describe a matrix group by its generators (for report certificates)."""
-    gens = tuple(tuple(tuple(int(x) for x in row) for row in m.a) for m in g.gens)
-    return GroupDescription("matrix", ("matrix", g.p, g.n, gens))
+    return GroupDescription(
+        {"kind": "matrix", "p": g.p, "n": g.n, "generators": [m.a.tolist() for m in g.gens]}
+    )

@@ -23,8 +23,9 @@ no modulus or degree is too wide for them.  A chunk's new elements are its
 first occurrences (np.unique) that a searchsorted lookup does not find
 among the sorted keys seen so far; the cap is checked before they are
 appended.  Membership, containment and the identity of an element set are
-lookups in its sorted keys.  Matrix and Permutation objects are built only
-when a caller asks for .elements.
+lookups in its sorted keys; no Matrix or Permutation object is built per
+element.  Orbits of points are min-label propagation over permutation
+tables (orbit_labels), the routine the subspace scan uses as well.
 
 Permutations are stored 0-based and compose left to right:
 (s * t)(i) = t(s(i)), matching the row-vector right action used elsewhere.
@@ -74,6 +75,23 @@ def first_new(keys: np.ndarray, seen: np.ndarray):
     pos = np.searchsorted(seen, uniq)
     found = seen[np.minimum(pos, len(seen) - 1)] == uniq
     return np.sort(first[~found]), np.insert(seen, pos[~found], uniq[~found])
+
+
+def orbit_labels(tables: np.ndarray) -> np.ndarray:
+    """The smallest point of every point's orbit under permutation tables.
+
+    tables is an (m, k) stack: tables[g, x] is the image of the point x
+    under the g-th permutation.
+    """
+    labels = np.arange(tables.shape[1], dtype=tables.dtype)
+    while True:
+        new = labels
+        for table in tables:
+            new = np.minimum(new, new[table])
+        new = new[new]  # every label lies in its point's orbit: jump ahead
+        if np.array_equal(new, labels):
+            return labels
+        labels = new
 
 
 def mulclose(gens: np.ndarray, p: int | None = None,
@@ -187,10 +205,6 @@ class MatrixGroup(_ElementArray):
     @property
     def _generator_stack(self) -> np.ndarray:
         return np.stack([g.a for g in self.gens]).astype(entry_dtype(self.p))
-
-    @cached_property
-    def elements(self) -> tuple[Matrix, ...]:
-        return tuple(Matrix(a, self.p) for a in self.element_array)
 
     def contains(self, m: Matrix) -> bool:
         if m.p != self.p or m.rows != self.n or m.cols != self.n:
@@ -360,10 +374,6 @@ class PermGroup(_ElementArray):
     def _generator_stack(self) -> np.ndarray:
         return np.array([g.images for g in self.gens], dtype=entry_dtype(self.degree))
 
-    @cached_property
-    def elements(self) -> tuple[Permutation, ...]:
-        return tuple(Permutation(a) for a in self.element_array)
-
     def contains(self, perm: Permutation) -> bool:
         return perm.degree == self.degree and bool(self.member_mask([perm.images])[0])
 
@@ -372,38 +382,20 @@ class PermGroup(_ElementArray):
             return False
         return bool(other.member_mask(self._generator_stack).all())
 
-    def orbit(self, point: int) -> set[int]:
-        seen = {point}
-        frontier = [point]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for g in self.gens:
-                    y = g(x)
-                    if y not in seen:
-                        seen.add(y)
-                        nxt.append(y)
-            frontier = nxt
-        return seen
-
     def is_transitive(self) -> bool:
-        return len(self.orbit(0)) == self.degree
+        return not orbit_labels(self._generator_stack).any()
 
     def orbit_representatives(self) -> list[int]:
         """The smallest point of every orbit, in increasing order."""
-        reps, covered = [], set()
-        for x in range(self.degree):
-            if x not in covered:
-                reps.append(x)
-                covered |= self.orbit(x)
-        return reps
+        labels = orbit_labels(self._generator_stack)
+        return np.flatnonzero(labels == np.arange(self.degree)).tolist()
 
-    def setwise_stabilizer(self, block) -> list[Permutation]:
-        """All elements mapping the block to itself as a set."""
+    def setwise_stabilizer(self, block) -> np.ndarray:
+        """The elements mapping the block to itself as a set, as one (s, k)
+        stack in discovery order."""
         points = np.array(sorted(set(block)), dtype=np.intp)
         images = np.sort(self.element_array[:, points], axis=1)
-        fixed = (images == points).all(axis=1)
-        return [Permutation(a) for a in self.element_array[fixed]]
+        return self.element_array[(images == points).all(axis=1)]
 
     def block_action(self, partition: "BlockSystem") -> "PermGroup":
         """Induced action of the generators on the sorted blocks."""
@@ -416,13 +408,17 @@ class PermGroup(_ElementArray):
         return PermGroup(_dedupe(gens) or [Permutation.identity(len(blocks))], cap=self.cap)
 
     def stabilizer_block_action(self, block) -> "PermGroup":
-        """Action of the setwise stabilizer of a block on that block."""
-        pts = sorted(block)
-        pos = {x: i for i, x in enumerate(pts)}
-        gens = []
-        for g in self.setwise_stabilizer(block):
-            gens.append(Permutation([pos[g(x)] for x in pts]))
-        return PermGroup(_dedupe(gens) or [Permutation.identity(len(pts))], cap=self.cap)
+        """Action of the setwise stabilizer of a block on that block.
+
+        Each stabilizing element becomes the positions, in the sorted block,
+        of the images of the block's points; the restrictions are kept once
+        each, in first-occurrence order.  The identity comes first, so the
+        generator list is never empty.
+        """
+        points = np.array(sorted(set(block)), dtype=np.intp)
+        local = np.searchsorted(points, self.setwise_stabilizer(block)[:, points])
+        _, first = np.unique(byte_keys(local), return_index=True)
+        return PermGroup([Permutation(a) for a in local[np.sort(first)]], cap=self.cap)
 
     def __repr__(self):
         return f"PermGroup(degree={self.degree}, gens={len(self.gens)})"

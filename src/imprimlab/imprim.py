@@ -5,10 +5,10 @@ divisor d of n it enumerates every d-dimensional subspace once, as the
 (N, d, n) RREF stack of linalg.subspace_array, and turns each generator into
 a permutation table of that stack: the generator is applied to the whole
 stack, the images are row-reduced in batch and each is found by its packed
-base-p key.  Orbits come from min-label propagation over the tables, and
-the orbits of size n/d that decompose the space into a direct sum are the
-systems.  Orbits of a transitive part action are exactly the systems, so
-every system is found once.
+base-p key.  Orbits come from min-label propagation over the tables
+(groups.orbit_labels), and the orbits of size n/d that decompose the space
+into a direct sum are the systems.  Orbits of a transitive part action are
+exactly the systems, so every system is found once.
 
 Memory: the stack is stored in the smallest integer dtype that holds p - 1
 and the tables as int32; only chunks of linalg.SCAN_CHUNK subspaces are
@@ -32,7 +32,7 @@ from .errors import (
     NotTransitiveOnParts,
     ValidationError,
 )
-from .groups import DEFAULT_CAP_SUBSPACES, MatrixGroup
+from .groups import DEFAULT_CAP_SUBSPACES, MatrixGroup, orbit_labels
 from .linalg import (
     Subspace,
     direct_sum_check,
@@ -148,19 +148,6 @@ def is_system(g: MatrixGroup, parts) -> bool:
     return True
 
 
-def _orbit_labels(tables: np.ndarray) -> np.ndarray:
-    """The smallest point of every point's orbit under permutation tables."""
-    labels = np.arange(tables.shape[1], dtype=tables.dtype)
-    while True:
-        new = labels
-        for table in tables:
-            new = np.minimum(new, new[table])
-        new = new[new]  # every label lies in its point's orbit: jump ahead
-        if np.array_equal(new, labels):
-            return labels
-        labels = new
-
-
 def all_systems(g: MatrixGroup, cap_subspaces: int = DEFAULT_CAP_SUBSPACES,
                 stats: dict | None = None) -> list[ImprimitivitySystem]:
     """Every system of imprimitivity of g whose parts form a single orbit.
@@ -184,7 +171,7 @@ def all_systems(g: MatrixGroup, cap_subspaces: int = DEFAULT_CAP_SUBSPACES,
         target = n // d
         subs = subspace_array(n, d, g.p)
         scanned += len(subs)
-        labels = _orbit_labels(subspace_tables(g.gens, subs, g.p))
+        labels = orbit_labels(subspace_tables(g.gens, subs, g.p))
         members = np.flatnonzero(np.bincount(labels)[labels] == target)
         orbits = members[np.argsort(labels[members], kind="stable")]
         for orbit in orbits.reshape(-1, target):

@@ -161,13 +161,6 @@ class Matrix:
             )
         return Matrix(self.a @ other.a, self.p)
 
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        if self.p != other.p:
-            raise ModulusMismatch(f"moduli differ: {self.p} vs {other.p}")
-        if self.a.shape != other.a.shape:
-            raise ShapeMismatch("shapes differ")
-        return Matrix(self.a - other.a, self.p)
-
     def inv(self) -> "Matrix":
         """Gauss-Jordan inverse; raises Singular when rank < n."""
         if self.rows != self.cols:
@@ -190,9 +183,6 @@ class Matrix:
         if self.rows != self.cols:
             return False
         return rref(self.a, self.p)[1] == self.rows
-
-    def transpose(self) -> "Matrix":
-        return Matrix(self.a.T, self.p)
 
     def __repr__(self):
         return f"Matrix({self.a.tolist()}, p={self.p})"
@@ -250,10 +240,6 @@ class Subspace:
         return cls(r[:rank].copy(), pivots, p, ambient)
 
     @classmethod
-    def zero(cls, ambient: int, p: int) -> "Subspace":
-        return cls.span([], ambient, p)
-
-    @classmethod
     def full(cls, ambient: int, p: int) -> "Subspace":
         return cls.span(np.eye(ambient, dtype=np.int64), ambient, p)
 
@@ -280,18 +266,6 @@ class Subspace:
 
     def __lt__(self, other):
         return self.key < other.key
-
-    def is_zero(self) -> bool:
-        return self.rank == 0
-
-    def contains_vector(self, v) -> bool:
-        v = np.asarray(v, dtype=np.int64) % self.p
-        if self.rank == 0:
-            return not v.any()
-        # RREF basis: coordinates of a member are its pivot-column entries
-        coeffs = v[self._pivot_arr]
-        residual = (v - coeffs @ self.basis) % self.p
-        return not residual.any()
 
     def contains_rows(self, rows) -> bool:
         """Vectorized membership test for a stack of row vectors."""
@@ -320,23 +294,6 @@ class Subspace:
         if g.p != self.p:
             raise ModulusMismatch("matrix modulus differs from subspace modulus")
         return Subspace.span((self.basis @ g.a) % self.p, self.ambient, self.p)
-
-    def sum(self, other: "Subspace") -> "Subspace":
-        self._check_compatible(other)
-        return Subspace.span(
-            np.concatenate([self.basis, other.basis]), self.ambient, self.p
-        )
-
-    def intersect(self, other: "Subspace") -> "Subspace":
-        """Canonical intersection via the kernel of the stacked bases."""
-        self._check_compatible(other)
-        if self.rank == 0 or other.rank == 0:
-            return Subspace.zero(self.ambient, self.p)
-        stacked = np.concatenate([self.basis, (-other.basis) % self.p])
-        # u @ stacked = 0  <=>  u[:r1] @ B1 = u[r1:] @ B2
-        kernel = nullspace_rows(stacked.T, self.p)
-        rows = (kernel[:, : self.rank] @ self.basis) % self.p
-        return Subspace.span(rows, self.ambient, self.p)
 
     def _check_compatible(self, other: "Subspace"):
         if self.ambient != other.ambient or self.p != other.p:

@@ -223,10 +223,13 @@ class Character:
 class InducedRep:
     """A monomial representation induced from a linear subgroup character.
 
-    Coset representatives are taken in enumeration order with the identity
-    first; image(x) is defined for every element of the ambient group, and
-    the generator images are packaged as a MatrixGroup over the target
-    field.
+    The cosets H x are taken in the ambient group's enumeration order, each
+    represented by its first element, so the identity represents H itself.
+    Every ambient element u is recorded with its coset j and the index in
+    H's element array of the h with u = h t_j, so the entry of image(x) in
+    row i is the character's value at the h of t_i x.  image(x) is defined
+    for every element of the ambient group, and the generator images are
+    packaged as a MatrixGroup over the target field.
     """
 
     def __init__(self, source: MatrixGroup, subgroup: MatrixGroup, character: Character,
@@ -241,38 +244,39 @@ class InducedRep:
         self.subgroup = subgroup
         self.character = character
         self.modulus = character.modulus
-        self.reps, self._coset_index = self._coset_table()
-        self.degree = len(self.reps)
-        self._rep_invs = [t.inv() for t in self.reps]
+        self._reps, self._coset, self._inner = self._coset_table()
+        self.degree = len(self._reps)
         images = [self.image(g) for g in source.gens]
         self.group = MatrixGroup(images, cap=cap)
         self._check_homomorphism()
 
     def _coset_table(self):
-        sub_elems = self.subgroup.elements
+        """(reps, coset, inner): the representatives as an (m, n, n) stack,
+        and for every ambient element u its coset j and the index of the h
+        in H with u = h t_j."""
+        source = self.source
+        sub = self.subgroup.element_array.astype(np.int64)
+        coset = np.full(source.order, -1, dtype=np.intp)
+        inner = np.empty(source.order, dtype=np.intp)
         reps = []
-        index = {}
-        for x in self.source.elements:
-            if x.key in index:
-                continue
-            j = len(reps)
+        while (coset < 0).any():
+            x = int(np.argmax(coset < 0))  # the first element in no coset yet
+            members = source.positions(sub @ source.element_array[x])
+            coset[members] = len(reps)
+            inner[members] = np.arange(len(sub))
             reps.append(x)
-            for kappa in sub_elems:
-                index[(kappa * x).key] = j
-        if len(reps) * self.subgroup.order != self.source.order:
-            raise NotASubgroup("cosets do not partition the ambient group")
-        return reps, index
+        return source.element_array[reps].astype(np.int64), coset, inner
 
     def image(self, x: Matrix) -> Matrix:
         """Monomial image of any ambient element over the target field."""
-        m = self.degree
-        out = np.zeros((m, m), dtype=np.int64)
-        for i, t in enumerate(self.reps):
-            u = t * x
-            j = self._coset_index.get(u.key)
-            if j is None:
-                raise ValidationError("element is not in the ambient group")
-            out[i, j] = self.character(u * self._rep_invs[j])
+        source = self.source
+        if x.p != source.p or x.a.shape != (source.n, source.n):
+            raise ValidationError("element is not in the ambient group")
+        u = source.positions(self._reps @ x.a)
+        if (u < 0).any():
+            raise ValidationError("element is not in the ambient group")
+        out = np.zeros((self.degree, self.degree), dtype=np.int64)
+        out[np.arange(self.degree), self._coset[u]] = self.character._table[self._inner[u]]
         return Matrix(out, self.modulus)
 
     def _check_homomorphism(self):
@@ -284,11 +288,6 @@ class InducedRep:
 def induced_module(source: MatrixGroup, subgroup: MatrixGroup, character: Character,
                    cap: int = DEFAULT_CAP_ELEMENTS) -> InducedRep:
     return InducedRep(source, subgroup, character, cap=cap)
-
-
-def is_monomial(m: Matrix) -> bool:
-    nz = m.a != 0
-    return bool((nz.sum(axis=0) == 1).all() and (nz.sum(axis=1) == 1).all())
 
 
 def restrict_matrix(g: Matrix, w: Subspace) -> Matrix:

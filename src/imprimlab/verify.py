@@ -464,22 +464,3 @@ def regression_theorem_instances(cap_elements: int = DEFAULT_CAP_ELEMENTS):
         k = parse_group(entry["k"], f"{entry['name']}.k").build(cap_elements)
         out.append((entry["name"], WreathSpec(h, k)))
     return out
-
-
-def regression_inclusion_instances(cap_elements: int = DEFAULT_CAP_ELEMENTS):
-    """(name, h1, k1, h2, k2, expected_containment) for inclusion checks."""
-    from .descriptions import parse_group
-
-    manifest = load_regression_manifest()
-    out = []
-    for entry in manifest["inclusion_instances"]:
-        h1 = parse_group(entry["h1"], f"{entry['name']}.h1").build(cap_elements)
-        k1 = parse_group(entry["k1"], f"{entry['name']}.k1").build(cap_elements)
-        h2 = parse_group(entry["h2"], f"{entry['name']}.h2").build_matrix_group(
-            cap_elements
-        )
-        k2 = parse_group(entry["k2"], f"{entry['name']}.k2").build(cap_elements)
-        out.append(
-            (entry["name"], h1, k1, h2, k2, entry["expected_containment"])
-        )
-    return out

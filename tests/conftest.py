@@ -1,11 +1,17 @@
+import json
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
-from imprimlab import Matrix, MatrixGroup, PermGroup, Permutation
+from imprimlab import Matrix, MatrixGroup, PermGroup, Permutation, Subspace
+from imprimlab.descriptions import parse_group
+from imprimlab.linalg import nullspace_rows
+
+DATA = Path(__file__).resolve().parent / "data"
 
 # The host's speed can change twofold from one moment to the next, so no
 # example may fail for running long; max_examples bounds the suite's time.
@@ -34,6 +40,58 @@ def element_keys(group):
     )
 
 
+def elements(group):
+    """Every element of a matrix or permutation group as a Matrix or
+    Permutation object, in discovery order."""
+    if isinstance(group, PermGroup):
+        return tuple(Permutation(a) for a in group.element_array)
+    return tuple(Matrix(a, group.p) for a in group.element_array)
+
+
+def is_monomial(m):
+    """True iff the Matrix has exactly one nonzero entry in each row and column."""
+    nz = m.a != 0
+    return bool((nz.sum(axis=0) == 1).all() and (nz.sum(axis=1) == 1).all())
+
+
+def transpose(m):
+    return Matrix(m.a.T, m.p)
+
+
+def contains_vector(w, v):
+    """True iff the Subspace w contains the row vector v."""
+    return w.contains_rows(np.asarray(v)[None])
+
+
+def subspace_sum(w1, w2):
+    return Subspace.span(np.concatenate([w1.basis, w2.basis]), w1.ambient, w1.p)
+
+
+def intersect(w1, w2):
+    """Canonical intersection of two subspaces via the kernel of the stacked bases."""
+    if w1.rank == 0 or w2.rank == 0:
+        return Subspace.span([], w1.ambient, w1.p)
+    stacked = np.concatenate([w1.basis, (-w2.basis) % w1.p])
+    # u @ stacked = 0  <=>  u[:r1] @ B1 = u[r1:] @ B2
+    kernel = nullspace_rows(stacked.T, w1.p)
+    return Subspace.span(kernel[:, : w1.rank] @ w1.basis % w1.p, w1.ambient, w1.p)
+
+
+def regression_inclusion_instances():
+    """(name, h1, k1, h2, k2, expected_containment) for the inclusion
+    instances recorded in data/inclusion_instances.json."""
+    manifest = json.loads((DATA / "inclusion_instances.json").read_text())
+    out = []
+    for entry in manifest["inclusion_instances"]:
+        h1, k1, h2, k2 = (
+            parse_group(entry[part], f"{entry['name']}.{part}")
+            for part in ("h1", "k1", "h2", "k2")
+        )
+        out.append((entry["name"], h1.build(), k1.build(), h2.build_matrix_group(),
+                    k2.build(), entry["expected_containment"]))
+    return out
+
+
 def block_diagonal_product(factors):
     """Direct product of matrix groups acting block-diagonally.
 
@@ -54,8 +112,6 @@ def block_diagonal_product(factors):
 
 
 def summand_subspaces(dims, offsets, n, p):
-    from imprimlab import Subspace
-
     eye = np.eye(n, dtype=np.int64)
     return [
         Subspace.span(eye[offsets[i] : offsets[i + 1]], n, p)

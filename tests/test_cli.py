@@ -123,6 +123,28 @@ def test_description_round_trip(doc):
     assert parse_group(desc.to_dict()) == desc
 
 
+def test_description_holds_its_normalized_document():
+    desc = parse_group({
+        "kind": "induced",
+        "ambient": dict(GL23, note="extra fields are dropped"),
+        "subgroup": {"generator_indices": [0, 2]},
+        "character": [-1, 8],
+        "target_p": 7,
+    })
+    doc = desc.to_dict()
+    assert doc == {
+        "kind": "induced",
+        "ambient": GL23,
+        "subgroup": {"kind": "matrix", "p": 3, "n": 2,
+                     "generators": [GL23["generators"][0], GL23["generators"][2]]},
+        "character": [6, 1],
+        "target_p": 7,
+    }
+    doc["subgroup"]["generators"][0][0][0] = 0  # a copy: desc is unchanged
+    assert desc.to_dict()["subgroup"]["generators"][0] == [[2, 0], [0, 1]]
+    assert desc.build().degree == 8
+
+
 def test_systems_command(tmp_path, capsys):
     group_file = write(tmp_path, "g.json", {"kind": "wreath", "h": SIGN_P3, "k": C4})
     code, payload, err = run(capsys, "systems", "--group", group_file)
@@ -183,6 +205,26 @@ def test_theorem_regression_command(capsys):
     assert code == 0
     assert payload["pass"] is True
     assert len(payload["reports"]) == 7
+
+
+@pytest.mark.parametrize("extra,named", [
+    (["--h", "h", "--k", "k"], "--h, --k"),
+    (["--p", "5"], "--p"),
+    (["--h", "h", "--p", "3"], "--h, --p"),
+], ids=["h-and-k", "p", "h-and-p"])
+def test_theorem_regression_rejects_instance_flags(tmp_path, capsys, extra, named):
+    # H = <diag(1, -1)> is reducible: on its own it violates the hypotheses,
+    # so the flags must not be dropped silently in favour of the regression
+    files = {
+        "h": write(tmp_path, "h.json", {"kind": "matrix", "p": 3, "n": 2,
+                                        "generators": [[[1, 0], [0, 2]]]}),
+        "k": write(tmp_path, "k.json", C2),
+    }
+    argv = [files.get(a, a) for a in extra]
+    code, payload, err = run(capsys, "theorem", "--regression", *argv)
+    assert code == 2
+    assert payload is None
+    assert f"takes no {named}" in err
 
 
 def test_example21_command(capsys):

@@ -1,6 +1,17 @@
+"""Group closure, orbits, block systems and permutation wreath products.
+
+orbit_oracle (breadth-first search over the generators) and
+stabilizer_block_action_oracle (one Permutation per element) are the
+per-point and per-element routes the array versions replaced; they are kept
+here as the references those are checked against.
+"""
+
 import itertools
 
+import numpy as np
 import pytest
+from hypothesis import event, example, given
+from hypothesis import strategies as st
 
 from imprimlab.errors import CapError, CapExceeded, OddDegree, ValidationError
 from imprimlab.groups import (
@@ -15,13 +26,14 @@ from imprimlab.groups import (
     cyclic_group,
     general_linear_group,
     has_pair_partition,
+    orbit_labels,
     perm_wreath,
     primitive_root,
     symmetric_group,
 )
 from imprimlab.linalg import Matrix
 
-from conftest import element_keys, general_linear_order, perm
+from conftest import element_keys, elements, general_linear_order, perm
 
 
 def dihedral12():
@@ -63,7 +75,7 @@ def test_enumeration_cap():
 )
 def test_closure_axioms(make):
     g = make()
-    elems = g.elements
+    elems = elements(g)
     assert g.order <= 200
     keys = set(element_keys(g))
     assert g.identity.key in keys
@@ -160,7 +172,7 @@ def test_block_systems_are_preserved(dihedral8_group):
             if group.degree % size:
                 continue
             for system in block_systems(group, size):
-                for g in group.elements:
+                for g in elements(group):
                     assert system.preserved_by(g)
 
 
@@ -243,3 +255,86 @@ def test_setwise_stabilizer_and_actions(dihedral8_group):
         block_systems(dihedral8_group, 2)[0]
     )
     assert outer.degree == 2 and outer.order == 2
+
+
+def orbit_oracle(group, point):
+    """The orbit of a point, by breadth-first search over the generators."""
+    seen = {point}
+    frontier = [point]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for g in group.gens:
+                y = g(x)
+                if y not in seen:
+                    seen.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return seen
+
+
+@st.composite
+def perm_group_gens(draw, max_degree=8):
+    """1-3 permutations of one degree <= max_degree.  Half the draws keep the
+    points below a random cut apart from the rest, so the group is
+    intransitive."""
+    degree = draw(st.integers(1, max_degree))
+    cut = draw(st.integers(1, degree - 1)) if degree > 1 and draw(st.booleans()) else 0
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        low = draw(st.permutations(range(cut)))
+        high = draw(st.permutations(range(cut, degree)))
+        gens.append(Permutation([*low, *high]))
+    return gens
+
+
+@given(perm_group_gens())
+@example([perm(2, 3, 1, 4, 5, 6, 7, 8), perm(1, 2, 3, 4, 6, 7, 8, 5)])
+def test_orbit_routines_match_the_breadth_first_oracle(gens):
+    group = PermGroup(gens)
+    smallest = [min(orbit_oracle(group, x)) for x in range(group.degree)]
+    event("transitive" if max(smallest) == 0 else "intransitive")
+    stack = np.array([g.images for g in gens])
+    assert orbit_labels(stack).tolist() == smallest
+    assert group.orbit_representatives() == sorted(set(smallest))
+    assert group.is_transitive() == (max(smallest) == 0)
+
+
+def stabilizer_block_action_oracle(group, block):
+    """Generators of the block stabilizer's action on the block: every
+    element's restriction, once each, in the order of the elements."""
+    points = sorted(block)
+    position = {x: i for i, x in enumerate(points)}
+    restrictions = {}
+    for g in elements(group):
+        if sorted(g(x) for x in points) == points:
+            r = Permutation([position[g(x)] for x in points])
+            restrictions.setdefault(r.key, r)
+    return list(restrictions.values())
+
+
+def test_stabilizer_block_action_matches_oracle(klein_group, dihedral8_group):
+    groups = [
+        cyclic_group(4),
+        cyclic_group(6),
+        symmetric_group(4),
+        symmetric_group(6),
+        klein_group,
+        dihedral8_group,
+        PermGroup([perm(2, 1, 3, 4)]),
+        PermGroup([perm(2, 3, 1, 4, 5, 6), perm(1, 2, 3, 5, 6, 4)]),
+        perm_wreath(symmetric_group(3), symmetric_group(2)),
+        perm_wreath(cyclic_group(2), symmetric_group(3)),
+    ]
+    blocks_checked = 0
+    for group in groups:
+        for size in range(1, group.degree + 1):
+            if group.degree % size:
+                continue
+            for system in block_systems(group, size):
+                for block in system.blocks:
+                    action = group.stabilizer_block_action(block)
+                    expected = stabilizer_block_action_oracle(group, block)
+                    assert [g.images for g in action.gens] == [g.images for g in expected]
+                    blocks_checked += 1
+    assert blocks_checked == 84

@@ -30,7 +30,14 @@ from imprimlab.linalg import Matrix, Subspace
 from imprimlab.reprs import invariant_subspaces
 from imprimlab.wreath import WreathSpec, wreath_product
 
-from conftest import basis_row, block_diagonal_product, perm, sign_group, summand_subspaces
+from conftest import (
+    basis_row,
+    block_diagonal_product,
+    perm,
+    sign_group,
+    subspace_sum,
+    summand_subspaces,
+)
 
 
 def sign_wreath(k_group, p):
@@ -256,7 +263,7 @@ def test_invariant_subspaces_are_sums_of_summands(factories, p):
         for combo in itertools.combinations(summands, r):
             total = combo[0]
             for extra in combo[1:]:
-                total = total.sum(extra)
+                total = subspace_sum(total, extra)
             expected.add(total.key)
     found = {s.key for s in invariant_subspaces(group.gens, n, p)}
     assert found == expected

@@ -24,7 +24,6 @@ from imprimlab.reprs import (
     induced_module,
     invariant_subspaces,
     is_irreducible,
-    is_monomial,
     is_primitive_linear,
     projective_representatives,
     restrict_matrix,
@@ -37,9 +36,13 @@ from imprimlab.wreath import WreathSpec, wreath_product
 from conftest import (
     basis_row,
     block_diagonal_product,
+    contains_vector,
     count_calls,
+    elements,
+    is_monomial,
     matrix_groups,
     sign_group,
+    transpose,
 )
 
 
@@ -67,7 +70,7 @@ def test_spin_examples():
 def test_spin_minimality_witness():
     g = sign_wreath(symmetric_group(3), 3)
     sub = spin(g, [1, 2, 0])
-    assert sub.contains_vector([1, 2, 0])
+    assert contains_vector(sub, [1, 2, 0])
     for gen in g.gens:
         assert sub.contains_rows(sub.basis @ gen.a % 3)
     for row in sub.basis:
@@ -112,7 +115,7 @@ def spin_reference(g, v):
         grown = False
         for gen in g.gens:
             for row in sub.basis @ gen.a % g.p:
-                if not sub.contains_vector(row):
+                if not contains_vector(sub, row):
                     sub = Subspace.span([*sub.basis, row], g.n, g.p)
                     grown = True
     return sub
@@ -250,7 +253,7 @@ def test_hom_dimension_transpose_symmetry():
         gens_b = [draw(nb) for _ in range(2)]
         forward = hom_dimension(gens_a, gens_b, p)
         backward = hom_dimension(
-            [b.transpose() for b in gens_b], [a.transpose() for a in gens_a], p
+            [transpose(b) for b in gens_b], [transpose(a) for a in gens_a], p
         )
         assert forward == backward
 
@@ -288,7 +291,7 @@ def test_induced_module_index_two_trivial_character():
     assert special.order == 24
     rep = induced_module(gl, special, Character(special, [1, 1], 7))
     assert rep.degree == 2
-    for g in gl.elements:
+    for g in elements(gl):
         image = rep.image(g)
         assert is_monomial(image)
         assert set(image.a.ravel().tolist()) <= {0, 1}
@@ -304,9 +307,55 @@ def test_induced_module_monomial_and_homomorphism():
     for g in gl.gens:
         assert is_monomial(rep.image(g))
     # homomorphism on a sample beyond the generator pairs checked at build
-    elems = gl.elements
+    elems = elements(gl)
     for a, b in zip(elems[::7], elems[5::7]):
         assert rep.image(a) * rep.image(b) == rep.image(a * b)
+
+
+def induced_image_oracle(source, subgroup, character):
+    """image(x) from a coset table keyed by Matrix.key tuples.
+
+    Each coset H x is represented by its first element in the ambient
+    group's enumeration order; the entry (i, j) of image(x) is the
+    character's value at t_i x t_j^-1, where t_i x lies in H t_j.
+    """
+    reps, index = [], {}
+    for x in elements(source):
+        if x.key not in index:
+            for h in elements(subgroup):
+                index[(h * x).key] = len(reps)
+            reps.append(x)
+    rep_invs = [t.inv() for t in reps]
+
+    def image(x):
+        out = np.zeros((len(reps), len(reps)), dtype=np.int64)
+        for i, t in enumerate(reps):
+            u = t * x
+            j = index[u.key]
+            out[i, j] = character(u * rep_invs[j])
+        return Matrix(out, character.modulus)
+
+    return image
+
+
+@pytest.mark.parametrize("q", [7, 13])
+@pytest.mark.parametrize("name", ["dihedral12", "sl23", "gl23"])
+def test_induced_images_match_the_coset_table_oracle(q, name):
+    gl = general_linear_group(2, 3)
+    omega = next(w for w in range(2, q) if pow(w, 3, q) == 1)  # a cube root of 1
+    sub, values = {
+        "dihedral12": (MatrixGroup([Matrix([[1, 0], [0, -1]], 3),
+                                    Matrix([[-1, 1], [0, -1]], 3)]), [1, q - 1]),
+        "sl23": (MatrixGroup([Matrix([[1, 1], [0, 1]], 3), Matrix([[1, 0], [1, 1]], 3)]),
+                 [omega, omega * omega % q]),
+        "gl23": (gl, [q - 1, q - 1, 1]),  # the sign of the determinant
+    }[name]
+    character = Character(sub, values, q)
+    rep = induced_module(gl, sub, character)
+    oracle = induced_image_oracle(gl, sub, character)
+    assert rep.degree == 48 // sub.order
+    for g in elements(gl):
+        assert rep.image(g) == oracle(g)
 
 
 def test_induced_module_rejects_non_subgroup():

@@ -12,14 +12,13 @@ from imprimlab.verify import (
     REPORT_SCHEMA,
     induced_example_report,
     maximal_solvable_witness,
-    regression_inclusion_instances,
     regression_theorem_instances,
     wreath_inclusion_report,
     wreath_uniqueness_report,
 )
 from imprimlab.wreath import WreathSpec
 
-from conftest import perm, sign_group
+from conftest import perm, regression_inclusion_instances, sign_group
 
 
 def c3_mod7():
