@@ -4,16 +4,16 @@ all_systems is the exhaustive scan of the package.  For every proper
 divisor d of n it enumerates every d-dimensional subspace once, as the
 (N, d, n) RREF stack of linalg.subspace_array, and turns each generator into
 a permutation table of that stack: the generator is applied to the whole
-stack, the images are row-reduced in batch and each is found by its packed
-base-p key.  Orbits come from min-label propagation over the tables
-(groups.orbit_labels), and the orbits of size n/d that decompose the space
-into a direct sum are the systems.  Orbits of a transitive part action are
-exactly the systems, so every system is found once.
+stack, the images are row-reduced in batch and each is ranked from the
+stack's order, linalg.subspace_layout.  Orbits come from min-label
+propagation over the tables (groups.orbit_labels), and the orbits of size
+n/d that decompose the space into a direct sum are the systems.  Orbits of a
+transitive part action are exactly the systems, so every system is found once.
 
 Memory: the stack is stored in the smallest integer dtype that holds p - 1
 and the tables as int32; only chunks of linalg.SCAN_CHUNK subspaces are
-widened to int64.  Packed keys need p^(d*n) < 2^63, checked with the
-subspace cap before anything is allocated.  The per-subspace loop (one
+widened to int64.  The tables' indices must fit in int32, checked with
+the subspace cap before anything is allocated.  The per-subspace loop (one
 subspace_orbit per unvisited subspace) this scan replaced is kept in the
 tests as the oracle the scan is checked against.
 
@@ -154,8 +154,8 @@ def all_systems(g: MatrixGroup, cap_subspaces: int = DEFAULT_CAP_SUBSPACES,
 
     For irreducible g the part action of any system is transitive, so this
     is the complete list.  Fails fast with EnumerationCapExceeded when some
-    candidate dimension has too many subspaces to scan, or too many for
-    64-bit packed keys.
+    candidate dimension has too many subspaces to scan, or too many to index
+    in int32 tables.
     """
     n = g.n
     candidate_dims = [d for d in divisors(n) if d < n]
@@ -163,8 +163,8 @@ def all_systems(g: MatrixGroup, cap_subspaces: int = DEFAULT_CAP_SUBSPACES,
         count = gaussian_binomial(n, d, g.p)
         if count > cap_subspaces:
             raise EnumerationCapExceeded(d, count)
-        if g.p ** (d * n) >= 2**63:
-            raise EnumerationCapExceeded(d, count, "the range of 64-bit packed keys")
+        if count >= 2**31:
+            raise EnumerationCapExceeded(d, count, "the int32 range of the subspace tables")
     scanned = 0
     systems = []
     for d in candidate_dims:

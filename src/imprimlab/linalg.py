@@ -9,14 +9,16 @@ Conventions used by the whole package:
 
 Matrices are small dense numpy int64 arrays.  Intermediate products must fit
 in 64 bits, so construction rejects moduli where n * (p-1)^2 would overflow;
-in practice every instance here has p < 100.  A scan over every subspace of
-one dimension works on a stack of RREF bases (subspace_array) instead of
-one Subspace object per subspace.
+in practice every instance here has p < 100.  Subspaces take any p < 2^31,
+so their containment tests use the overflow-safe mul_mod.  A scan over the
+subspaces of one dimension works on one stack of RREF bases, subspace_array,
+in the order subspace_layout defines.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -104,6 +106,18 @@ def rref(a: np.ndarray, p: int) -> tuple[np.ndarray, int, tuple[int, ...]]:
         pivots.append(col)
         row += 1
     return a, row, tuple(pivots)
+
+
+def mul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """a @ b mod p for entries in [0, p), broadcast as matmul; the inner index
+    runs in slices short enough that no partial sum overflows int64."""
+    step = 2**62 // (p - 1) ** 2  # at least 1, as p < 2^31
+    if a.shape[-1] <= step:
+        return a @ b % p
+    out = 0
+    for start in range(0, a.shape[-1], step):
+        out = (out + a[..., start : start + step] @ b[..., start : start + step, :]) % p
+    return out
 
 
 class Matrix:
@@ -267,23 +281,18 @@ class Subspace:
     def __lt__(self, other):
         return self.key < other.key
 
+    def _members(self, rows: np.ndarray) -> np.ndarray:
+        """Entrywise rows == pivot entries @ basis: all true iff a row is inside."""
+        return rows == mul_mod(rows[..., self._pivot_arr], self.basis, self.p)
+
     def contains_rows(self, rows) -> bool:
         """Vectorized membership test for a stack of row vectors."""
-        rows = np.asarray(rows, dtype=np.int64) % self.p
-        if self.rank == 0:
-            return not rows.any()
-        residual = (rows - rows[:, self._pivot_arr] @ self.basis) % self.p
-        return not residual.any()
+        return bool(self._members(np.asarray(rows, dtype=np.int64) % self.p).all())
 
     def fixed_by(self, stack) -> np.ndarray:
-        """Which matrices of an (s, n, n) stack map this subspace into itself.
-
-        One batched containment test: an image of the RREF basis lies in the
-        subspace iff it equals its pivot-column coordinates times the basis.
-        """
-        images = self.basis @ np.asarray(stack) % self.p
-        residual = (images - images[:, :, self._pivot_arr] @ self.basis) % self.p
-        return ~residual.any(axis=(1, 2))
+        """Which matrices of an (s, n, n) stack map this subspace into itself."""
+        images = mul_mod(self.basis, np.asarray(stack), self.p)
+        return self._members(images).all(axis=(1, 2))
 
     def contains(self, other: "Subspace") -> bool:
         self._check_compatible(other)
@@ -356,34 +365,40 @@ def entry_dtype(m: int):
     return np.int64
 
 
-def subspace_array(n: int, d: int, p: int) -> np.ndarray:
-    """Every d-dimensional subspace of GF(p)^n as an (N, d, n) RREF stack.
+def subspace_layout(n: int, d: int, p: int):
+    """The order of subspace_array, as (combos, offsets, weights).
 
-    Pivot columns run through combinations in lexicographic order and the
-    free cells (right of each pivot, outside pivot columns, row by row) run
-    through all field values, the last cell fastest.  Entries are stored in
-    entry_dtype(p) to keep large scans small.
-    """
-    p = _check_modulus(p)
-    blocks = []
-    for pivots in itertools.combinations(range(n), d):
-        pivot_set = set(pivots)
+    combos are the pivot combinations in lexicographic order; subspaces
+    offsets[c] to offsets[c + 1] - 1 have pivots combos[c], and weights[c]
+    holds the base-p place values of their free cells (right of each pivot,
+    outside pivot columns, row by row, the last cell 1), 0 elsewhere.  RREF
+    rows with pivots combos[c] are subspace offsets[c] + sum(rows * weights[c])."""
+    combos = list(itertools.combinations(range(n), d))
+    weights = np.zeros((len(combos), d, n), dtype=np.int64)
+    offsets = [0]
+    for c, pivots in enumerate(combos):
         free_cells = [
-            (i, j)
-            for i in range(d)
-            for j in range(pivots[i] + 1, n)
-            if j not in pivot_set
+            (i, j) for i in range(d) for j in range(pivots[i] + 1, n) if j not in pivots
         ]
-        count = p ** len(free_cells)
-        block = np.zeros((count, d, n), dtype=entry_dtype(p))
-        block[:, np.arange(d), np.array(pivots, dtype=np.intp)] = 1
-        index = np.arange(count, dtype=np.int64)
         for k, (i, j) in enumerate(reversed(free_cells)):
-            block[:, i, j] = index // p**k % p
-        blocks.append(block)
-    if not blocks:
-        return np.zeros((0, d, n), dtype=entry_dtype(p))
-    return np.concatenate(blocks)
+            weights[c, i, j] = p**k
+        offsets.append(offsets[-1] + p ** len(free_cells))
+    return combos, offsets, weights
+
+
+def subspace_array(n: int, d: int, p: int) -> np.ndarray:
+    """Every d-dimensional subspace of GF(p)^n as an (N, d, n) RREF stack, in
+    subspace_layout order; entries in entry_dtype(p) keep large scans small."""
+    p = _check_modulus(p)
+    combos, offsets, weights = subspace_layout(n, d, p)
+    subs = np.zeros((offsets[-1], d, n), dtype=entry_dtype(p))
+    for pivots, start, stop, weight in zip(combos, offsets, offsets[1:], weights):
+        block = subs[start:stop]
+        block[:, np.arange(d), list(pivots)] = 1
+        index = np.arange(stop - start, dtype=np.int64)
+        for i, j in zip(*np.nonzero(weight)):
+            block[:, i, j] = index // weight[i, j] % p
+    return subs
 
 
 def echelon_subspace(rows: np.ndarray, p: int) -> Subspace:
@@ -400,7 +415,7 @@ def all_subspaces(n: int, d: int, p: int):
         yield echelon_subspace(rows, p)
 
 
-# Rows per chunk of a subspace scan: only a chunk is ever widened to int64.
+# Rows per chunk of a subspace scan: only a chunk and its images are int64.
 SCAN_CHUNK = 1024
 
 
@@ -472,28 +487,31 @@ def rref_batch(a: np.ndarray, p: int) -> np.ndarray:
 def subspace_tables(gens, subs: np.ndarray, p: int) -> np.ndarray:
     """Permutation tables of invertible generators on a subspace_array stack.
 
-    tables[k, i] is the index in subs of the image of subs[i] under gens[k].
-    Each image is row-reduced in batch and found by its packed base-p key,
-    which needs p^(d*n) < 2^63.
+    tables[k, i] is the index in subs of the image of subs[i] under gens[k],
+    an int32.  A chunk's images under all generators are row-reduced in one
+    batch, and each is ranked from the layout: the offset of its pivot
+    combination plus its free cells as base-p digits.
     """
     _, d, n = subs.shape
-    weights = np.array([p**k for k in range(d * n - 1, -1, -1)], dtype=np.int64)
-    keys = np.empty(len(subs), dtype=np.int64)
-    for start in range(0, len(subs), SCAN_CHUNK):
-        chunk = subs[start : start + SCAN_CHUNK]
-        keys[start : start + len(chunk)] = (
-            chunk.reshape(len(chunk), -1).astype(np.int64) @ weights
-        )
-    order = np.argsort(keys)
-    sorted_keys = keys[order]
+    combos, offsets, weights = subspace_layout(n, d, p)
+    offsets, weights = np.array(offsets), weights.reshape(len(combos), d * n)
+    # lexicographic rank of pivots c: C(n, d) - 1 - sum_i C(n - 1 - c_i, d - i)
+    place = np.array([math.comb(n - 1 - j, d - i) for i in range(d) for j in range(n)])
+    row_starts = np.arange(0, d * n, n)
+    # a product with ones sums a short last axis faster than sum() does
+    ones_d, ones_n = np.ones(d, dtype=np.int64), np.ones(n, dtype=np.int64)
+    stack = np.stack([g.a for g in gens])
     tables = np.empty((len(gens), len(subs)), dtype=np.int32)
-    for k, g in enumerate(gens):
-        for start, _, image in image_chunks(subs, g):
-            image_keys = rref_batch(image, p).reshape(len(image), -1) @ weights
-            pos = np.minimum(np.searchsorted(sorted_keys, image_keys), len(subs) - 1)
-            if not np.array_equal(sorted_keys[pos], image_keys):
-                raise Singular("a generator maps a subspace to a smaller one")
-            tables[k, start : start + len(image)] = order[pos]
+    for start in range(0, len(subs), SCAN_CHUNK):
+        chunk = subs[start : start + SCAN_CHUNK].astype(np.int64)
+        reduced = rref_batch((chunk.reshape(-1, n) @ stack % p).reshape(-1, d, n), p)
+        if not (reduced[:, -1] @ ones_n).all():  # a zero last row
+            raise Singular("a generator maps a subspace to a smaller one")
+        pivots = (reduced != 0).argmax(axis=2)
+        combo = len(combos) - 1 - np.take(place, pivots + row_starts) @ ones_d
+        flat = reduced.reshape(len(reduced), -1)
+        ranks = offsets[combo] + np.einsum("kj,kj->k", flat, np.take(weights, combo, axis=0))
+        tables[:, start : start + len(chunk)] = ranks.reshape(len(gens), -1)
     return tables
 
 

@@ -36,6 +36,7 @@ from .linalg import (
     echelon_subspace,
     gaussian_binomial,
     image_chunks,
+    mul_mod,
     rref,
     subspace_array,
 )
@@ -48,27 +49,6 @@ def spin(g: MatrixGroup, v) -> Subspace:
         raise ZeroVector("cannot spin the zero vector")
     rows = _invariant_span(v[None], np.stack([m.a for m in g.gens]), g.p)
     return Subspace.span(rows, g.n, g.p)
-
-
-def projective_representatives(n: int, p: int):
-    """One vector per line of GF(p)^n: first nonzero coordinate 1, lex order."""
-    for lead in range(n):
-        tail = n - lead - 1
-        for rest in itertools.product(range(p), repeat=tail):
-            vec = np.zeros(n, dtype=np.int64)
-            vec[lead] = 1
-            vec[lead + 1 :] = rest
-            yield vec
-
-
-def _mul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """a @ b mod p for entries in [0, p), in runs of the inner index short
-    enough that no partial sum overflows int64."""
-    step = max(1, 2**62 // (p - 1) ** 2)
-    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
-    for start in range(0, a.shape[1], step):
-        out = (out + a[:, start : start + step] @ b[start : start + step]) % p
-    return out
 
 
 def _invariant_span(start: np.ndarray, gens: np.ndarray, p: int) -> np.ndarray:
@@ -89,12 +69,12 @@ def _invariant_span(start: np.ndarray, gens: np.ndarray, p: int) -> np.ndarray:
     fresh = rows
     while len(rows) < width:
         images = (fresh.reshape(-1, 1, width // n, n) @ gens % p).reshape(-1, width)
-        remainder = (images - _mul_mod(images[:, pivots], rows, p)) % p
+        remainder = (images - mul_mod(images[:, pivots], rows, p)) % p
         if not remainder.any():
             break
         fresh, rank, fresh_pivots = rref(remainder[remainder.any(axis=1)], p)
         fresh = fresh[:rank]
-        rows = np.concatenate([(rows - _mul_mod(rows[:, fresh_pivots], fresh, p)) % p, fresh])
+        rows = np.concatenate([(rows - mul_mod(rows[:, fresh_pivots], fresh, p)) % p, fresh])
         pivots = np.concatenate([pivots, fresh_pivots])
     return rows
 
@@ -122,7 +102,7 @@ def is_irreducible(g: MatrixGroup, cap_subspaces: int = DEFAULT_CAP_SUBSPACES) -
     if points > cap_subspaces:
         raise PhaseCapExceeded("irreducibility spin", points, "projective points",
                                cap_subspaces)
-    for v in projective_representatives(g.n, g.p):
+    for v in subspace_array(g.n, 1, g.p)[:, 0]:
         if spin(g, v).rank < g.n:
             return False
     return True
@@ -308,9 +288,10 @@ def restrict_to_block(stab_gens, w: Subspace) -> MatrixGroup:
     """
     if not isinstance(stab_gens, np.ndarray):
         stab_gens = np.array([g.a for g in stab_gens]).reshape(-1, w.ambient, w.ambient)
-    if not w.fixed_by(stab_gens).all():
+    images = mul_mod(w.basis, stab_gens, w.p)
+    if not w.contains_rows(images):
         raise NotStabilized("a matrix moves the subspace")
-    coords = (w.basis @ stab_gens % w.p)[:, :, list(w.pivots)]
+    coords = images[:, :, list(w.pivots)]
     _, first = np.unique(byte_keys(coords), return_index=True)
     return MatrixGroup([Matrix(c, w.p) for c in coords[np.sort(first)]])
 

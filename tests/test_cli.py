@@ -1,3 +1,4 @@
+import importlib.util
 import json
 from pathlib import Path
 
@@ -11,6 +12,7 @@ from imprimlab.linalg import Matrix
 from imprimlab.wreath import WreathSpec
 
 DATA = Path(__file__).parent / "data"
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 SIGN_P3 = {"kind": "matrix", "p": 3, "n": 1, "generators": [[[2]]]}
 C4 = {"kind": "perm", "degree": 4, "generators": [[2, 3, 4, 1]]}
 C2 = {"kind": "perm", "degree": 2, "generators": [[2, 1]]}
@@ -326,15 +328,37 @@ def test_description_of_wrong_kind_is_usage_error(tmp_path, capsys, argv, wrong)
     [
         (["theorem", "--regression", "--json-only"], "theorem_regression.json"),
         (["example21", "--q", "7", "--json-only"], "example21_q7.json"),
+        (["example21", "--q", "13", "--json-only"], "example21_q13.json"),
+        (["maxsolv", "--q", "3", "--json-only"], "maxsolv_q3.json"),
+        (["maxsolv", "--q", "5", "--json-only"], "maxsolv_q5.json"),
         (["theorem", "--h", str(DATA / "sign_p3.json"), "--k", str(DATA / "s6.json"),
           "--json-only"], "theorem_sign_wr_s6_p3.json"),
+        (["systems", "--group", str(DATA / "sign_wr_c4_p3.json"), "--json-only"],
+         "systems_sign_wr_c4_p3.json"),
     ],
-    ids=["theorem-regression", "example21-q7", "theorem-sign-wr-s6-p3"],
+    ids=["theorem-regression", "example21-q7", "example21-q13", "maxsolv-q3", "maxsolv-q5",
+         "theorem-sign-wr-s6-p3", "systems-sign-wr-c4-p3"],
 )
 def test_report_matches_recorded_output(capsys, argv, recorded):
     # the canonical reports must stay byte-identical to these recordings
     assert main(argv) == 0
     assert capsys.readouterr().out == (DATA / recorded).read_text()
+
+
+def test_traced_layers_resolve():
+    # the benchmark's tracer wraps these (module, attribute path) pairs, so
+    # deleting or renaming one breaks every traced run
+    spec = importlib.util.spec_from_file_location("tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = []
+    for _, module, path, _ in tracer.LAYERS:
+        owner = importlib.import_module(f"imprimlab.{module}")
+        for name in path.split("."):
+            owner = getattr(owner, name, None)
+        if not callable(owner):
+            missing.append(f"{module}.{path}")
+    assert tracer.LAYERS and missing == []
 
 
 def test_cap_exceeded_exit_code(tmp_path, capsys):

@@ -3,7 +3,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from imprimlab.errors import (
@@ -23,13 +23,14 @@ from imprimlab.linalg import (
     fixed_space,
     gaussian_binomial,
     is_prime,
+    mul_mod,
     rref,
     rref_batch,
     subspace_array,
     subspace_tables,
 )
 
-from conftest import basis_row, intersect, subspace_sum
+from conftest import basis_row, intersect, matrix_groups, subspace_sum
 
 
 def test_ff_inv_examples():
@@ -344,6 +345,76 @@ def test_subspace_tables_are_the_generator_actions():
             assert np.array_equal(subs[j], image.basis)
     with pytest.raises(Singular):
         subspace_tables([Matrix.diagonal([1, 1, 0], p)], subs, p)
+
+
+@st.composite
+def layouts(draw):
+    """(n, d, p) with n <= 5, p in {2, 3, 5, 7, 13} and 1 <= d <= n, except
+    the two shapes with 5.3 million subspaces (n = 5, d in {2, 3}, p = 13)."""
+    n = draw(st.integers(1, 5))
+    d = draw(st.integers(1, n))
+    p = draw(st.sampled_from([2, 3, 5, 7, 13]))
+    assume(gaussian_binomial(n, d, p) <= 200_000)
+    return n, d, p
+
+
+@example((5, 2, 7))  # the largest included shape: 140 050 planes
+@given(layouts())
+def test_every_subspace_ranks_to_its_own_index(layout):
+    n, d, p = layout
+    subs = subspace_array(n, d, p)
+    assert len(subs) == gaussian_binomial(n, d, p)
+    # the documented order: pivot columns lexicographically, then the
+    # entries row by row with the last cell fastest, each subspace once
+    keys = np.concatenate([(subs != 0).argmax(axis=2), subs.reshape(len(subs), -1)], axis=1)
+    assert np.array_equal(np.lexsort(keys.T[::-1]), np.arange(len(subs)))
+    assert len(np.unique(keys, axis=0)) == len(subs)
+    tables = subspace_tables([Matrix.identity(n, p)], subs, p)
+    assert np.array_equal(tables[0], np.arange(len(subs)))
+
+
+@given(matrix_groups(max_n=4, primes=(2, 3, 5, 7, 13)), st.data())
+def test_subspace_tables_match_the_span_oracle(gens, data):
+    n, p = gens[0].rows, gens[0].p
+    d = data.draw(st.integers(1, n))
+    assume(gaussian_binomial(n, d, p) <= 3000)
+    subs = subspace_array(n, d, p)
+    index = {tuple(rows.ravel().tolist()): i for i, rows in enumerate(subs)}
+    tables = subspace_tables(gens, subs, p)
+    for table, g in zip(tables, gens):
+        oracle = [
+            index[tuple(Subspace.span(rows.astype(np.int64) @ g.a, n, p).basis.ravel().tolist())]
+            for rows in subs
+        ]
+        assert table.tolist() == oracle
+
+
+@given(matrix_groups(max_n=4, primes=(2, 3, 5, 7, 13)), st.data())
+def test_rank_deficient_generator_raises_singular(gens, data):
+    n, p = gens[0].rows, gens[0].p
+    d = data.draw(st.integers(1, n))
+    assume(gaussian_binomial(n, d, p) <= 3000)
+    # dropping one row of an invertible matrix leaves rank n - 1, so some
+    # d-subspace meets the kernel and maps onto a smaller one
+    keep = np.ones(n, dtype=np.int64)
+    keep[data.draw(st.integers(0, n - 1))] = 0
+    singular = Matrix(keep[:, None] * gens[-1].a, p)
+    with pytest.raises(Singular):
+        subspace_tables([*gens[:-1], singular], subspace_array(n, d, p), p)
+
+
+def test_containment_does_not_overflow_for_large_moduli():
+    # pivot coordinates near p times basis entries near p: one int64 sum of
+    # three such products overflows
+    p = 2**31 - 1
+    w = Subspace.span([[1, 0, 0, p - 1], [0, 1, 0, p - 2], [0, 0, 1, p - 3]], 4, p)
+    minus_sum = [p - 1, p - 1, p - 1, 6]  # -(sum of the basis rows)
+    assert w.contains_rows([minus_sum])
+    assert not w.contains_rows([[p - 1, p - 1, p - 1, 7]])
+    # maps every basis row to minus_sum, so maps w into itself
+    g = np.array([minus_sum] * 3 + [[0, 0, 0, 0]], dtype=np.int64)
+    assert w.fixed_by(g[None]).tolist() == [True]
+    assert mul_mod(np.array([[p - 1] * 3]), w.basis, p).tolist() == [minus_sum]
 
 
 def test_matrix_rejects_nonprime_modulus():

@@ -16,7 +16,7 @@ from imprimlab.errors import (
     ZeroVector,
 )
 from imprimlab.groups import MatrixGroup, cyclic_group, general_linear_group, symmetric_group
-from imprimlab.linalg import Matrix, Subspace
+from imprimlab.linalg import Matrix, Subspace, mul_mod, subspace_array
 from imprimlab.reprs import (
     Character,
     algebra_dimension,
@@ -25,7 +25,6 @@ from imprimlab.reprs import (
     invariant_subspaces,
     is_irreducible,
     is_primitive_linear,
-    projective_representatives,
     restrict_matrix,
     restrict_to_block,
     spin,
@@ -78,7 +77,7 @@ def test_spin_minimality_witness():
 
 
 def test_projective_representatives_count():
-    reps = list(projective_representatives(3, 3))
+    reps = subspace_array(3, 1, 3)[:, 0]
     assert len(reps) == (3**3 - 1) // (3 - 1) == 13
     assert all(tuple(v)[: list(v).index(1)] == () or v[0] in (0, 1) for v in reps)
 
@@ -124,7 +123,7 @@ def spin_reference(g, v):
 def spin_oracle(g):
     """Irreducibility by spinning one vector per projective point."""
     return all(
-        spin_reference(g, v).rank == g.n for v in projective_representatives(g.n, g.p)
+        spin_reference(g, v).rank == g.n for v in subspace_array(g.n, 1, g.p)[:, 0]
     )
 
 
@@ -191,7 +190,7 @@ def test_algebra_products_do_not_overflow_for_large_moduli():
     # sixteen products (p-1)^2 ~ 2^60 overflow one int64 sum; mod p each is 1
     p = 1_073_741_789
     rows = np.full((2, 16), p - 1, dtype=np.int64)
-    assert (reprs._mul_mod(rows, rows.T, p) == 16).all()
+    assert (mul_mod(rows, rows.T, p) == 16).all()
 
 
 def test_spin_fallback_counts_against_the_subspace_cap():

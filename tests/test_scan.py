@@ -162,7 +162,7 @@ def test_scan_across_the_int8_storage_boundary(p, dtype):
 
 
 def test_key_width_guard_fires_before_allocation(monkeypatch):
-    # 2097169^3 > 2^63 = 2097152^3, while the line count is ~4.4e12
+    # the line count p^2 + p + 1 ~ 4.4e12 is under the cap but past int32
     p = 2097169
     cycle = MatrixGroup([Matrix([[0, 1, 0], [0, 0, 1], [1, 0, 0]], p)])
 
@@ -174,4 +174,4 @@ def test_key_width_guard_fires_before_allocation(monkeypatch):
         all_systems(cycle, cap_subspaces=10**13)
     assert err.value.dim == 1
     assert err.value.count == gaussian_binomial(3, 1, p)
-    assert "64-bit" in str(err.value)
+    assert "int32" in str(err.value)
