@@ -62,7 +62,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--cap-elements", type=int, default=DEFAULT_CAP_ELEMENTS,
-        help="maximum group order enumerated (default %(default)s)",
+        help="maximum group order enumerated, and maximum orbit points of a "
+             "stabilizer chain (default %(default)s)",
     )
     common.add_argument(
         "--cap-subspaces", type=int, default=DEFAULT_CAP_SUBSPACES,

@@ -1,12 +1,22 @@
 """Finite matrix groups and permutation groups given by generators.
 
-Enumeration is an explicit breadth-first closure under left multiplication,
-capped so runaway inputs fail fast instead of eating memory.  The closure
-doubles as the membership and containment oracle: both are checked on the
-full element list, never inferred structurally.  Solvability closes each
-term of the derived series in full; a derived subgroup is found as the
-normal closure of its group's generator commutators, so only generators
-are multiplied as Matrix objects.
+Two descriptions of a group serve different questions.  The stabilizer
+chain (StabilizerChain: deterministic Schreier-Sims with the standard basis
+vectors as base, or the points for a permutation group) answers the order,
+as the product of its orbit lengths, and membership and containment, by
+sifting; it never lists the group.  The closure (mulclose) lists every
+element.  It is built where elements are read (the GL(2, q) scan of the
+maximal-solvable report, sorted_keys, positions, characters, induced
+modules, setwise stabilizers of permutation groups) and for groups inside
+an ambient GL_n(p) or S_k of at most LIST_AMBIENT elements, which it lists
+faster than their chain is built.  Once a group's elements are listed, its
+order is their count and membership a lookup among them, so no group pays
+for both descriptions unless both are read.  Both count against the
+element cap: the closure its elements, the chain its orbit points beyond
+the base points, which never exceed |G| - 1.
+Solvability follows the derived series, each derived subgroup the normal
+closure of its group's generator commutators, with membership and orders
+read as above; only generators are multiplied as Matrix objects.
 
 The closure works on arrays.  A group's elements are one (|G|, n, n) stack
 of matrices (or (|G|, k) stack of permutation images) in the smallest
@@ -20,15 +30,17 @@ peak memory, whatever the number of generators; larger chunks were no
 faster.  Every product is identified by its byte key: its entries in the
 stored dtype viewed as one np.void scalar.  Byte keys need no packing, so
 no modulus or degree is too wide for them.  A chunk's new elements are its
-first occurrences (np.unique) that a searchsorted lookup does not find
-among the sorted keys seen so far; the cap is checked before they are
-appended.  Membership, containment and the identity of an element set are
-lookups in its sorted keys; no Matrix or Permutation object is built per
-element.  Orbits of points are min-label propagation over permutation
-tables (orbit_labels), the routine the subspace scan uses as well.
+first occurrences absent from the set of keys seen so far, in chunk order;
+the cap is checked before they are appended.  Once listed, the elements'
+keys are sorted once, and lookups among them are searchsorted.  No Matrix
+or Permutation object is built per element.  Orbits
+of points are min-label propagation over permutation tables
+(orbit_labels), the routine the subspace scan uses as well.
 
 Permutations are stored 0-based and compose left to right:
 (s * t)(i) = t(s(i)), matching the row-vector right action used elsewhere.
+The chain of a permutation group acts with the permutation matrices, whose
+row i is the basis vector of the image of i.
 """
 
 from __future__ import annotations
@@ -45,7 +57,7 @@ from .errors import (
     PhaseCapExceeded,
     ValidationError,
 )
-from .linalg import Matrix, entry_dtype, is_prime
+from .linalg import Matrix, entry_dtype, inverse_mod, is_prime
 
 DEFAULT_CAP_ELEMENTS = 2**20
 # Subspaces scanned per dimension, and projective points spun when the
@@ -54,27 +66,21 @@ DEFAULT_CAP_SUBSPACES = 10**6
 # Equal partitions tried by the exhaustive block-system route.
 DEFAULT_CAP_PARTITIONS = 10**6
 
-# Products formed in one step of a closure: a chunk of the frontier times
-# every generator.
+# Products formed in one step of a closure (a chunk of the frontier times
+# every generator), and the most images, Schreier generators or sifted
+# matrices a stabilizer chain handles in one step.
 CLOSE_PRODUCTS = 8192
+# A group inside GL_n(p) or S_k with at most this many elements is listed
+# for its order and membership as well: on a 2-vCPU x86 host with Python
+# 3.11, closing S_7 took 2.6 ms against 3.9 ms for its stabilizer chain,
+# and GL_2(11) (13 200 elements) 9.6 ms against 1.3 ms.
+LIST_AMBIENT = 5040
 
 
 def byte_keys(stack: np.ndarray) -> np.ndarray:
     """One np.void key per entry of a stack: the entry's raw bytes."""
     flat = np.ascontiguousarray(stack).reshape(len(stack), -1)
     return flat.view(np.dtype((np.void, flat.shape[1] * flat.itemsize))).ravel()
-
-
-def first_new(keys: np.ndarray, seen: np.ndarray):
-    """The keys absent from the sorted array seen, once each.
-
-    Returns (indices, seen'): the index in keys of the first occurrence of
-    every such key, in increasing order, and seen with those keys merged in.
-    """
-    uniq, first = np.unique(keys, return_index=True)
-    pos = np.searchsorted(seen, uniq)
-    found = seen[np.minimum(pos, len(seen) - 1)] == uniq
-    return np.sort(first[~found]), np.insert(seen, pos[~found], uniq[~found])
 
 
 def orbit_labels(tables: np.ndarray) -> np.ndarray:
@@ -119,13 +125,17 @@ def mulclose(gens: np.ndarray, p: int | None = None,
     step = max(1, CLOSE_PRODUCTS // len(gens))
     frontier = identity[None]
     levels = [frontier]
-    seen = byte_keys(frontier)
+    seen = set(byte_keys(frontier).tolist())
     while len(frontier):
         found = []
         for start in range(0, len(frontier), step):
             block = products(frontier[start : start + step])
             block = block.reshape(-1, *identity.shape)
-            fresh, seen = first_new(byte_keys(block), seen)
+            fresh = []
+            for i, key in enumerate(byte_keys(block).tolist()):
+                if key not in seen:
+                    seen.add(key)
+                    fresh.append(i)
             if len(seen) > cap:
                 raise CapExceeded(cap)
             found.append(block[fresh])
@@ -134,17 +144,262 @@ def mulclose(gens: np.ndarray, p: int | None = None,
     return np.concatenate(levels)
 
 
-class _ElementArray:
-    """The closure of a group's generators, held as one array.
+class StabilizerChain:
+    """A base and strong generating set, found by deterministic Schreier-Sims.
 
-    Subclasses set cap and provide _generator_stack and _modulus (p, or
-    None for permutations).
+    gens is an (m, n, n) stack of invertible matrices over GF(p) acting on
+    row vectors from the right; inverses, if given, holds their inverses,
+    which are computed otherwise.  The base is e_0 ... e_(n-1): a matrix that
+    fixes every standard basis vector is the identity, so the base never
+    needs extending.  Level l holds generators fixing e_0 ... e_(l-1) and
+    the orbit of e_l under them.  Each orbit point x = e_l u_x is stored as
+    its transversal element u_x and u_x^-1, in the smallest dtype that
+    holds p - 1, and is found by its packed key (its entries read in base
+    p, or its bytes when p^n does not fit in 64 bits) in a dict.
+
+    Sims' algorithm (Sims 1970; Seress, Permutation Group Algorithms,
+    ch. 4) works up from the last level.  Every Schreier generator
+    u_x s u_(x s)^-1 of a level is sifted through the levels below it; the
+    first that does not sift to the identity joins the generators of every
+    level from the next one down to the level it stopped at, whose orbits
+    are then extended (never recomputed), and the work resumes at that
+    level.  Transversals never change once set, so a Schreier generator
+    that has passed keeps passing and is not sifted again.  When every one
+    has passed, the order is the product of the orbit lengths, and a matrix
+    lies in the group iff it sifts through every level.
+
+    Orbit points beyond the base points count against cap.  Their number,
+    the sum of (|orbit| - 1) over the levels, is at most |G| - 1, so the
+    chain of every group that the closure can list fits; PhaseCapExceeded
+    ("stabilizer chain") is raised otherwise.  After two breadth-first
+    steps in a row from one point to one point, an orbit is extended along
+    the powers of the generator that took the last step, in blocks that
+    double, so a long cycle costs a logarithmic number of array steps.
+    """
+
+    def __init__(self, gens: np.ndarray, p: int, cap: int = DEFAULT_CAP_ELEMENTS,
+                 inverses: np.ndarray | None = None):
+        gens = np.asarray(gens, dtype=np.int64) % p
+        n = gens.shape[1]
+        self.p, self.n, self.cap = p, n, cap
+        self.points = 0
+        self._dtype = entry_dtype(p)
+        self._weights = (
+            p ** np.arange(n - 1, -1, -1, dtype=np.int64) if p**n < 2**63 else None
+        )
+        eye = np.eye(n, dtype=np.int64)
+        self._gens = [eye[None][:0]] * n
+        self._gen_inv = self._gens[:]
+        self._trans = [eye[None].astype(self._dtype)] * n
+        self._trans_inv = self._trans[:]
+        self._index = [{key: 0} for key in self._key(eye).tolist()]
+        self._passed = [np.zeros((0, 1), dtype=bool)] * n
+        moved = (gens != eye).any(axis=2)
+        keep = moved.any(axis=1)
+        if keep.any():
+            gens, moved = gens[keep], moved[keep]
+            if inverses is None:
+                inverses = np.stack([inverse_mod(g, p) for g in gens])
+            else:
+                inverses = np.asarray(inverses, dtype=np.int64)[keep] % p
+            depth = moved.argmax(axis=1)
+            for level in range(n):
+                fixing = depth >= level
+                if fixing.any():
+                    self._add_generators(level, gens[fixing], inverses[fixing])
+        self._complete()
+
+    @property
+    def order(self) -> int:
+        return math.prod(len(t) for t in self._trans)
+
+    def sifts(self, stack: np.ndarray) -> np.ndarray:
+        """Which matrices of an (s, n, n) stack lie in the group."""
+        stack = np.asarray(stack, dtype=np.int64).reshape(-1, self.n, self.n)
+        return np.concatenate(
+            [self._sift(stack[i : i + CLOSE_PRODUCTS] % self.p, 0)[0] == self.n
+             for i in range(0, len(stack), CLOSE_PRODUCTS)] or [np.zeros(0, dtype=bool)])
+
+    def _key(self, vectors: np.ndarray) -> np.ndarray:
+        if self._weights is None:
+            return byte_keys(vectors)
+        return vectors @ self._weights
+
+    def _lookup(self, level: int, vectors: np.ndarray) -> np.ndarray:
+        """Orbit index of every vector at the level, -1 if absent."""
+        index = self._index[level]
+        return np.array([index.get(k, -1) for k in self._key(vectors).tolist()],
+                        dtype=np.intp)
+
+    def _enter(self, level: int, keys) -> None:
+        """Index new orbit points of a level, counting them against the cap."""
+        self.points += len(keys)
+        if self.points > self.cap:
+            raise PhaseCapExceeded("stabilizer chain", self.points, "orbit points",
+                                   self.cap)
+        index = self._index[level]
+        index.update(zip(keys, range(len(index), len(index) + len(keys))))
+
+    def _add_generators(self, level, gens, inverses):
+        """Give a level more generators and extend its orbit under them."""
+        fresh = len(self._gens[level])
+        self._gens[level] = np.concatenate([self._gens[level], gens])
+        self._gen_inv[level] = np.concatenate([self._gen_inv[level], inverses])
+        passed = self._passed[level]
+        passed = np.concatenate([passed, np.zeros((len(gens), passed.shape[1]), dtype=bool)])
+        found = self._grow(level, fresh)
+        if found:
+            for stored, new in ((self._trans, found[0::2]), (self._trans_inv, found[1::2])):
+                stored[level] = np.concatenate([stored[level], *new])
+            width = len(self._index[level]) - passed.shape[1]
+            passed = np.concatenate([passed, np.zeros((len(passed), width), dtype=bool)], axis=1)
+        self._passed[level] = passed
+
+    def _grow(self, level, fresh) -> list:
+        """Breadth-first extension of a level's orbit.
+
+        Every orbit point is mapped by the generators from index fresh on,
+        and every point found is then mapped by all of them, until no new
+        point appears; each step maps the frontier in chunks of at most
+        CLOSE_PRODUCTS images.  Returns the transversal elements of the new
+        points and their inverses, in the stored dtype, alternating.
+        """
+        p, gens, gen_inv = self.p, self._gens[level], self._gen_inv[level]
+        index = self._index[level]
+        u, u_inv = self._trans[level], self._trans_inv[level]
+        found, single = [], False
+        while len(u):
+            width = len(gens) - fresh
+            step = max(1, CLOSE_PRODUCTS // width)
+            reached = []
+            for start in range(0, len(u), step):
+                chunk, chunk_inv = u[start : start + step], u_inv[start : start + step]
+                images = chunk[:, level] @ gens[fresh:] % p  # (generators, chunk, n)
+                new = {}
+                for i, key in enumerate(self._key(images.reshape(-1, self.n)).tolist()):
+                    if key not in index and key not in new:
+                        new[key] = i
+                if new:
+                    self._enter(level, list(new))
+                    s, x = np.divmod(np.fromiter(new.values(), np.intp, len(new)), len(chunk))
+                    s += fresh
+                    reached += [chunk[x] @ gens[s] % p, gen_inv[s] @ chunk_inv[x] % p]
+            # a second step from one point to one point: follow the cycle
+            single, repeat = len(u) == 1 and len(reached) == 2 and len(reached[0]) == 1, single
+            if single and repeat:
+                reached += self._cycle(level, *reached, gens[s[0]], gen_inv[s[0]])
+            found += [a.astype(self._dtype) for a in reached]
+            if single and repeat and len(gens) == 1:  # the cycle is the whole orbit
+                break
+            u = np.concatenate([np.empty((0, self.n, self.n), np.int64), *reached[0::2]])
+            u_inv = np.concatenate([u[:0], *reached[1::2]])
+            fresh = 0
+        return found
+
+    def _cycle(self, level, u, u_inv, g, g_inv) -> list:
+        """The points x g, x g^2, ... of a level's orbit before the first
+        known one, for the point x of the single transversal element u.
+
+        The powers are taken in blocks that double: the block after the
+        first m powers is those m powers times g^m.  A block is cut short
+        where it would take the points past the cap, which they would
+        exceed anyway unless a known point came first.  Returns the new
+        transversal elements and their inverses, alternating, per block.
+        """
+        p, index = self.p, self._index[level]
+        block, block_inv = u @ g % p, g_inv @ u_inv % p
+        chain, chain_inv, step, step_inv = block, block_inv, g, g_inv
+        found = []
+        while True:
+            keys = self._key(block[:, level]).tolist()
+            cut = next((i for i, key in enumerate(keys) if key in index), len(keys))
+            if cut:
+                self._enter(level, keys[:cut])
+                found += [block[:cut], block_inv[:cut]]
+            if cut < len(keys):
+                return found
+            if block is not chain:
+                chain = np.concatenate([chain, block])
+                chain_inv = np.concatenate([chain_inv, block_inv])
+            size = min(len(chain), self.cap - self.points + 1)
+            block, block_inv = chain[:size] @ step % p, step_inv @ chain_inv[:size] % p
+            step, step_inv = step @ step % p, step_inv @ step_inv % p
+
+    def _sift(self, stack: np.ndarray, start: int):
+        """Strip a stack of int64 matrices, in place, through the levels from
+        start on.
+
+        Returns (depth, residue): the level at which each matrix's image of
+        the base point left the orbit (n if it never did), and what was left
+        of it there.
+        """
+        residue = stack
+        depth = np.full(len(stack), self.n)
+        alive = np.arange(len(stack))
+        for level in range(start, self.n):
+            x = self._lookup(level, residue[alive, level])
+            inside = x >= 0
+            depth[alive[~inside]] = level
+            alive, x = alive[inside], x[inside]
+            if not len(alive):
+                break
+            residue[alive] = residue[alive] @ self._trans_inv[level][x] % self.p
+        return depth, residue
+
+    def _complete(self):
+        """Run Sims' algorithm until every Schreier generator has passed.
+
+        Each pass takes the untested Schreier generators of one level, at
+        most CLOSE_PRODUCTS of them.  The last level needs none: its
+        Schreier generators fix every base point, so they are the identity.
+        """
+        p, n = self.p, self.n
+        eye = np.eye(n, dtype=np.int64)
+        level = n - 2
+        while level >= 0:
+            s, x = np.nonzero(~self._passed[level])
+            if not len(s):
+                level -= 1
+                continue
+            s, x = s[:CLOSE_PRODUCTS], x[:CLOSE_PRODUCTS]
+            us = self._trans[level][x] @ self._gens[level][s] % p
+            y = self._lookup(level, us[:, level])
+            schreier = us @ self._trans_inv[level][y] % p
+            moving = np.flatnonzero((schreier != eye).any(axis=(1, 2)))
+            depth, residue = self._sift(schreier[moving], level + 1)
+            passed = np.ones(len(s), dtype=bool)
+            passed[moving] = depth == n
+            self._passed[level][s[passed], x[passed]] = True
+            if passed.all():
+                continue
+            bad = int((depth == n).argmin())
+            deeper, h = int(depth[bad]), residue[bad]
+            h_inv = inverse_mod(h, p)
+            for below in range(level + 1, deeper + 1):
+                self._add_generators(below, h[None], h_inv[None])
+            level = min(deeper, n - 2)
+
+
+class _ElementArray:
+    """A group's elements, listed by the closure or described by a chain.
+
+    Subclasses set cap and provide _generator_stack, _modulus (p, or None
+    for permutations), _ambient_order (of GL_n(p) or S_k), chain and
+    _matrices, which turns a stack of group-shaped arrays into the matrices
+    the chain acts with.  The order and membership read the listed elements
+    when element_array has been built or the ambient group has at most
+    LIST_AMBIENT elements, and the stabilizer chain otherwise, so no group
+    pays for both unless both are read.
     """
 
     @cached_property
     def element_array(self) -> np.ndarray:
         """Every element, in discovery order, as one stack."""
         return mulclose(self._generator_stack, self._modulus, self.cap)
+
+    @property
+    def _listed(self) -> bool:
+        return "element_array" in self.__dict__ or self._ambient_order <= LIST_AMBIENT
 
     @cached_property
     def _key_index(self):
@@ -159,7 +414,7 @@ class _ElementArray:
 
     @property
     def order(self) -> int:
-        return len(self.element_array)
+        return len(self.element_array) if self._listed else self.chain.order
 
     def positions(self, stack) -> np.ndarray:
         """Index in element_array of every entry of a stack, -1 if absent."""
@@ -173,7 +428,9 @@ class _ElementArray:
 
     def member_mask(self, stack) -> np.ndarray:
         """Which entries of a stack of group-shaped arrays lie in the group."""
-        return self.positions(stack) >= 0
+        if self._listed:
+            return self.positions(stack) >= 0
+        return self.chain.sifts(self._matrices(stack))
 
 
 class MatrixGroup(_ElementArray):
@@ -205,6 +462,18 @@ class MatrixGroup(_ElementArray):
     @property
     def _generator_stack(self) -> np.ndarray:
         return np.stack([g.a for g in self.gens]).astype(entry_dtype(self.p))
+
+    @property
+    def _ambient_order(self) -> int:
+        return math.prod(self.p**self.n - self.p**i for i in range(self.n))
+
+    @cached_property
+    def chain(self) -> StabilizerChain:
+        """The stabilizer chain of the generators."""
+        return StabilizerChain(self._generator_stack, self.p, self.cap)
+
+    def _matrices(self, stack) -> np.ndarray:
+        return np.asarray(stack, dtype=np.int64) % self.p
 
     def contains(self, m: Matrix) -> bool:
         if m.p != self.p or m.rows != self.n or m.cols != self.n:
@@ -373,6 +642,21 @@ class PermGroup(_ElementArray):
     @property
     def _generator_stack(self) -> np.ndarray:
         return np.array([g.images for g in self.gens], dtype=entry_dtype(self.degree))
+
+    @property
+    def _ambient_order(self) -> int:
+        return math.factorial(self.degree)
+
+    @cached_property
+    def chain(self) -> StabilizerChain:
+        """The chain of the permutation matrices, over GF(2) since their
+        entries are 0 and 1; their inverses are their transposes."""
+        matrices = self._matrices(self._generator_stack)
+        return StabilizerChain(matrices, 2, self.cap, matrices.transpose(0, 2, 1))
+
+    def _matrices(self, stack) -> np.ndarray:
+        """Permutation matrices: row i is the basis vector of i's image."""
+        return np.eye(self.degree, dtype=np.int64)[np.asarray(stack)]
 
     def contains(self, perm: Permutation) -> bool:
         return perm.degree == self.degree and bool(self.member_mask([perm.images])[0])

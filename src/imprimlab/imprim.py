@@ -32,13 +32,14 @@ from .errors import (
     NotTransitiveOnParts,
     ValidationError,
 )
-from .groups import DEFAULT_CAP_SUBSPACES, MatrixGroup, orbit_labels
+from .groups import DEFAULT_CAP_SUBSPACES, MatrixGroup, byte_keys, orbit_labels
 from .linalg import (
     Subspace,
     direct_sum_check,
     divisors,
     echelon_subspace,
     gaussian_binomial,
+    inverse_mod,
     subspace_array,
     subspace_tables,
 )
@@ -111,20 +112,43 @@ class ImprimitivitySystem:
         )
 
 
+def _part_orbit(g: MatrixGroup, w: Subspace):
+    """The orbit of w under g's generators, in discovery order, and the
+    stabilizer of w as one (s, n, n) stack of generators.
+
+    Each part x of the orbit is reached by a transversal element u_x that
+    maps w to it.  The Schreier generators u_x s u_(x s)^-1, over every
+    part x and generator s, generate the stabilizer of w (Schreier's
+    lemma); they are kept once each, the identity only if nothing else is
+    left.
+    """
+    p, n = g.p, g.n
+    eye = np.eye(n, dtype=np.int64)
+    orbit, index = [w], {w.key: 0}
+    trans, trans_inv, schreier = [eye], [eye], []
+    inverses = [inverse_mod(s.a, p) for s in g.gens]
+    i = 0
+    while i < len(orbit):
+        for s, s_inv in zip(g.gens, inverses):
+            image = orbit[i].apply(s)
+            us = trans[i] @ s.a % p
+            j = index.get(image.key)
+            if j is None:
+                index[image.key] = len(orbit)
+                orbit.append(image)
+                trans.append(us)
+                trans_inv.append(s_inv @ trans_inv[i] % p)
+            else:
+                schreier.append(us @ trans_inv[j] % p)
+        i += 1
+    stack = np.array([a for a in schreier if not np.array_equal(a, eye)] or [eye])
+    _, first = np.unique(byte_keys(stack), return_index=True)
+    return orbit, stack[np.sort(first)]
+
+
 def subspace_orbit(g: MatrixGroup, w: Subspace) -> list[Subspace]:
     """Closure of {w} under the generator action, in discovery order."""
-    seen = {w.key: w}
-    frontier = [w]
-    while frontier:
-        new = []
-        for s in frontier:
-            for gen in g.gens:
-                t = s.apply(gen)
-                if t.key not in seen:
-                    seen[t.key] = t
-                    new.append(t)
-        frontier = new
-    return list(seen.values())
+    return _part_orbit(g, w)[0]
 
 
 def is_system(g: MatrixGroup, parts) -> bool:
@@ -213,11 +237,12 @@ def nonrefinable_systems(g: MatrixGroup, cap_subspaces: int = DEFAULT_CAP_SUBSPA
 
 
 def part_stabilizer_elements(g: MatrixGroup, w: Subspace) -> np.ndarray:
-    """The group elements fixing w setwise, as one stack in discovery order.
+    """Generators of the stabilizer of w in g, as one (s, n, n) stack.
 
-    One batched containment test over the whole element stack.
+    Not the stabilizer's elements: its Schreier generators over w's orbit,
+    at most |orbit| * |gens| of them whatever |G| is (see _part_orbit).
     """
-    return g.element_array[w.fixed_by(g.element_array)]
+    return _part_orbit(g, w)[1]
 
 
 def nonrefinable_via_stabilizer(g: MatrixGroup, gamma: ImprimitivitySystem) -> bool:
@@ -225,15 +250,15 @@ def nonrefinable_via_stabilizer(g: MatrixGroup, gamma: ImprimitivitySystem) -> b
 
     Requires the group to act transitively on the parts; rejects systems
     with several part orbits rather than guessing a convention for them.
+    The stabilizer enters through its Schreier generators only; the
+    restriction to the part and the primitivity test both work from
+    generators.
     """
-    part_keys = {w.key for w in gamma.parts}
-    orbit = subspace_orbit(g, gamma.parts[0])
-    if {s.key for s in orbit} != part_keys:
-        raise NotTransitiveOnParts("the parts fall into several orbits")
     w1 = gamma.parts[0]
-    stab = part_stabilizer_elements(g, w1)
-    restriction = restrict_to_block(stab, w1)
-    return is_primitive_linear(restriction)
+    orbit, stab = _part_orbit(g, w1)
+    if {s.key for s in orbit} != {w.key for w in gamma.parts}:
+        raise NotTransitiveOnParts("the parts fall into several orbits")
+    return is_primitive_linear(restrict_to_block(stab, w1))
 
 
 def coordinate_system(n: int, d: int, p: int) -> ImprimitivitySystem:

@@ -218,7 +218,8 @@ class InducedRep:
             raise ValidationError("character must be defined on the subgroup")
         if subgroup.p != source.p or subgroup.n != source.n:
             raise NotASubgroup("subgroup lives in a different ambient group")
-        if not source.member_mask(subgroup.element_array).all():
+        # looked up among the listed elements: the coset table reads them anyway
+        if (source.positions(subgroup.element_array) < 0).any():
             raise NotASubgroup("subgroup element outside the ambient group")
         self.source = source
         self.subgroup = subgroup

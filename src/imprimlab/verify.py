@@ -398,10 +398,11 @@ def maximal_solvable_witness(
         Matrix([[0, 1], [1, 0]], q),
     ]
     base = MatrixGroup(monomial_gens, cap=cap_elements)
+    outside = ambient.element_array[~base.member_mask(ambient.element_array)]
+    # listed now, so the derived series reads the ambient order off the list
     ambient_solvable = ambient.is_solvable()
     witness = None
     cache: dict[bytes, bool] = {}
-    outside = ambient.element_array[~base.member_mask(ambient.element_array)]
     for a in outside:
         candidate = MatrixGroup(list(monomial_gens) + [Matrix(a, q)], cap=cap_elements)
         key = candidate.sorted_keys.tobytes()

@@ -166,6 +166,41 @@ def matrix_groups(draw, max_n=3, primes=(2, 3, 5, 7)):
     return gens
 
 
+@st.composite
+def reducible_matrix_groups(draw, max_n=4, primes=(2, 3, 5, 7)):
+    """1-3 block upper-triangular generators [[A, B], [0, C]], n <= max_n:
+    the last n - a coordinates span an invariant subspace."""
+    p = draw(st.sampled_from(primes))
+    n = draw(st.integers(2, max_n))
+    a = draw(st.integers(1, n - 1))
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        m = np.zeros((n, n), dtype=np.int64)
+        for lo, hi in ((0, a), (a, n)):
+            perm = draw(st.permutations(range(hi - lo)))
+            diag = draw(st.lists(st.integers(1, p - 1), min_size=hi - lo, max_size=hi - lo))
+            m[np.arange(lo, hi), np.array(perm, dtype=np.intp) + lo] = diag
+        cells = st.lists(st.integers(0, p - 1), min_size=a * (n - a), max_size=a * (n - a))
+        m[:a, a:] = np.reshape(draw(cells), (a, n - a))
+        gens.append(Matrix(m, p))
+    return gens
+
+
+@st.composite
+def perm_group_gens(draw, max_degree=8):
+    """1-3 permutations of one degree <= max_degree; in half the draws they
+    move only the first r < degree points, so the group is intransitive."""
+    degree = draw(st.integers(1, max_degree))
+    moved = degree
+    if degree > 1 and draw(st.booleans()):
+        moved = draw(st.integers(1, degree - 1))
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        images = list(draw(st.permutations(range(moved)))) + list(range(moved, degree))
+        gens.append(Permutation(images))
+    return gens
+
+
 def count_calls(monkeypatch, original):
     """Wrap a library function in every imprimlab module that holds it and
     return the list the wrapper appends each call's arguments to."""

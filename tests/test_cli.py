@@ -335,9 +335,14 @@ def test_description_of_wrong_kind_is_usage_error(tmp_path, capsys, argv, wrong)
           "--json-only"], "theorem_sign_wr_s6_p3.json"),
         (["systems", "--group", str(DATA / "sign_wr_c4_p3.json"), "--json-only"],
          "systems_sign_wr_c4_p3.json"),
+        (["theorem", "--h", str(DATA / "gl23_p3.json"), "--k", str(DATA / "s3.json"),
+          "--json-only"], "theorem_gl23_wr_s3_p3.json"),
+        (["theorem", "--h", str(DATA / "sign_p3.json"), "--k", str(DATA / "s7.json"),
+          "--json-only"], "theorem_sign_wr_s7_p3.json"),
     ],
     ids=["theorem-regression", "example21-q7", "example21-q13", "maxsolv-q3", "maxsolv-q5",
-         "theorem-sign-wr-s6-p3", "systems-sign-wr-c4-p3"],
+         "theorem-sign-wr-s6-p3", "systems-sign-wr-c4-p3", "theorem-gl23-wr-s3-p3",
+         "theorem-sign-wr-s7-p3"],
 )
 def test_report_matches_recorded_output(capsys, argv, recorded):
     # the canonical reports must stay byte-identical to these recordings
@@ -370,6 +375,18 @@ def test_cap_exceeded_exit_code(tmp_path, capsys):
     assert code == 3
     assert payload is None
     assert "cap" in err
+
+
+def test_chain_over_the_cap_exit_code(tmp_path, capsys):
+    # sign wr S_6 has 2^6 * 6! = 46 080 elements and a chain of 36 orbit
+    # points, so a cap of 35 stops the chain itself; with a cap of 720 the
+    # report runs (S_6 itself is listed, 720 elements)
+    argv = ["theorem", "--h", str(DATA / "sign_p3.json"), "--k", str(DATA / "s6.json")]
+    code, payload, err = run(capsys, *argv, "--cap-elements", "35")
+    assert code == 3
+    assert payload is None
+    assert err.startswith("error: stabilizer chain: 36 orbit points exceed the cap of 35")
+    assert main([*argv, "--cap-elements", "720", "--json-only"]) == 0
 
 
 @pytest.mark.parametrize(

@@ -228,10 +228,11 @@ def test_criteria_agreement():
 def test_part_stabilizer_is_a_subgroup_slice():
     g = sign_wreath(cyclic_group(4), 3)
     w = coordinate_system(4, 1, 3).parts[0]
-    stab = part_stabilizer_elements(g, w)
-    assert g.order % len(stab) == 0
+    stab = MatrixGroup([Matrix(a, 3) for a in part_stabilizer_elements(g, w)])
+    slice_ = g.element_array[w.fixed_by(g.element_array)]
+    assert {Matrix(a, 3) for a in stab.element_array} == {Matrix(a, 3) for a in slice_}
     orbit = subspace_orbit(g, w)
-    assert len(stab) * len(orbit) == g.order
+    assert stab.order * len(orbit) == g.order
 
 
 SUMMAND_FAMILIES = [
