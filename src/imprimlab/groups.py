@@ -8,12 +8,12 @@ sifting; it never lists the group.  The closure (mulclose) lists every
 element.  It is built where elements are read (the GL(2, q) scan of the
 maximal-solvable report, sorted_keys, positions, characters, induced
 modules, setwise stabilizers of permutation groups) and for groups inside
-an ambient GL_n(p) or S_k of at most LIST_AMBIENT elements, which it lists
-faster than their chain is built.  Once a group's elements are listed, its
-order is their count and membership a lookup among them, so no group pays
-for both descriptions unless both are read.  Both count against the
-element cap: the closure its elements, the chain its orbit points beyond
-the base points, which never exceed |G| - 1.
+an ambient GL_n(p) or S_k of at most LIST_AMBIENT elements, which it
+lists at least as fast as their chain is built.  Once a group's elements
+are listed, its order is their count and membership a lookup among them,
+so no group pays for both descriptions unless both are read.  Both count
+against the element cap: the closure its elements, the chain its orbit
+points beyond the base points, which never exceed |G| - 1.
 Solvability follows the derived series, each derived subgroup the normal
 closure of its group's generator commutators, with membership and orders
 read as above; only generators are multiplied as Matrix objects.
@@ -30,12 +30,12 @@ peak memory, whatever the number of generators; larger chunks were no
 faster.  Every product is identified by its byte key: its entries in the
 stored dtype viewed as one np.void scalar.  Byte keys need no packing, so
 no modulus or degree is too wide for them.  A chunk's new elements are its
-first occurrences absent from the set of keys seen so far, in chunk order;
-the cap is checked before they are appended.  Once listed, the elements'
-keys are sorted once, and lookups among them are searchsorted.  No Matrix
-or Permutation object is built per element.  Orbits
-of points are min-label propagation over permutation tables
-(orbit_labels), the routine the subspace scan uses as well.
+first occurrences (np.unique) that a searchsorted lookup does not find
+among the sorted keys seen so far; the cap is checked before they are
+appended.  Once listed, the elements' keys are sorted once, and lookups
+among them are searchsorted.  No Matrix or Permutation object is built per
+element.  Orbits of points are min-label propagation over permutation
+tables (orbit_labels), the routine the subspace scan uses as well.
 
 Permutations are stored 0-based and compose left to right:
 (s * t)(i) = t(s(i)), matching the row-vector right action used elsewhere.
@@ -57,7 +57,7 @@ from .errors import (
     PhaseCapExceeded,
     ValidationError,
 )
-from .linalg import Matrix, entry_dtype, inverse_mod, is_prime
+from .linalg import Matrix, entry_dtype, is_prime
 
 DEFAULT_CAP_ELEMENTS = 2**20
 # Subspaces scanned per dimension, and projective points spun when the
@@ -72,8 +72,9 @@ DEFAULT_CAP_PARTITIONS = 10**6
 CLOSE_PRODUCTS = 8192
 # A group inside GL_n(p) or S_k with at most this many elements is listed
 # for its order and membership as well: on a 2-vCPU x86 host with Python
-# 3.11, closing S_7 took 2.6 ms against 3.9 ms for its stabilizer chain,
-# and GL_2(11) (13 200 elements) 9.6 ms against 1.3 ms.
+# 3.11, closing S_5 took 0.7 ms against 2.6 ms for its stabilizer chain and
+# S_7 6.1 ms against 6.1 ms, but GL_2(11) (13 200 elements) 22 ms against
+# 2.3 ms.
 LIST_AMBIENT = 5040
 
 
@@ -81,6 +82,18 @@ def byte_keys(stack: np.ndarray) -> np.ndarray:
     """One np.void key per entry of a stack: the entry's raw bytes."""
     flat = np.ascontiguousarray(stack).reshape(len(stack), -1)
     return flat.view(np.dtype((np.void, flat.shape[1] * flat.itemsize))).ravel()
+
+
+def first_new(keys: np.ndarray, seen: np.ndarray):
+    """The keys absent from the sorted array seen, once each.
+
+    Returns (indices, seen'): the index in keys of the first occurrence of
+    every such key, in increasing order, and seen with those keys merged in.
+    """
+    uniq, first = np.unique(keys, return_index=True)
+    pos = np.searchsorted(seen, uniq)
+    found = seen[np.minimum(pos, len(seen) - 1)] == uniq
+    return np.sort(first[~found]), np.insert(seen, pos[~found], uniq[~found])
 
 
 def orbit_labels(tables: np.ndarray) -> np.ndarray:
@@ -125,17 +138,13 @@ def mulclose(gens: np.ndarray, p: int | None = None,
     step = max(1, CLOSE_PRODUCTS // len(gens))
     frontier = identity[None]
     levels = [frontier]
-    seen = set(byte_keys(frontier).tolist())
+    seen = byte_keys(frontier)
     while len(frontier):
         found = []
         for start in range(0, len(frontier), step):
             block = products(frontier[start : start + step])
             block = block.reshape(-1, *identity.shape)
-            fresh = []
-            for i, key in enumerate(byte_keys(block).tolist()):
-                if key not in seen:
-                    seen.add(key)
-                    fresh.append(i)
+            fresh, seen = first_new(byte_keys(block), seen)
             if len(seen) > cap:
                 raise CapExceeded(cap)
             found.append(block[fresh])
@@ -148,8 +157,7 @@ class StabilizerChain:
     """A base and strong generating set, found by deterministic Schreier-Sims.
 
     gens is an (m, n, n) stack of invertible matrices over GF(p) acting on
-    row vectors from the right; inverses, if given, holds their inverses,
-    which are computed otherwise.  The base is e_0 ... e_(n-1): a matrix that
+    row vectors from the right.  The base is e_0 ... e_(n-1): a matrix that
     fixes every standard basis vector is the identity, so the base never
     needs extending.  Level l holds generators fixing e_0 ... e_(l-1) and
     the orbit of e_l under them.  Each orbit point x = e_l u_x is stored as
@@ -177,8 +185,7 @@ class StabilizerChain:
     double, so a long cycle costs a logarithmic number of array steps.
     """
 
-    def __init__(self, gens: np.ndarray, p: int, cap: int = DEFAULT_CAP_ELEMENTS,
-                 inverses: np.ndarray | None = None):
+    def __init__(self, gens: np.ndarray, p: int, cap: int = DEFAULT_CAP_ELEMENTS):
         gens = np.asarray(gens, dtype=np.int64) % p
         n = gens.shape[1]
         self.p, self.n, self.cap = p, n, cap
@@ -198,10 +205,7 @@ class StabilizerChain:
         keep = moved.any(axis=1)
         if keep.any():
             gens, moved = gens[keep], moved[keep]
-            if inverses is None:
-                inverses = np.stack([inverse_mod(g, p) for g in gens])
-            else:
-                inverses = np.asarray(inverses, dtype=np.int64)[keep] % p
+            inverses = np.stack([Matrix(g, p).inv().a for g in gens])
             depth = moved.argmax(axis=1)
             for level in range(n):
                 fixing = depth >= level
@@ -374,7 +378,7 @@ class StabilizerChain:
                 continue
             bad = int((depth == n).argmin())
             deeper, h = int(depth[bad]), residue[bad]
-            h_inv = inverse_mod(h, p)
+            h_inv = Matrix(h, p).inv().a
             for below in range(level + 1, deeper + 1):
                 self._add_generators(below, h[None], h_inv[None])
             level = min(deeper, n - 2)
@@ -466,6 +470,11 @@ class MatrixGroup(_ElementArray):
     @property
     def _ambient_order(self) -> int:
         return math.prod(self.p**self.n - self.p**i for i in range(self.n))
+
+    @cached_property
+    def inverse_stack(self) -> np.ndarray:
+        """The generators' inverses, as one (m, n, n) int64 stack."""
+        return np.stack([g.inv().a for g in self.gens])
 
     @cached_property
     def chain(self) -> StabilizerChain:
@@ -650,9 +659,8 @@ class PermGroup(_ElementArray):
     @cached_property
     def chain(self) -> StabilizerChain:
         """The chain of the permutation matrices, over GF(2) since their
-        entries are 0 and 1; their inverses are their transposes."""
-        matrices = self._matrices(self._generator_stack)
-        return StabilizerChain(matrices, 2, self.cap, matrices.transpose(0, 2, 1))
+        entries are 0 and 1."""
+        return StabilizerChain(self._matrices(self._generator_stack), 2, self.cap)
 
     def _matrices(self, stack) -> np.ndarray:
         """Permutation matrices: row i is the basis vector of i's image."""

@@ -39,7 +39,6 @@ from .linalg import (
     divisors,
     echelon_subspace,
     gaussian_binomial,
-    inverse_mod,
     subspace_array,
     subspace_tables,
 )
@@ -112,43 +111,20 @@ class ImprimitivitySystem:
         )
 
 
-def _part_orbit(g: MatrixGroup, w: Subspace):
-    """The orbit of w under g's generators, in discovery order, and the
-    stabilizer of w as one (s, n, n) stack of generators.
-
-    Each part x of the orbit is reached by a transversal element u_x that
-    maps w to it.  The Schreier generators u_x s u_(x s)^-1, over every
-    part x and generator s, generate the stabilizer of w (Schreier's
-    lemma); they are kept once each, the identity only if nothing else is
-    left.
-    """
-    p, n = g.p, g.n
-    eye = np.eye(n, dtype=np.int64)
-    orbit, index = [w], {w.key: 0}
-    trans, trans_inv, schreier = [eye], [eye], []
-    inverses = [inverse_mod(s.a, p) for s in g.gens]
-    i = 0
-    while i < len(orbit):
-        for s, s_inv in zip(g.gens, inverses):
-            image = orbit[i].apply(s)
-            us = trans[i] @ s.a % p
-            j = index.get(image.key)
-            if j is None:
-                index[image.key] = len(orbit)
-                orbit.append(image)
-                trans.append(us)
-                trans_inv.append(s_inv @ trans_inv[i] % p)
-            else:
-                schreier.append(us @ trans_inv[j] % p)
-        i += 1
-    stack = np.array([a for a in schreier if not np.array_equal(a, eye)] or [eye])
-    _, first = np.unique(byte_keys(stack), return_index=True)
-    return orbit, stack[np.sort(first)]
-
-
 def subspace_orbit(g: MatrixGroup, w: Subspace) -> list[Subspace]:
     """Closure of {w} under the generator action, in discovery order."""
-    return _part_orbit(g, w)[0]
+    seen = {w.key: w}
+    frontier = [w]
+    while frontier:
+        new = []
+        for s in frontier:
+            for gen in g.gens:
+                t = s.apply(gen)
+                if t.key not in seen:
+                    seen[t.key] = t
+                    new.append(t)
+        frontier = new
+    return list(seen.values())
 
 
 def is_system(g: MatrixGroup, parts) -> bool:
@@ -240,9 +216,31 @@ def part_stabilizer_elements(g: MatrixGroup, w: Subspace) -> np.ndarray:
     """Generators of the stabilizer of w in g, as one (s, n, n) stack.
 
     Not the stabilizer's elements: its Schreier generators over w's orbit,
-    at most |orbit| * |gens| of them whatever |G| is (see _part_orbit).
+    at most |orbit| * |gens| of them whatever |G| is.  Each part x of the
+    orbit is reached by a transversal element u_x that maps w to it; the
+    products u_x s u_(x s)^-1, over every part x and generator s, generate
+    the stabilizer (Schreier's lemma).  They are kept once each, in
+    discovery order, the identity only if nothing else is left.
     """
-    return _part_orbit(g, w)[1]
+    p, eye = g.p, np.eye(g.n, dtype=np.int64)
+    index = {w.key: 0}
+    orbit, trans, trans_inv, schreier = [w], [eye], [eye], [eye]
+    for i, x in enumerate(orbit):
+        for s, s_inv in zip(g.gens, g.inverse_stack):
+            image = x.apply(s)
+            us = trans[i] @ s.a % p
+            j = index.setdefault(image.key, len(orbit))
+            if j == len(orbit):
+                orbit.append(image)
+                trans.append(us)
+                trans_inv.append(s_inv @ trans_inv[i] % p)
+            else:
+                schreier.append(us @ trans_inv[j] % p)
+    stack = np.array(schreier)
+    moving = (stack != eye).any(axis=(1, 2))
+    stack = stack[moving] if moving.any() else stack[:1]
+    _, first = np.unique(byte_keys(stack), return_index=True)
+    return stack[np.sort(first)]
 
 
 def nonrefinable_via_stabilizer(g: MatrixGroup, gamma: ImprimitivitySystem) -> bool:
@@ -254,11 +252,14 @@ def nonrefinable_via_stabilizer(g: MatrixGroup, gamma: ImprimitivitySystem) -> b
     restriction to the part and the primitivity test both work from
     generators.
     """
-    w1 = gamma.parts[0]
-    orbit, stab = _part_orbit(g, w1)
-    if {s.key for s in orbit} != {w.key for w in gamma.parts}:
+    part_keys = {w.key for w in gamma.parts}
+    orbit = subspace_orbit(g, gamma.parts[0])
+    if {s.key for s in orbit} != part_keys:
         raise NotTransitiveOnParts("the parts fall into several orbits")
-    return is_primitive_linear(restrict_to_block(stab, w1))
+    w1 = gamma.parts[0]
+    stab = part_stabilizer_elements(g, w1)
+    restriction = restrict_to_block(stab, w1)
+    return is_primitive_linear(restriction)
 
 
 def coordinate_system(n: int, d: int, p: int) -> ImprimitivitySystem:

@@ -120,31 +120,6 @@ def mul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
-def inverse_mod(a, p: int) -> np.ndarray:
-    """Inverse over GF(p) of a square matrix, by Gauss-Jordan elimination on
-    Python integers (for the small matrices here that beats a numpy step
-    per row); raises Singular when the rank is short."""
-    rows = (np.asarray(a, dtype=np.int64) % p).tolist()
-    n = len(rows)
-    if any(len(row) != n for row in rows):
-        raise Singular("only square matrices can be inverted")
-    for i, row in enumerate(rows):
-        row += [0] * n
-        row[n + i] = 1
-    for col in range(n):
-        hit = next((r for r in range(col, n) if rows[r][col]), None)
-        if hit is None:
-            raise Singular("matrix is singular")
-        rows[col], rows[hit] = rows[hit], rows[col]
-        scale = pow(rows[col][col], -1, p)
-        pivot = rows[col] = [x * scale % p for x in rows[col]]
-        for r, row in enumerate(rows):
-            factor = row[col]
-            if factor and r != col:
-                rows[r] = [(x - factor * y) % p for x, y in zip(row, pivot)]
-    return np.array([row[n:] for row in rows], dtype=np.int64).reshape(n, n)
-
-
 class Matrix:
     """An exact matrix over GF(p), hashable by its reduced entries."""
 
@@ -202,7 +177,16 @@ class Matrix:
 
     def inv(self) -> "Matrix":
         """Gauss-Jordan inverse; raises Singular when rank < n."""
-        return Matrix(inverse_mod(self.a, self.p), self.p)
+        if self.rows != self.cols:
+            raise Singular("only square matrices can be inverted")
+        n = self.rows
+        aug = np.concatenate(
+            [self.a, np.eye(n, dtype=np.int64)], axis=1
+        )
+        r, rank, _ = rref(aug, self.p)
+        if rank < n or not np.array_equal(r[:, :n], np.eye(n, dtype=np.int64)):
+            raise Singular("matrix is singular")
+        return Matrix(r[:, n:], self.p)
 
     def is_identity(self) -> bool:
         return self.rows == self.cols and np.array_equal(

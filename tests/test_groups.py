@@ -59,7 +59,7 @@ def test_dihedral_subgroup_order():
 
 def test_enumeration_cap():
     with pytest.raises(CapExceeded):
-        MatrixGroup(general_linear_group(2, 5).gens, cap=100).element_array
+        MatrixGroup(general_linear_group(2, 5).gens, cap=100).order
 
 
 @pytest.mark.parametrize(
