@@ -18,6 +18,7 @@ from .imprim import (
     all_systems,
     coordinate_system,
     is_refinement,
+    is_primitive_linear,
     is_system,
     nonrefinable,
     nonrefinable_systems,
@@ -37,7 +38,6 @@ from .reprs import (
     hom_dimension,
     induced_module,
     is_irreducible,
-    is_primitive_linear,
     restrict_to_block,
     spin,
 )

@@ -13,13 +13,17 @@ transitive part action are exactly the systems, so every system is found once.
 Memory: the stack is stored in the smallest integer dtype that holds p - 1
 and the tables as int32; only chunks of linalg.SCAN_CHUNK subspaces are
 widened to int64.  The tables' indices must fit in int32, checked with
-the subspace cap before anything is allocated.  The per-subspace loop (one
-subspace_orbit per unvisited subspace) this scan replaced is kept in the
-tests as the oracle the scan is checked against.
+the subspace cap before anything is allocated.  The tests check the scan
+against one subspace_orbit (a plain breadth-first search, with no caller
+here) per unvisited subspace.
 
-Nonrefinability is decided by two independent routes: brute force (no other
-enumerated system properly refines it) and the stabilizer criterion (the
-setwise stabilizer of a part acts irreducibly and primitively on it).
+A list of parts is acted on through one part table (part_table: for every
+generator, the index of the part each part is sent to, or -1), the
+package's only action on single subspaces.  is_system reads it, and the
+stabilizer criterion builds its transversal along it.  Nonrefinability is
+decided by two independent routes: brute force (no other enumerated system
+properly refines it) and the stabilizer criterion (the setwise stabilizer
+of a part acts irreducibly and primitively on it).
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ from .linalg import (
     subspace_array,
     subspace_tables,
 )
-from .reprs import is_primitive_linear, restrict_to_block
+from .reprs import is_irreducible, restrict_to_block
 
 
 class ImprimitivitySystem:
@@ -127,6 +131,17 @@ def subspace_orbit(g: MatrixGroup, w: Subspace) -> list[Subspace]:
     return list(seen.values())
 
 
+def part_table(g: MatrixGroup, parts) -> np.ndarray:
+    """The generators' action on a list of parts, as an (m, k) table.
+
+    Entry [s, i] is the index in parts of the image of parts[i] under the
+    s-th generator, or -1 when that image is not one of the parts.
+    """
+    index = {w.key: i for i, w in enumerate(parts)}
+    return np.array([[index.get(w.apply(s).key, -1) for w in parts] for s in g.gens],
+                    dtype=np.intp)
+
+
 def is_system(g: MatrixGroup, parts) -> bool:
     """True iff the parts decompose V and every generator permutes them."""
     parts = list(parts)
@@ -135,17 +150,11 @@ def is_system(g: MatrixGroup, parts) -> bool:
     for w in parts:
         if w.ambient != g.n or w.p != g.p:
             raise AmbientMismatch("parts do not match the group's space")
-    if len(parts) < 2:
+    if len(parts) < 2 or not direct_sum_check(parts):
         return False
-    if not direct_sum_check(parts):
+    if len({w.key for w in parts}) != len(parts):
         return False
-    part_keys = {w.key for w in parts}
-    if len(part_keys) != len(parts):
-        return False
-    for gen in g.gens:
-        if {w.apply(gen).key for w in parts} != part_keys:
-            return False
-    return True
+    return bool((part_table(g, parts) >= 0).all())
 
 
 def all_systems(g: MatrixGroup, cap_subspaces: int = DEFAULT_CAP_SUBSPACES,
@@ -212,31 +221,36 @@ def nonrefinable_systems(g: MatrixGroup, cap_subspaces: int = DEFAULT_CAP_SUBSPA
     return nonrefinable(all_systems(g, cap_subspaces=cap_subspaces, stats=stats))
 
 
-def part_stabilizer_elements(g: MatrixGroup, w: Subspace) -> np.ndarray:
-    """Generators of the stabilizer of w in g, as one (s, n, n) stack.
+def part_stabilizer_elements(g: MatrixGroup, parts) -> np.ndarray:
+    """Generators of the stabilizer of parts[0] in g, as one (s, n, n) stack.
 
-    Not the stabilizer's elements: its Schreier generators over w's orbit,
-    at most |orbit| * |gens| of them whatever |G| is.  Each part x of the
-    orbit is reached by a transversal element u_x that maps w to it; the
-    products u_x s u_(x s)^-1, over every part x and generator s, generate
-    the stabilizer (Schreier's lemma).  They are kept once each, in
-    discovery order, the identity only if nothing else is left.
+    parts is the whole orbit of parts[0], in any order; NotTransitiveOnParts
+    is raised when the generators map a part outside the list or the list
+    holds several orbits.  Not the stabilizer's elements: its Schreier
+    generators, at most |parts| * |gens| of them whatever |G| is.  Each part
+    x is reached along the part table by a transversal element u_x that maps
+    parts[0] to it; the products u_x s u_(x s)^-1, over every part x and
+    generator s, generate the stabilizer (Schreier's lemma).  They are formed
+    in one batched product and kept once each, parts in breadth-first order
+    and generators within a part, the identity only if nothing else is left.
     """
-    p, eye = g.p, np.eye(g.n, dtype=np.int64)
-    index = {w.key: 0}
-    orbit, trans, trans_inv, schreier = [w], [eye], [eye], [eye]
-    for i, x in enumerate(orbit):
-        for s, s_inv in zip(g.gens, g.inverse_stack):
-            image = x.apply(s)
-            us = trans[i] @ s.a % p
-            j = index.setdefault(image.key, len(orbit))
-            if j == len(orbit):
-                orbit.append(image)
-                trans.append(us)
-                trans_inv.append(s_inv @ trans_inv[i] % p)
-            else:
-                schreier.append(us @ trans_inv[j] % p)
-    stack = np.array(schreier)
+    table = part_table(g, parts)
+    if (table < 0).any():
+        raise NotTransitiveOnParts("the group does not permute the parts")
+    if orbit_labels(table).any():
+        raise NotTransitiveOnParts("the parts fall into several orbits")
+    p, n, eye = g.p, g.n, np.eye(g.n, dtype=np.int64)
+    gens = np.stack([s.a for s in g.gens])
+    trans, trans_inv = np.tile(eye, (2, len(parts), 1, 1))
+    reached = [0]
+    for x in reached:
+        for s, y in enumerate(table[:, x]):
+            if y not in reached:
+                reached.append(y)
+                trans[y] = trans[x] @ gens[s] % p
+                trans_inv[y] = g.inverse_stack[s] @ trans_inv[x] % p
+    products = trans[reached, None] @ gens % p @ trans_inv[table.T[reached]] % p
+    stack = products.reshape(-1, n, n)
     moving = (stack != eye).any(axis=(1, 2))
     stack = stack[moving] if moving.any() else stack[:1]
     _, first = np.unique(byte_keys(stack), return_index=True)
@@ -246,20 +260,19 @@ def part_stabilizer_elements(g: MatrixGroup, w: Subspace) -> np.ndarray:
 def nonrefinable_via_stabilizer(g: MatrixGroup, gamma: ImprimitivitySystem) -> bool:
     """Stabilizer criterion: the part stabilizer acts primitively on a part.
 
-    Requires the group to act transitively on the parts; rejects systems
+    Requires the group to permute the parts transitively; rejects systems
     with several part orbits rather than guessing a convention for them.
     The stabilizer enters through its Schreier generators only; the
     restriction to the part and the primitivity test both work from
     generators.
     """
-    part_keys = {w.key for w in gamma.parts}
-    orbit = subspace_orbit(g, gamma.parts[0])
-    if {s.key for s in orbit} != part_keys:
-        raise NotTransitiveOnParts("the parts fall into several orbits")
-    w1 = gamma.parts[0]
-    stab = part_stabilizer_elements(g, w1)
-    restriction = restrict_to_block(stab, w1)
-    return is_primitive_linear(restriction)
+    stab = part_stabilizer_elements(g, gamma.parts)
+    return is_primitive_linear(restrict_to_block(stab, gamma.parts[0]))
+
+
+def is_primitive_linear(g: MatrixGroup) -> bool:
+    """Irreducible with no system of imprimitivity (degree 1 is primitive)."""
+    return is_irreducible(g) and not all_systems(g)
 
 
 def coordinate_system(n: int, d: int, p: int) -> ImprimitivitySystem:

@@ -108,15 +108,6 @@ def is_irreducible(g: MatrixGroup, cap_subspaces: int = DEFAULT_CAP_SUBSPACES) -
     return True
 
 
-def is_primitive_linear(g: MatrixGroup) -> bool:
-    """Irreducible with no system of imprimitivity (degree 1 is primitive)."""
-    if not is_irreducible(g):
-        return False
-    from .imprim import all_systems  # deferred: imprim imports this module
-
-    return not all_systems(g)
-
-
 def hom_dimension(gens_a, gens_b, p: int) -> int:
     """Dimension of the space of matrices intertwining two matched actions.
 

@@ -211,10 +211,11 @@ def test_part_stabilizer_and_restriction_match_oracle(gens, data):
     subs = subspace_array(n, d, p)
     w = echelon_subspace(subs[data.draw(st.integers(0, len(subs) - 1))], p)
     expected = stabilizer_oracle(group, w)
-    stab = part_stabilizer_elements(group, w)
+    orbit = subspace_orbit(group, w)
+    stab = part_stabilizer_elements(group, orbit)
     generated = MatrixGroup([Matrix(a, p) for a in stab])
     assert set(element_keys(generated)) == {e.key for e in expected}
-    assert generated.order * len(subspace_orbit(group, w)) == group.order
+    assert generated.order * len(orbit) == group.order
     restricted = {restrict_matrix(e, w).key for e in expected}
     assert set(element_keys(restrict_to_block(stab, w))) == restricted
 

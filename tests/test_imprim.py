@@ -209,6 +209,11 @@ def test_nonrefinable_via_stabilizer_rejects_intransitive_parts():
     assert is_system(g, system.parts)
     with pytest.raises(NotTransitiveOnParts):
         nonrefinable_via_stabilizer(g, system)
+    # GL(2,3) does not permute the coordinate lines: it sends them to other lines
+    gl = general_linear_group(2, 3)
+    assert not is_system(gl, system.parts)
+    with pytest.raises(NotTransitiveOnParts):
+        nonrefinable_via_stabilizer(gl, system)
 
 
 def test_criteria_agreement():
@@ -228,10 +233,10 @@ def test_criteria_agreement():
 def test_part_stabilizer_is_a_subgroup_slice():
     g = sign_wreath(cyclic_group(4), 3)
     w = coordinate_system(4, 1, 3).parts[0]
-    stab = MatrixGroup([Matrix(a, 3) for a in part_stabilizer_elements(g, w)])
+    orbit = subspace_orbit(g, w)
+    stab = MatrixGroup([Matrix(a, 3) for a in part_stabilizer_elements(g, orbit)])
     slice_ = g.element_array[w.fixed_by(g.element_array)]
     assert {Matrix(a, 3) for a in stab.element_array} == {Matrix(a, 3) for a in slice_}
-    orbit = subspace_orbit(g, w)
     assert stab.order * len(orbit) == g.order
 
 

@@ -16,6 +16,7 @@ from imprimlab.errors import (
     ZeroVector,
 )
 from imprimlab.groups import MatrixGroup, cyclic_group, general_linear_group, symmetric_group
+from imprimlab.imprim import is_primitive_linear
 from imprimlab.linalg import Matrix, Subspace, mul_mod, subspace_array
 from imprimlab.reprs import (
     Character,
@@ -24,7 +25,6 @@ from imprimlab.reprs import (
     induced_module,
     invariant_subspaces,
     is_irreducible,
-    is_primitive_linear,
     restrict_matrix,
     restrict_to_block,
     spin,
