@@ -80,7 +80,7 @@ LIST_AMBIENT = 5040
 
 def byte_keys(stack: np.ndarray) -> np.ndarray:
     """One np.void key per entry of a stack: the entry's raw bytes."""
-    flat = np.ascontiguousarray(stack).reshape(len(stack), -1)
+    flat = np.ascontiguousarray(stack).reshape(len(stack), math.prod(stack.shape[1:]))
     return flat.view(np.dtype((np.void, flat.shape[1] * flat.itemsize))).ravel()
 
 
@@ -162,8 +162,8 @@ class StabilizerChain:
     needs extending.  Level l holds generators fixing e_0 ... e_(l-1) and
     the orbit of e_l under them.  Each orbit point x = e_l u_x is stored as
     its transversal element u_x and u_x^-1, in the smallest dtype that
-    holds p - 1, and is found by its packed key (its entries read in base
-    p, or its bytes when p^n does not fit in 64 bits) in a dict.
+    holds p - 1, and is found in a dict by its byte key: the bytes of its
+    entries in that dtype, as the closure keys elements.
 
     Sims' algorithm (Sims 1970; Seress, Permutation Group Algorithms,
     ch. 4) works up from the last level.  Every Schreier generator
@@ -191,9 +191,6 @@ class StabilizerChain:
         self.p, self.n, self.cap = p, n, cap
         self.points = 0
         self._dtype = entry_dtype(p)
-        self._weights = (
-            p ** np.arange(n - 1, -1, -1, dtype=np.int64) if p**n < 2**63 else None
-        )
         eye = np.eye(n, dtype=np.int64)
         self._gens = [eye[None][:0]] * n
         self._gen_inv = self._gens[:]
@@ -225,9 +222,7 @@ class StabilizerChain:
              for i in range(0, len(stack), CLOSE_PRODUCTS)] or [np.zeros(0, dtype=bool)])
 
     def _key(self, vectors: np.ndarray) -> np.ndarray:
-        if self._weights is None:
-            return byte_keys(vectors)
-        return vectors @ self._weights
+        return byte_keys(vectors.astype(self._dtype))
 
     def _lookup(self, level: int, vectors: np.ndarray) -> np.ndarray:
         """Orbit index of every vector at the level, -1 if absent."""

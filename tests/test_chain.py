@@ -169,6 +169,13 @@ def test_chain_orders_of_known_groups():
     # the rest of the group
     assert MatrixGroup([Matrix([[2, 0], [0, 3]], 7)]).chain.order == 6
     assert PermGroup([Permutation([1, 0, 3, 4, 2])]).chain.order == 6
+    # 65537^4 > 2^63: no orbit vector fits one 64-bit integer; 2 has order 32
+    # mod 65537 and 2^16 = -1, while 3 generates the whole unit group
+    for a, order, outside in ((-1, 2, 2), (2, 32, 3)):
+        group = MatrixGroup([Matrix.diagonal([a, 1, 1, 1], 65537)])
+        assert group.chain.order == order
+        assert group.contains(Matrix.diagonal([-1, 1, 1, 1], 65537))
+        assert not group.contains(Matrix.diagonal([outside, 1, 1, 1], 65537))
 
 
 def test_small_ambient_groups_are_listed_and_large_ones_sifted():
