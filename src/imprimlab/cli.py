@@ -10,6 +10,7 @@ error, 3 resource cap exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -58,6 +59,7 @@ def _load_group(path: str, where: str, perm: bool, cap: int):
     return desc.build(cap) if perm else desc.build_matrix_group(cap)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
@@ -84,10 +86,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("systems", parents=[common],
                        help="list all systems of imprimitivity of a matrix group")
     p.add_argument("--group", required=True, help="group description JSON file")
+    p.set_defaults(run=_systems_payload)
 
     p = sub.add_parser("nonrefinable", parents=[common],
                        help="list only the nonrefinable systems")
     p.add_argument("--group", required=True)
+    p.set_defaults(run=_systems_payload)
 
     p = sub.add_parser("theorem", parents=[common],
                        help="verify the unique-nonrefinable-system dichotomy")
@@ -97,15 +101,18 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="optional consistency check against the block group field")
     p.add_argument("--regression", action="store_true",
                    help="run every built-in regression instance instead")
+    p.set_defaults(run=_theorem)
 
     p = sub.add_parser("example21", parents=[common],
                        help="verify the induced degree-4 two-systems construction")
     p.add_argument("--q", type=int, required=True, help="target field, prime, 1 mod 6")
+    p.set_defaults(run=_example21)
 
     p = sub.add_parser("census", parents=[common],
                        help="predicted systems of an exceptional wreath product")
     p.add_argument("--h", dest="h_file", required=True)
     p.add_argument("--k", dest="k_file", required=True)
+    p.set_defaults(run=_census)
 
     p = sub.add_parser("inclusion", parents=[common],
                        help="check wreath-in-wreath containment against conditions")
@@ -113,27 +120,30 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k1", required=True)
     p.add_argument("--h2", required=True)
     p.add_argument("--k2", required=True)
+    p.set_defaults(run=_inclusion)
 
     p = sub.add_parser("maxsolv", parents=[common],
                        help="solvable overgroup witness for the monomial group")
     p.add_argument("--q", type=int, required=True, choices=[3, 5])
+    p.set_defaults(run=_maxsolv)
 
     p = sub.add_parser("blocks", parents=[common],
                        help="block systems of a permutation group")
     p.add_argument("--group", required=True, help="perm description JSON file")
     p.add_argument("--size", type=int, required=True)
+    p.set_defaults(run=_blocks)
 
     return parser
 
 
-def _systems_payload(args, only_nonrefinable: bool):
+def _systems_payload(args):
     group = _load_group(args.group, "group", False, args.cap_elements)
     systems = all_systems(group, cap_subspaces=args.cap_subspaces)
     nonref = set(nonrefinable(systems))
     rows = []
     for s in systems:
         flag = s in nonref
-        if only_nonrefinable and not flag:
+        if args.command == "nonrefinable" and not flag:
             continue
         rows.append(
             {
@@ -145,7 +155,7 @@ def _systems_payload(args, only_nonrefinable: bool):
         )
     payload = {
         "schema": QUERY_SCHEMA,
-        "command": "nonrefinable" if only_nonrefinable else "systems",
+        "command": args.command,
         "degree": group.n,
         "p": group.p,
         "systems": rows,
@@ -205,6 +215,12 @@ def _theorem(args):
     )
 
 
+def _example21(args):
+    return _report_payload(
+        induced_example_report(args.q, args.cap_elements, args.cap_subspaces)
+    )
+
+
 def _census(args):
     spec = _wreath_spec_from_files(args)
     census = expected_exceptional_systems(spec, args.cap_subspaces)
@@ -235,6 +251,10 @@ def _inclusion(args):
     )
 
 
+def _maxsolv(args):
+    return _report_payload(maximal_solvable_witness(args.q, args.cap_elements))
+
+
 def _blocks(args):
     group = _load_group(args.group, "group", True, args.cap_elements)
     systems = block_systems(group, args.size)
@@ -251,26 +271,7 @@ def _blocks(args):
 def run_command(argv) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "systems":
-            payload, code, summary = _systems_payload(args, only_nonrefinable=False)
-        elif args.command == "nonrefinable":
-            payload, code, summary = _systems_payload(args, only_nonrefinable=True)
-        elif args.command == "theorem":
-            payload, code, summary = _theorem(args)
-        elif args.command == "example21":
-            payload, code, summary = _report_payload(
-                induced_example_report(args.q, args.cap_elements, args.cap_subspaces)
-            )
-        elif args.command == "census":
-            payload, code, summary = _census(args)
-        elif args.command == "inclusion":
-            payload, code, summary = _inclusion(args)
-        elif args.command == "maxsolv":
-            payload, code, summary = _report_payload(
-                maximal_solvable_witness(args.q, args.cap_elements)
-            )
-        else:
-            payload, code, summary = _blocks(args)
+        payload, code, summary = args.run(args)
     except CapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP

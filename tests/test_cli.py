@@ -29,6 +29,19 @@ GL23 = {
     "n": 2,
     "generators": [[[2, 0], [0, 1]], [[0, 1], [1, 0]], [[1, 1], [0, 1]]],
 }
+# the sign character of D_12 inside GL(2,3), induced up to GL_4(7)
+INDUCED_D12_Q7 = {
+    "kind": "induced",
+    "ambient": GL23,
+    "subgroup": {
+        "kind": "matrix",
+        "p": 3,
+        "n": 2,
+        "generators": [[[1, 0], [0, -1]], [[-1, 1], [0, -1]]],
+    },
+    "character": [1, -1],
+    "target_p": 7,
+}
 
 
 def write(tmp_path, name, doc):
@@ -68,19 +81,7 @@ def test_parse_wreath_description():
 
 
 def test_parse_induced_description():
-    doc = {
-        "kind": "induced",
-        "ambient": GL23,
-        "subgroup": {
-            "kind": "matrix",
-            "p": 3,
-            "n": 2,
-            "generators": [[[1, 0], [0, -1]], [[-1, 1], [0, -1]]],
-        },
-        "character": [1, -1],
-        "target_p": 7,
-    }
-    rep = parse_group(doc).build()
+    rep = parse_group(INDUCED_D12_Q7).build()
     assert rep.degree == 4
     assert rep.group.order == 48
 
@@ -163,6 +164,18 @@ def test_nonrefinable_command(tmp_path, capsys):
     code, payload, _ = run(capsys, "nonrefinable", "--group", group_file)
     assert code == 0
     assert len(payload["systems"]) == 2
+    assert all(s["nonrefinable"] for s in payload["systems"])
+
+
+@pytest.mark.parametrize("command", ["systems", "nonrefinable"])
+def test_induced_group_systems(tmp_path, capsys, command):
+    # the systems that example21 --q 7 counts: one of planes, two of lines
+    group_file = write(tmp_path, "g.json", INDUCED_D12_Q7)
+    code, payload, _ = run(capsys, command, "--group", group_file, "--json-only")
+    assert code == 0
+    assert "complete" not in payload
+    shapes = sorted((s["component_count"], s["component_dim"]) for s in payload["systems"])
+    assert shapes == [(2, 2), (4, 1), (4, 1)]
     assert all(s["nonrefinable"] for s in payload["systems"])
 
 
