@@ -30,7 +30,6 @@ from .linalg import (
     Subspace,
     direct_sum_check,
     ff_inv,
-    fixed_space,
     gaussian_binomial,
 )
 from .reprs import (
@@ -78,7 +77,6 @@ __all__ = [
     "direct_sum_check",
     "expected_exceptional_systems",
     "ff_inv",
-    "fixed_space",
     "gaussian_binomial",
     "general_linear_group",
     "has_pair_partition",

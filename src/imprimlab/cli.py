@@ -59,16 +59,25 @@ def _load_group(path: str, where: str, perm: bool, cap: int):
     return desc.build(cap) if perm else desc.build_matrix_group(cap)
 
 
+def positive_int(text: str) -> int:
+    """argparse type of the caps: an integer of at least 1.  argparse names
+    the function in the error for a value that is not an integer."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"a cap must be at least 1, got {value}")
+    return value
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
-        "--cap-elements", type=int, default=DEFAULT_CAP_ELEMENTS,
+        "--cap-elements", type=positive_int, default=DEFAULT_CAP_ELEMENTS,
         help="maximum group order enumerated, and maximum orbit points of a "
              "stabilizer chain (default %(default)s)",
     )
     common.add_argument(
-        "--cap-subspaces", type=int, default=DEFAULT_CAP_SUBSPACES,
+        "--cap-subspaces", type=positive_int, default=DEFAULT_CAP_SUBSPACES,
         help="maximum subspaces scanned per dimension, and projective points "
              "spun by the irreducibility fallback (default %(default)s)",
     )

@@ -4,8 +4,9 @@ all_systems is the exhaustive scan of the package.  For every proper
 divisor d of n it enumerates every d-dimensional subspace once, as the
 (N, d, n) RREF stack of linalg.subspace_array, and turns each generator into
 a permutation table of that stack: the generator is applied to the whole
-stack, the images are row-reduced in batch and each is ranked from the
-stack's order, linalg.subspace_layout.  Orbits come from min-label
+stack, the images are row-reduced in batch (linalg.rref_batch sweeps the d
+rows of each image, then sorts them by leading column) and each is ranked
+from the stack's order, linalg.subspace_layout.  Orbits come from min-label
 propagation over the tables (groups.orbit_labels), and the orbits of size
 n/d that decompose the space into a direct sum are the systems.  Orbits of a
 transitive part action are exactly the systems, so every system is found once.

@@ -12,7 +12,10 @@ in 64 bits, so construction rejects moduli where n * (p-1)^2 would overflow;
 in practice every instance here has p < 100.  Subspaces take any p < 2^31,
 so their containment tests use the overflow-safe mul_mod.  A scan over the
 subspaces of one dimension works on one stack of RREF bases, subspace_array,
-in the order subspace_layout defines.
+in the order subspace_layout defines.  rref_batch row-reduces a whole stack
+of images at once by a sweep over its rows, so a d-subspace costs d steps
+however large the ambient dimension n is; its products of earlier rows go
+through mul_mod, since several of them can overflow int64 for p near 2^31.
 """
 
 from __future__ import annotations
@@ -202,21 +205,6 @@ class Matrix:
         return f"Matrix({self.a.tolist()}, p={self.p})"
 
 
-def nullspace_rows(a: np.ndarray, p: int) -> np.ndarray:
-    """Basis (as rows) of {x : a @ x = 0} for an m x n matrix a."""
-    a = np.asarray(a, dtype=np.int64)
-    m, n = a.shape
-    r, rank, pivots = rref(a, p)
-    pivot_set = set(pivots)
-    free = [j for j in range(n) if j not in pivot_set]
-    rows = np.zeros((len(free), n), dtype=np.int64)
-    for idx, f in enumerate(free):
-        rows[idx, f] = 1
-        for i, c in enumerate(pivots):
-            rows[idx, c] = (-r[i, f]) % p
-    return rows
-
-
 class Subspace:
     """A subspace of GF(p)^n in canonical reduced-row-echelon form.
 
@@ -281,18 +269,11 @@ class Subspace:
     def __lt__(self, other):
         return self.key < other.key
 
-    def _members(self, rows: np.ndarray) -> np.ndarray:
-        """Entrywise rows == pivot entries @ basis: all true iff a row is inside."""
-        return rows == mul_mod(rows[..., self._pivot_arr], self.basis, self.p)
-
     def contains_rows(self, rows) -> bool:
-        """Vectorized membership test for a stack of row vectors."""
-        return bool(self._members(np.asarray(rows, dtype=np.int64) % self.p).all())
-
-    def fixed_by(self, stack) -> np.ndarray:
-        """Which matrices of an (s, n, n) stack map this subspace into itself."""
-        images = mul_mod(self.basis, np.asarray(stack), self.p)
-        return self._members(images).all(axis=(1, 2))
+        """Vectorized membership test for a stack of row vectors: each row
+        must equal its pivot entries times the basis."""
+        rows = np.asarray(rows, dtype=np.int64) % self.p
+        return bool((rows == mul_mod(rows[..., self._pivot_arr], self.basis, self.p)).all())
 
     def contains(self, other: "Subspace") -> bool:
         self._check_compatible(other)
@@ -329,17 +310,6 @@ def direct_sum_check(parts) -> bool:
         return False
     stacked = np.concatenate([w.basis for w in parts])
     return rref(stacked, p)[1] == total
-
-
-def fixed_space(g: Matrix) -> Subspace:
-    """Subspace of row vectors fixed by g, i.e. the kernel of (g - I)."""
-    if g.rows != g.cols:
-        raise ShapeMismatch("fixed space needs a square matrix")
-    n = g.rows
-    delta = (g.a - np.eye(n, dtype=np.int64)) % g.p
-    # v @ (g - I) = 0  <=>  (g - I)^T @ v^T = 0
-    rows = nullspace_rows(delta.T, g.p)
-    return Subspace.span(rows, n, g.p)
 
 
 def gaussian_binomial(n: int, k: int, p: int) -> int:
@@ -448,40 +418,29 @@ def rref_batch(a: np.ndarray, p: int) -> np.ndarray:
     """Reduced row echelon form over GF(p) of every matrix in an (N, m, n) stack.
 
     Row for row the same canonical form as rref, for all N matrices at once.
-    A matrix leaves the working set once it has a pivot in every row.
+    The sweep runs over the m rows: row k drops every earlier row times its
+    own entry in that row's leading column, is scaled to a leading 1, and
+    clears its leading column from the earlier rows.  A stable sort by
+    leading column, zero rows last, then puts the rows in echelon order.
     """
     a = np.asarray(a, dtype=np.int64) % p
-    out = np.empty_like(a)
     m, n = a.shape[1:]
-    rows = np.arange(m)
-    live = np.arange(len(a))  # indices into out of the working set
-    row = np.zeros(len(a), dtype=np.intp)  # next pivot row of each matrix
-    for col in range(n):
-        done = row == m
-        if done.any():
-            out[live[done]] = a[done]
-            a, row, live = a[~done], row[~done], live[~done]
-        if not len(live):
-            break
-        every = np.arange(len(live))
-        hits = (a[:, :, col] != 0) & (rows >= row[:, None])
-        found = hits.any(axis=1)
-        target = np.minimum(row, m - 1)
-        hit = np.where(found, hits.argmax(axis=1), target)
-        # columns left of col are zero in the pivot row, so only col: changes
-        pivot_row = a[every, hit, col:]
-        a[every, hit] = a[every, target]
-        pivot_row = pivot_row * _inverse_mod(pivot_row[:, 0], p)[:, None] % p
-        factors = a[:, :, col] * found[:, None]
-        factors[every, target] = 0
-        a[:, :, col:] -= factors[:, :, None] * pivot_row[:, None, :]
-        a[:, :, col:] %= p
-        a[every, target, col:] = np.where(
-            found[:, None], pivot_row, a[every, target, col:]
-        )
-        row += found
-    out[live] = a
-    return out
+    every = np.arange(len(a))
+    leads = np.zeros((len(a), m), dtype=np.intp)  # 0 for a zero row
+    for k in range(m if n else 0):  # rows without columns are already reduced
+        row = a[:, k]
+        if k:
+            # the earlier rows are reduced, so their leading columns clear at once
+            factors = np.take_along_axis(row, leads[:, :k], axis=1)
+            row = (row - mul_mod(factors[:, None], a[:, :k], p)[:, 0]) % p
+        lead = (row != 0).argmax(axis=1)
+        row = row * _inverse_mod(row[every, lead], p)[:, None] % p
+        if k:
+            above = a[every, :k, lead]
+            a[:, :k] = (a[:, :k] - above[:, :, None] * row[:, None]) % p
+        a[:, k], leads[:, k] = row, lead
+    order = np.argsort(np.where(a.any(axis=2), leads, n), axis=1, kind="stable")
+    return a[every[:, None], order]
 
 
 def subspace_tables(gens, subs: np.ndarray, p: int) -> np.ndarray:

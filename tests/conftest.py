@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from imprimlab import Matrix, MatrixGroup, PermGroup, Permutation, Subspace
 from imprimlab.descriptions import parse_group
-from imprimlab.linalg import nullspace_rows
+from imprimlab.errors import ShapeMismatch
+from imprimlab.linalg import mul_mod, rref
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -61,6 +62,38 @@ def transpose(m):
 def contains_vector(w, v):
     """True iff the Subspace w contains the row vector v."""
     return w.contains_rows(np.asarray(v)[None])
+
+
+def nullspace_rows(a, p):
+    """Basis (as rows) of {x : a @ x = 0} for an m x n matrix a."""
+    a = np.asarray(a, dtype=np.int64)
+    m, n = a.shape
+    r, rank, pivots = rref(a, p)
+    pivot_set = set(pivots)
+    free = [j for j in range(n) if j not in pivot_set]
+    rows = np.zeros((len(free), n), dtype=np.int64)
+    for idx, f in enumerate(free):
+        rows[idx, f] = 1
+        for i, c in enumerate(pivots):
+            rows[idx, c] = (-r[i, f]) % p
+    return rows
+
+
+def fixed_space(g):
+    """Subspace of row vectors fixed by the Matrix g, i.e. the kernel of (g - I)."""
+    if g.rows != g.cols:
+        raise ShapeMismatch("fixed space needs a square matrix")
+    n = g.rows
+    delta = (g.a - np.eye(n, dtype=np.int64)) % g.p
+    # v @ (g - I) = 0  <=>  (g - I)^T @ v^T = 0
+    rows = nullspace_rows(delta.T, g.p)
+    return Subspace.span(rows, n, g.p)
+
+
+def fixed_by(w, stack):
+    """Which matrices of an (s, n, n) stack map the Subspace w into itself."""
+    images = mul_mod(w.basis, np.asarray(stack), w.p)
+    return np.array([w.contains_rows(rows) for rows in images], dtype=bool)
 
 
 def subspace_sum(w1, w2):

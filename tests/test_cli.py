@@ -390,6 +390,19 @@ def test_cap_exceeded_exit_code(tmp_path, capsys):
     assert "cap" in err
 
 
+@pytest.mark.parametrize("flag,value", [("--cap-elements", "0"), ("--cap-subspaces", "-1")])
+def test_cap_below_one_is_usage_error(tmp_path, capsys, flag, value):
+    # a cap of 0 would otherwise stop the first scan and exit 3 as a resource cap
+    h = write(tmp_path, "h.json", SIGN_P3)
+    k = write(tmp_path, "k.json", S3)
+    with pytest.raises(SystemExit) as exc:
+        main(["theorem", "--h", h, "--k", k, flag, value])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {flag}: a cap must be at least 1, got {value}" in captured.err
+
+
 def test_chain_over_the_cap_exit_code(tmp_path, capsys):
     # sign wr S_6 has 2^6 * 6! = 46 080 elements and a chain of 36 orbit
     # points, so a cap of 35 stops the chain itself; with a cap of 720 the

@@ -33,6 +33,7 @@ from imprimlab.wreath import WreathSpec, wreath_product
 from conftest import (
     basis_row,
     block_diagonal_product,
+    fixed_by,
     perm,
     sign_group,
     subspace_sum,
@@ -235,7 +236,7 @@ def test_part_stabilizer_is_a_subgroup_slice():
     w = coordinate_system(4, 1, 3).parts[0]
     orbit = subspace_orbit(g, w)
     stab = MatrixGroup([Matrix(a, 3) for a in part_stabilizer_elements(g, orbit)])
-    slice_ = g.element_array[w.fixed_by(g.element_array)]
+    slice_ = g.element_array[fixed_by(w, g.element_array)]
     assert {Matrix(a, 3) for a in stab.element_array} == {Matrix(a, 3) for a in slice_}
     assert stab.order * len(orbit) == g.order
 

@@ -20,7 +20,6 @@ from imprimlab.linalg import (
     all_subspaces,
     direct_sum_check,
     ff_inv,
-    fixed_space,
     gaussian_binomial,
     is_prime,
     mul_mod,
@@ -30,7 +29,14 @@ from imprimlab.linalg import (
     subspace_tables,
 )
 
-from conftest import basis_row, intersect, matrix_groups, subspace_sum
+from conftest import (
+    basis_row,
+    fixed_by,
+    fixed_space,
+    intersect,
+    matrix_groups,
+    subspace_sum,
+)
 
 
 def test_ff_inv_examples():
@@ -131,9 +137,9 @@ def test_rref_idempotent(p, m, n, data):
 
 
 @given(
-    st.sampled_from([2, 3, 5, 7, 131]),
+    st.sampled_from([2, 3, 5, 7, 131, 2147483647]),
     st.integers(1, 4),
-    st.integers(1, 5),
+    st.integers(1, 8),
     st.data(),
 )
 def test_rref_batch_matches_rref(p, m, n, data):
@@ -151,6 +157,15 @@ def test_rref_batch_matches_rref(p, m, n, data):
     batch = rref_batch(np.array(stack, dtype=np.int64), p)
     for a, r in zip(stack, batch):
         assert np.array_equal(r, rref(np.array(a), p)[0])
+
+
+def test_rref_batch_does_not_overflow_for_large_moduli():
+    # the last row drops the three earlier rows in one product, whose entry
+    # in column 3 sums three times (p - 1)^2: past the int64 range
+    p = 2**31 - 1
+    a = np.array([[1, 0, 0, p - 1, 1], [0, 1, 0, p - 1, 0], [0, 0, 1, p - 1, 0],
+                  [p - 1, p - 1, p - 1, 0, 0]])
+    assert np.array_equal(rref_batch(a[None], p)[0], rref(a, p)[0])
 
 
 def test_rref_constant_on_row_equivalent_inputs():
@@ -413,7 +428,7 @@ def test_containment_does_not_overflow_for_large_moduli():
     assert not w.contains_rows([[p - 1, p - 1, p - 1, 7]])
     # maps every basis row to minus_sum, so maps w into itself
     g = np.array([minus_sum] * 3 + [[0, 0, 0, 0]], dtype=np.int64)
-    assert w.fixed_by(g[None]).tolist() == [True]
+    assert fixed_by(w, g[None]).tolist() == [True]
     assert mul_mod(np.array([[p - 1] * 3]), w.basis, p).tolist() == [minus_sum]
 
 
