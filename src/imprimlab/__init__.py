@@ -1,7 +1,7 @@
 """imprimlab: exact matrix groups over prime fields, systems of
 imprimitivity, wreath products, and verification scenarios."""
 
-from .errors import ImprimlabError
+from .errors import ImprimlabError, limits
 from .groups import (
     BlockSystem,
     MatrixGroup,
@@ -88,6 +88,7 @@ __all__ = [
     "is_primitive_linear",
     "is_refinement",
     "is_system",
+    "limits",
     "maximal_solvable_witness",
     "nonrefinable",
     "nonrefinable_systems",

@@ -14,8 +14,14 @@ import functools
 import json
 import sys
 
-from .errors import CapError, ImprimlabError
-from .groups import DEFAULT_CAP_ELEMENTS, DEFAULT_CAP_SUBSPACES, block_systems
+from .errors import (
+    DEFAULT_CAP_ELEMENTS,
+    DEFAULT_CAP_SUBSPACES,
+    CapError,
+    ImprimlabError,
+    limits,
+)
+from .groups import block_systems
 from .descriptions import parse_group
 from .imprim import all_systems, nonrefinable
 from .reprs import is_irreducible
@@ -47,7 +53,7 @@ def _load_document(path: str, where: str):
         raise ImprimlabError(f"{where}: invalid JSON in {path} ({exc})") from exc
 
 
-def _load_group(path: str, where: str, perm: bool, cap: int):
+def _load_group(path: str, where: str, perm: bool):
     """Load and build one group argument: a PermGroup if perm, else a
     MatrixGroup (matrix, wreath and induced descriptions all qualify)."""
     desc = parse_group(_load_document(path, where), where)
@@ -56,7 +62,7 @@ def _load_group(path: str, where: str, perm: bool, cap: int):
         raise ImprimlabError(
             f"{where}: expected a {wanted} description, got kind {desc.kind!r}"
         )
-    return desc.build(cap) if perm else desc.build_matrix_group(cap)
+    return desc.build() if perm else desc.build_matrix_group()
 
 
 def positive_int(text: str) -> int:
@@ -146,8 +152,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _systems_payload(args):
-    group = _load_group(args.group, "group", False, args.cap_elements)
-    systems = all_systems(group, cap_subspaces=args.cap_subspaces)
+    group = _load_group(args.group, "group", False)
+    systems = all_systems(group)
     nonref = set(nonrefinable(systems))
     rows = []
     for s in systems:
@@ -170,7 +176,7 @@ def _systems_payload(args):
         "systems": rows,
     }
     summary = [f"{payload['command']}: {len(rows)} system(s) listed"]
-    if not is_irreducible(group, args.cap_subspaces):
+    if not is_irreducible(group):
         # all_systems finds only systems whose parts form one orbit
         payload["complete"] = False
         summary.append("incomplete: the group is reducible, so systems whose "
@@ -180,8 +186,8 @@ def _systems_payload(args):
 
 def _wreath_spec_from_files(args):
     return WreathSpec(
-        _load_group(args.h_file, "h", False, args.cap_elements),
-        _load_group(args.k_file, "k", True, args.cap_elements),
+        _load_group(args.h_file, "h", False),
+        _load_group(args.k_file, "k", True),
     )
 
 
@@ -199,10 +205,8 @@ def _theorem(args):
                 f"theorem --regression runs the built-in instances and takes no "
                 f"{', '.join(given)}"
             )
-        named = [
-            (name, wreath_uniqueness_report(spec, args.cap_elements, args.cap_subspaces))
-            for name, spec in regression_theorem_instances(args.cap_elements)
-        ]
+        named = [(name, wreath_uniqueness_report(spec))
+                 for name, spec in regression_theorem_instances()]
         payload = {
             "schema": QUERY_SCHEMA,
             "command": "theorem-regression",
@@ -219,20 +223,16 @@ def _theorem(args):
         raise ImprimlabError(
             f"--p {args.modulus} disagrees with the block group field {spec.p}"
         )
-    return _report_payload(
-        wreath_uniqueness_report(spec, args.cap_elements, args.cap_subspaces)
-    )
+    return _report_payload(wreath_uniqueness_report(spec))
 
 
 def _example21(args):
-    return _report_payload(
-        induced_example_report(args.q, args.cap_elements, args.cap_subspaces)
-    )
+    return _report_payload(induced_example_report(args.q))
 
 
 def _census(args):
     spec = _wreath_spec_from_files(args)
-    census = expected_exceptional_systems(spec, args.cap_subspaces)
+    census = expected_exceptional_systems(spec)
     payload = {
         "schema": QUERY_SCHEMA,
         "command": "census",
@@ -250,22 +250,19 @@ def _census(args):
 
 
 def _inclusion(args):
-    cap = args.cap_elements
-    h1 = _load_group(args.h1, "h1", False, cap)
-    k1 = _load_group(args.k1, "k1", True, cap)
-    h2 = _load_group(args.h2, "h2", False, cap)
-    k2 = _load_group(args.k2, "k2", True, cap)
-    return _report_payload(
-        wreath_inclusion_report(h1, k1, h2, k2, cap, args.cap_subspaces)
-    )
+    h1 = _load_group(args.h1, "h1", False)
+    k1 = _load_group(args.k1, "k1", True)
+    h2 = _load_group(args.h2, "h2", False)
+    k2 = _load_group(args.k2, "k2", True)
+    return _report_payload(wreath_inclusion_report(h1, k1, h2, k2))
 
 
 def _maxsolv(args):
-    return _report_payload(maximal_solvable_witness(args.q, args.cap_elements))
+    return _report_payload(maximal_solvable_witness(args.q))
 
 
 def _blocks(args):
-    group = _load_group(args.group, "group", True, args.cap_elements)
+    group = _load_group(args.group, "group", True)
     systems = block_systems(group, args.size)
     payload = {
         "schema": QUERY_SCHEMA,
@@ -280,7 +277,8 @@ def _blocks(args):
 def run_command(argv) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        payload, code, summary = args.run(args)
+        with limits(elements=args.cap_elements, subspaces=args.cap_subspaces):
+            payload, code, summary = args.run(args)
     except CapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP

@@ -20,10 +20,10 @@ from dataclasses import dataclass
 from typing import Any
 
 from .errors import ParseError, ValidationError
-from .groups import DEFAULT_CAP_ELEMENTS, MatrixGroup, PermGroup, Permutation
+from .groups import MatrixGroup, PermGroup, Permutation
 from .linalg import Matrix, is_prime
 from .reprs import Character, InducedRep, induced_module
-from .wreath import WreathSpec
+from .wreath import WreathSpec, wreath_product
 
 KINDS = ("matrix", "perm", "wreath", "induced")
 
@@ -39,18 +39,16 @@ class GroupDescription:
     def to_dict(self) -> dict:
         return copy.deepcopy(self.document)
 
-    def build(self, cap: int = DEFAULT_CAP_ELEMENTS):
+    def build(self):
         """Construct the described object (enumeration-level checks happen here)."""
-        return _build(self.document, cap)
+        return _build(self.document)
 
-    def build_matrix_group(self, cap: int = DEFAULT_CAP_ELEMENTS) -> MatrixGroup:
-        built = self.build(cap)
+    def build_matrix_group(self) -> MatrixGroup:
+        built = self.build()
         if isinstance(built, MatrixGroup):
             return built
         if isinstance(built, WreathSpec):
-            from .wreath import wreath_product
-
-            return wreath_product(built, cap=cap)
+            return wreath_product(built)
         if isinstance(built, InducedRep):
             return built.group
         raise ValidationError(f"{self.kind} description is not a matrix group")
@@ -195,20 +193,18 @@ def _parse_induced(doc, where):
     })
 
 
-def _build(doc: dict, cap: int):
+def _build(doc: dict):
     kind = doc["kind"]
     if kind == "matrix":
-        return MatrixGroup([Matrix(g, doc["p"]) for g in doc["generators"]], cap=cap)
+        return MatrixGroup([Matrix(g, doc["p"]) for g in doc["generators"]])
     if kind == "perm":
-        return PermGroup(
-            [Permutation.from_one_based(g) for g in doc["generators"]], cap=cap
-        )
+        return PermGroup([Permutation.from_one_based(g) for g in doc["generators"]])
     if kind == "wreath":
-        return WreathSpec(h=_build(doc["h"], cap), k=_build(doc["k"], cap))
-    source = _build(doc["ambient"], cap)
-    sub = _build(doc["subgroup"], cap)
+        return WreathSpec(h=_build(doc["h"]), k=_build(doc["k"]))
+    source = _build(doc["ambient"])
+    sub = _build(doc["subgroup"])
     character = Character(sub, doc["character"], doc["target_p"])
-    return induced_module(source, sub, character, cap=cap)
+    return induced_module(source, sub, character)
 
 
 def matrix_group_description(g: MatrixGroup) -> GroupDescription:

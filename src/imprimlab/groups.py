@@ -12,8 +12,9 @@ an ambient GL_n(p) or S_k of at most LIST_AMBIENT elements, which it
 lists at least as fast as their chain is built.  Once a group's elements
 are listed, its order is their count and membership a lookup among them,
 so no group pays for both descriptions unless both are read.  Both count
-against the element cap: the closure its elements, the chain its orbit
-points beyond the base points, which never exceed |G| - 1.
+against the element cap that errors.limits sets for the run: the closure
+its elements (phase "group closure"), the chain its orbit points beyond
+the base points, which never exceed |G| - 1 (phase "stabilizer chain").
 Solvability follows the derived series, each derived subgroup the normal
 closure of its group's generator commutators, with membership and orders
 read as above; only generators are multiplied as Matrix objects.
@@ -52,19 +53,13 @@ from functools import cached_property
 import numpy as np
 
 from .errors import (
-    CapExceeded,
+    DEFAULT_CAP_PARTITIONS,
     OddDegree,
-    PhaseCapExceeded,
     ValidationError,
+    check_cap,
+    current_limits,
 )
 from .linalg import Matrix, entry_dtype, is_prime
-
-DEFAULT_CAP_ELEMENTS = 2**20
-# Subspaces scanned per dimension, and projective points spun when the
-# irreducibility certificate fails.
-DEFAULT_CAP_SUBSPACES = 10**6
-# Equal partitions tried by the exhaustive block-system route.
-DEFAULT_CAP_PARTITIONS = 10**6
 
 # Products formed in one step of a closure (a chunk of the frontier times
 # every generator), and the most images, Schreier generators or sifted
@@ -113,15 +108,15 @@ def orbit_labels(tables: np.ndarray) -> np.ndarray:
         labels = new
 
 
-def mulclose(gens: np.ndarray, p: int | None = None,
-             cap: int = DEFAULT_CAP_ELEMENTS) -> np.ndarray:
+def mulclose(gens: np.ndarray, p: int | None = None) -> np.ndarray:
     """Breadth-first closure of a generator stack, identity first.
 
     gens is an (m, n, n) stack of matrices over GF(p), or, with p None, an
     (m, k) stack of permutation images.  The product g * a is g @ a mod p
     for matrices and a[g] for permutations ((g * a)(i) = a(g(i))).  Returns
     every element as one stack in the dtype of gens, in discovery order.
-    Raises CapExceeded as soon as the closure outgrows the cap.
+    Raises PhaseCapExceeded ("group closure") as soon as the closure
+    outgrows the element cap.
     """
     if p is None:
         identity = np.arange(gens.shape[1], dtype=gens.dtype)
@@ -145,8 +140,7 @@ def mulclose(gens: np.ndarray, p: int | None = None,
             block = products(frontier[start : start + step])
             block = block.reshape(-1, *identity.shape)
             fresh, seen = first_new(byte_keys(block), seen)
-            if len(seen) > cap:
-                raise CapExceeded(cap)
+            check_cap("group closure", len(seen), "elements", current_limits().elements)
             found.append(block[fresh])
         frontier = np.concatenate(found)
         levels.append(frontier)
@@ -176,19 +170,20 @@ class StabilizerChain:
     has passed, the order is the product of the orbit lengths, and a matrix
     lies in the group iff it sifts through every level.
 
-    Orbit points beyond the base points count against cap.  Their number,
-    the sum of (|orbit| - 1) over the levels, is at most |G| - 1, so the
-    chain of every group that the closure can list fits; PhaseCapExceeded
+    Orbit points beyond the base points count against the element cap,
+    read from errors.limits when they are entered.  Their number, the sum
+    of (|orbit| - 1) over the levels, is at most |G| - 1, so the chain of
+    every group that the closure can list fits; PhaseCapExceeded
     ("stabilizer chain") is raised otherwise.  After two breadth-first
     steps in a row from one point to one point, an orbit is extended along
     the powers of the generator that took the last step, in blocks that
     double, so a long cycle costs a logarithmic number of array steps.
     """
 
-    def __init__(self, gens: np.ndarray, p: int, cap: int = DEFAULT_CAP_ELEMENTS):
+    def __init__(self, gens: np.ndarray, p: int):
         gens = np.asarray(gens, dtype=np.int64) % p
         n = gens.shape[1]
-        self.p, self.n, self.cap = p, n, cap
+        self.p, self.n = p, n
         self.points = 0
         self._dtype = entry_dtype(p)
         eye = np.eye(n, dtype=np.int64)
@@ -233,9 +228,7 @@ class StabilizerChain:
     def _enter(self, level: int, keys) -> None:
         """Index new orbit points of a level, counting them against the cap."""
         self.points += len(keys)
-        if self.points > self.cap:
-            raise PhaseCapExceeded("stabilizer chain", self.points, "orbit points",
-                                   self.cap)
+        check_cap("stabilizer chain", self.points, "orbit points", current_limits().elements)
         index = self._index[level]
         index.update(zip(keys, range(len(index), len(index) + len(keys))))
 
@@ -320,7 +313,7 @@ class StabilizerChain:
             if block is not chain:
                 chain = np.concatenate([chain, block])
                 chain_inv = np.concatenate([chain_inv, block_inv])
-            size = min(len(chain), self.cap - self.points + 1)
+            size = min(len(chain), current_limits().elements - self.points + 1)
             block, block_inv = chain[:size] @ step % p, step_inv @ chain_inv[:size] % p
             step, step_inv = step @ step % p, step_inv @ step_inv % p
 
@@ -382,7 +375,7 @@ class StabilizerChain:
 class _ElementArray:
     """A group's elements, listed by the closure or described by a chain.
 
-    Subclasses set cap and provide _generator_stack, _modulus (p, or None
+    Subclasses provide _generator_stack (built once), _modulus (p, or None
     for permutations), _ambient_order (of GL_n(p) or S_k), chain and
     _matrices, which turns a stack of group-shaped arrays into the matrices
     the chain acts with.  The order and membership read the listed elements
@@ -394,7 +387,7 @@ class _ElementArray:
     @cached_property
     def element_array(self) -> np.ndarray:
         """Every element, in discovery order, as one stack."""
-        return mulclose(self._generator_stack, self._modulus, self.cap)
+        return mulclose(self._generator_stack, self._modulus)
 
     @property
     def _listed(self) -> bool:
@@ -435,7 +428,7 @@ class _ElementArray:
 class MatrixGroup(_ElementArray):
     """A subgroup of GL_n(p) given by invertible generators."""
 
-    def __init__(self, gens, cap: int = DEFAULT_CAP_ELEMENTS):
+    def __init__(self, gens):
         gens = list(gens)
         if not gens:
             raise ValidationError("a matrix group needs at least one generator")
@@ -448,7 +441,6 @@ class MatrixGroup(_ElementArray):
         self.gens = tuple(gens)
         self.p = p
         self.n = n
-        self.cap = cap
 
     @property
     def identity(self) -> Matrix:
@@ -458,8 +450,9 @@ class MatrixGroup(_ElementArray):
     def _modulus(self):
         return self.p
 
-    @property
+    @cached_property
     def _generator_stack(self) -> np.ndarray:
+        """The generators as one (m, n, n) stack, in the dtype of p - 1."""
         return np.stack([g.a for g in self.gens]).astype(entry_dtype(self.p))
 
     @property
@@ -474,7 +467,7 @@ class MatrixGroup(_ElementArray):
     @cached_property
     def chain(self) -> StabilizerChain:
         """The stabilizer chain of the generators."""
-        return StabilizerChain(self._generator_stack, self.p, self.cap)
+        return StabilizerChain(self._generator_stack, self.p)
 
     def _matrices(self, stack) -> np.ndarray:
         return np.asarray(stack, dtype=np.int64) % self.p
@@ -506,7 +499,7 @@ class MatrixGroup(_ElementArray):
         ]
         while True:
             gens = _dedupe(g for g in gens if not g.is_identity())
-            subgroup = MatrixGroup(gens or [self.identity], cap=self.cap)
+            subgroup = MatrixGroup(gens or [self.identity])
             conjugates = [x_inv * g * x for g in subgroup.gens for x, x_inv in pairs]
             outside = ~subgroup.member_mask(np.stack([c.a for c in conjugates]))
             if not outside.any():
@@ -550,7 +543,7 @@ def primitive_root(p: int) -> int:
     raise ValidationError(f"no primitive root found mod {p}")
 
 
-def general_linear_group(n: int, p: int, cap: int = DEFAULT_CAP_ELEMENTS) -> MatrixGroup:
+def general_linear_group(n: int, p: int) -> MatrixGroup:
     """GL_n(p) from a diagonal unit, a coordinate cycle, and a transvection."""
     zeta = primitive_root(p)
     diag = np.eye(n, dtype=np.int64)
@@ -563,7 +556,7 @@ def general_linear_group(n: int, p: int, cap: int = DEFAULT_CAP_ELEMENTS) -> Mat
         trans = np.eye(n, dtype=np.int64)
         trans[0, 1] = 1
         gens += [Matrix(cycle, p), Matrix(trans, p)]
-    return MatrixGroup(gens, cap=cap)
+    return MatrixGroup(gens)
 
 
 class Permutation:
@@ -630,7 +623,7 @@ class Permutation:
 class PermGroup(_ElementArray):
     """A permutation group on {0..k-1} given by generators."""
 
-    def __init__(self, gens, cap: int = DEFAULT_CAP_ELEMENTS):
+    def __init__(self, gens):
         gens = list(gens)
         if not gens:
             raise ValidationError("a permutation group needs at least one generator")
@@ -639,12 +632,12 @@ class PermGroup(_ElementArray):
             raise ValidationError("generators must share degree")
         self.gens = tuple(gens)
         self.degree = degree
-        self.cap = cap
 
     _modulus = None
 
-    @property
+    @cached_property
     def _generator_stack(self) -> np.ndarray:
+        """The generators' images as one (m, k) stack."""
         return np.array([g.images for g in self.gens], dtype=entry_dtype(self.degree))
 
     @property
@@ -655,7 +648,7 @@ class PermGroup(_ElementArray):
     def chain(self) -> StabilizerChain:
         """The chain of the permutation matrices, over GF(2) since their
         entries are 0 and 1."""
-        return StabilizerChain(self._matrices(self._generator_stack), 2, self.cap)
+        return StabilizerChain(self._matrices(self._generator_stack), 2)
 
     def _matrices(self, stack) -> np.ndarray:
         """Permutation matrices: row i is the basis vector of i's image."""
@@ -692,7 +685,7 @@ class PermGroup(_ElementArray):
         for g in self.gens:
             images = [index[_image_block(g, b, blocks)] for b in blocks]
             gens.append(Permutation(images))
-        return PermGroup(_dedupe(gens) or [Permutation.identity(len(blocks))], cap=self.cap)
+        return PermGroup(_dedupe(gens) or [Permutation.identity(len(blocks))])
 
     def stabilizer_block_action(self, block) -> "PermGroup":
         """Action of the setwise stabilizer of a block on that block.
@@ -705,7 +698,7 @@ class PermGroup(_ElementArray):
         points = np.array(sorted(set(block)), dtype=np.intp)
         local = np.searchsorted(points, self.setwise_stabilizer(block)[:, points])
         _, first = np.unique(byte_keys(local), return_index=True)
-        return PermGroup([Permutation(a) for a in local[np.sort(first)]], cap=self.cap)
+        return PermGroup([Permutation(a) for a in local[np.sort(first)]])
 
     def __repr__(self):
         return f"PermGroup(degree={self.degree}, gens={len(self.gens)})"
@@ -787,9 +780,7 @@ def _equal_partitions(points, block_size):
 def _block_systems_exhaustive(group: PermGroup, block_size: int) -> list[BlockSystem]:
     k, b = group.degree, block_size
     count = math.factorial(k) // (math.factorial(b) ** (k // b) * math.factorial(k // b))
-    if count > DEFAULT_CAP_PARTITIONS:
-        raise PhaseCapExceeded("block systems", count, "equal partitions",
-                               DEFAULT_CAP_PARTITIONS)
+    check_cap("block systems", count, "equal partitions", DEFAULT_CAP_PARTITIONS)
     out = []
     for blocks in _equal_partitions(range(group.degree), block_size):
         system = BlockSystem(blocks, group.degree)
@@ -917,7 +908,7 @@ def symmetric_group(k: int) -> PermGroup:
     return PermGroup([Permutation(swap), Permutation(cycle)])
 
 
-def perm_wreath(x: PermGroup, y: PermGroup, cap: int = DEFAULT_CAP_ELEMENTS) -> PermGroup:
+def perm_wreath(x: PermGroup, y: PermGroup) -> PermGroup:
     """Imprimitive wreath action on x.degree * y.degree points.
 
     Points are grouped into consecutive blocks of size x.degree; the y
@@ -939,4 +930,4 @@ def perm_wreath(x: PermGroup, y: PermGroup, cap: int = DEFAULT_CAP_ELEMENTS) -> 
     for g in y.gens:
         images = [g(i // s) * s + (i % s) for i in range(degree)]
         gens.append(Permutation(images))
-    return PermGroup(_dedupe(gens), cap=cap)
+    return PermGroup(_dedupe(gens))

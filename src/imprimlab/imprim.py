@@ -13,10 +13,11 @@ transitive part action are exactly the systems, so every system is found once.
 
 Memory: the stack is stored in the smallest integer dtype that holds p - 1
 and the tables as int32; only chunks of linalg.SCAN_CHUNK subspaces are
-widened to int64.  The tables' indices must fit in int32, checked with
-the subspace cap before anything is allocated.  The tests check the scan
-against one subspace_orbit (a plain breadth-first search, with no caller
-here) per unvisited subspace.
+widened to int64.  Before anything is allocated, the count of each
+dimension is checked against the subspace cap of errors.limits (phase
+"subspace scan") and against int32, which the tables' indices must fit.
+The tests check the scan against one subspace_orbit (a plain breadth-first
+search, with no caller here) per unvisited subspace.
 
 A list of parts is acted on through one part table (part_table: for every
 generator, the index of the part each part is sent to, or -1), the
@@ -33,11 +34,13 @@ import numpy as np
 
 from .errors import (
     AmbientMismatch,
-    EnumerationCapExceeded,
+    CapError,
     NotTransitiveOnParts,
     ValidationError,
+    check_cap,
+    current_limits,
 )
-from .groups import DEFAULT_CAP_SUBSPACES, MatrixGroup, byte_keys, orbit_labels
+from .groups import MatrixGroup, byte_keys, orbit_labels
 from .linalg import (
     Subspace,
     direct_sum_check,
@@ -158,23 +161,24 @@ def is_system(g: MatrixGroup, parts) -> bool:
     return bool((part_table(g, parts) >= 0).all())
 
 
-def all_systems(g: MatrixGroup, cap_subspaces: int = DEFAULT_CAP_SUBSPACES,
-                stats: dict | None = None) -> list[ImprimitivitySystem]:
+def all_systems(g: MatrixGroup, *, stats: dict | None = None) -> list[ImprimitivitySystem]:
     """Every system of imprimitivity of g whose parts form a single orbit.
 
     For irreducible g the part action of any system is transitive, so this
-    is the complete list.  Fails fast with EnumerationCapExceeded when some
-    candidate dimension has too many subspaces to scan, or too many to index
-    in int32 tables.
+    is the complete list.  Fails fast, before anything is allocated, with
+    PhaseCapExceeded ("subspace scan") when some candidate dimension has
+    more subspaces than the subspace cap, and with a CapError when it has
+    too many to index in int32 tables.
     """
     n = g.n
     candidate_dims = [d for d in divisors(n) if d < n]
     for d in candidate_dims:
         count = gaussian_binomial(n, d, g.p)
-        if count > cap_subspaces:
-            raise EnumerationCapExceeded(d, count)
+        items = f"subspaces of dimension {d}"
+        check_cap("subspace scan", count, items, current_limits().subspaces)
         if count >= 2**31:
-            raise EnumerationCapExceeded(d, count, "the int32 range of the subspace tables")
+            raise CapError(f"subspace scan: {count} {items} exceed the int32 range "
+                           "of the subspace tables")
     scanned = 0
     systems = []
     for d in candidate_dims:
@@ -216,10 +220,10 @@ def nonrefinable(systems) -> list[ImprimitivitySystem]:
     ]
 
 
-def nonrefinable_systems(g: MatrixGroup, cap_subspaces: int = DEFAULT_CAP_SUBSPACES,
+def nonrefinable_systems(g: MatrixGroup, *,
                          stats: dict | None = None) -> list[ImprimitivitySystem]:
     """Systems admitting no proper refinement among all enumerated systems."""
-    return nonrefinable(all_systems(g, cap_subspaces=cap_subspaces, stats=stats))
+    return nonrefinable(all_systems(g, stats=stats))
 
 
 def part_stabilizer_elements(g: MatrixGroup, parts) -> np.ndarray:
@@ -241,7 +245,7 @@ def part_stabilizer_elements(g: MatrixGroup, parts) -> np.ndarray:
     if orbit_labels(table).any():
         raise NotTransitiveOnParts("the parts fall into several orbits")
     p, n, eye = g.p, g.n, np.eye(g.n, dtype=np.int64)
-    gens = np.stack([s.a for s in g.gens])
+    gens = g._generator_stack
     trans, trans_inv = np.tile(eye, (2, len(parts), 1, 1))
     reached = [0]
     for x in reached:

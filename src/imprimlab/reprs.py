@@ -9,7 +9,8 @@ When the span is smaller, the group is reducible or irreducible but not
 absolutely irreducible, and irreducibility is decided by spinning: a
 group is irreducible iff every nonzero vector generates the full space,
 and it suffices to spin one representative per 1-dimensional subspace.
-That spin counts against the subspace cap.  Induced modules are built from
+That spin counts against the subspace cap (errors.limits, phase
+"irreducibility spin").  Induced modules are built from
 a linear character of a subgroup via an explicit coset table; the images
 are monomial matrices over the (possibly different) target field.
 """
@@ -25,11 +26,12 @@ from .errors import (
     LengthMismatch,
     NotASubgroup,
     NotStabilized,
-    PhaseCapExceeded,
     ValidationError,
     ZeroVector,
+    check_cap,
+    current_limits,
 )
-from .groups import DEFAULT_CAP_ELEMENTS, DEFAULT_CAP_SUBSPACES, MatrixGroup, byte_keys
+from .groups import MatrixGroup, byte_keys
 from .linalg import (
     Matrix,
     Subspace,
@@ -47,7 +49,7 @@ def spin(g: MatrixGroup, v) -> Subspace:
     v = np.asarray(v, dtype=np.int64) % g.p
     if not v.any():
         raise ZeroVector("cannot spin the zero vector")
-    rows = _invariant_span(v[None], np.stack([m.a for m in g.gens]), g.p)
+    rows = _invariant_span(v[None], g._generator_stack, g.p)
     return Subspace.span(rows, g.n, g.p)
 
 
@@ -86,22 +88,21 @@ def algebra_dimension(g: MatrixGroup) -> int:
     under right multiplication by the generators.
     """
     identity = np.eye(g.n, dtype=np.int64).reshape(1, -1)
-    return len(_invariant_span(identity, np.stack([m.a for m in g.gens]), g.p))
+    return len(_invariant_span(identity, g._generator_stack, g.p))
 
 
-def is_irreducible(g: MatrixGroup, cap_subspaces: int = DEFAULT_CAP_SUBSPACES) -> bool:
+def is_irreducible(g: MatrixGroup) -> bool:
     """True iff no proper nonzero subspace is invariant under g.
 
     An enveloping algebra of dimension n^2 certifies irreducibility.  Below
     that, one vector per projective point is spun, which raises
-    PhaseCapExceeded when the points outnumber cap_subspaces.
+    PhaseCapExceeded ("irreducibility spin") when the points outnumber the
+    subspace cap.
     """
     if algebra_dimension(g) == g.n * g.n:
         return True
     points = gaussian_binomial(g.n, 1, g.p)
-    if points > cap_subspaces:
-        raise PhaseCapExceeded("irreducibility spin", points, "projective points",
-                               cap_subspaces)
+    check_cap("irreducibility spin", points, "projective points", current_limits().subspaces)
     for v in subspace_array(g.n, 1, g.p)[:, 0]:
         if spin(g, v).rank < g.n:
             return False
@@ -203,8 +204,7 @@ class InducedRep:
     packaged as a MatrixGroup over the target field.
     """
 
-    def __init__(self, source: MatrixGroup, subgroup: MatrixGroup, character: Character,
-                 cap: int = DEFAULT_CAP_ELEMENTS):
+    def __init__(self, source: MatrixGroup, subgroup: MatrixGroup, character: Character):
         if character.group is not subgroup:
             raise ValidationError("character must be defined on the subgroup")
         if subgroup.p != source.p or subgroup.n != source.n:
@@ -219,7 +219,7 @@ class InducedRep:
         self._reps, self._coset, self._inner = self._coset_table()
         self.degree = len(self._reps)
         images = [self.image(g) for g in source.gens]
-        self.group = MatrixGroup(images, cap=cap)
+        self.group = MatrixGroup(images)
         self._check_homomorphism()
 
     def _coset_table(self):
@@ -257,9 +257,9 @@ class InducedRep:
                 raise InconsistentCharacter("induced map is not a homomorphism")
 
 
-def induced_module(source: MatrixGroup, subgroup: MatrixGroup, character: Character,
-                   cap: int = DEFAULT_CAP_ELEMENTS) -> InducedRep:
-    return InducedRep(source, subgroup, character, cap=cap)
+def induced_module(source: MatrixGroup, subgroup: MatrixGroup,
+                   character: Character) -> InducedRep:
+    return InducedRep(source, subgroup, character)
 
 
 def restrict_matrix(g: Matrix, w: Subspace) -> Matrix:

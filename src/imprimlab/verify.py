@@ -16,10 +16,9 @@ from dataclasses import dataclass, field
 from importlib import resources
 from typing import Any
 
+from .descriptions import matrix_group_description, parse_group
 from .errors import BadModulus, ExceptionalInstance, ValidationError
 from .groups import (
-    DEFAULT_CAP_ELEMENTS,
-    DEFAULT_CAP_SUBSPACES,
     MatrixGroup,
     PermGroup,
     Permutation,
@@ -117,11 +116,7 @@ def _criteria_agree(group, systems, nonref: set) -> bool:
     )
 
 
-def wreath_uniqueness_report(
-    spec: WreathSpec,
-    cap_elements: int = DEFAULT_CAP_ELEMENTS,
-    cap_subspaces: int = DEFAULT_CAP_SUBSPACES,
-) -> VerificationReport:
+def wreath_uniqueness_report(spec: WreathSpec) -> VerificationReport:
     """Unique nonrefinable system, or the full census in the exceptional case.
 
     Claims: the wreath product is irreducible; outside the exceptional
@@ -131,9 +126,9 @@ def wreath_uniqueness_report(
     and stabilizer nonrefinability criteria agree.
     """
     t0 = time.perf_counter()
-    census = check_hypotheses(spec, cap_subspaces)
+    census = check_hypotheses(spec)
     exceptional = census is not None
-    group = wreath_product(spec, cap=cap_elements)
+    group = wreath_product(spec)
     stats = {"group_order": group.order}
     instance = {
         "p": spec.p,
@@ -147,9 +142,9 @@ def wreath_uniqueness_report(
     claims = [
         Claim("order_formula", spec.h.order ** spec.block_count * spec.k.order,
               group.order),
-        Claim("irreducible", True, is_irreducible(group, cap_subspaces)),
+        Claim("irreducible", True, is_irreducible(group)),
     ]
-    systems = all_systems(group, cap_subspaces=cap_subspaces, stats=stats)
+    systems = all_systems(group, stats=stats)
     nonref = set(nonrefinable(systems))
     stats["nonrefinable_count"] = len(nonref)
     coord = coordinate_system(spec.degree, spec.block_dim, spec.p)
@@ -190,11 +185,7 @@ def _special_linear_2_3():
     return MatrixGroup([upper, lower])
 
 
-def induced_example_report(
-    q: int,
-    cap_elements: int = DEFAULT_CAP_ELEMENTS,
-    cap_subspaces: int = DEFAULT_CAP_SUBSPACES,
-) -> VerificationReport:
+def induced_example_report(q: int) -> VerificationReport:
     """Degree-4 induced monomial group with two incomparable nonrefinable
     systems of different component counts.
 
@@ -208,11 +199,11 @@ def induced_example_report(
         raise BadModulus(f"{q} is not prime")
     if q % 6 != 1:
         raise BadModulus(f"{q} is not congruent to 1 mod 6")
-    ambient = general_linear_group(2, 3, cap=cap_elements)
+    ambient = general_linear_group(2, 3)
     flip, rot = _dihedral12_gens()
-    dihedral = MatrixGroup([flip, rot], cap=cap_elements)
+    dihedral = MatrixGroup([flip, rot])
     theta = Character(dihedral, [1, q - 1], q)
-    rep = induced_module(ambient, dihedral, theta, cap=cap_elements)
+    rep = induced_module(ambient, dihedral, theta)
     image = rep.group
     stats = {"ambient_order": ambient.order, "subgroup_order": dihedral.order}
     instance = {"q": q, "degree": rep.degree, "source_p": 3}
@@ -220,9 +211,9 @@ def induced_example_report(
         Claim("subgroup_order", 12, dihedral.order),
         Claim("index", 4, rep.degree),
         Claim("faithful_order", ambient.order, image.order),
-        Claim("irreducible", True, is_irreducible(image, cap_subspaces)),
+        Claim("irreducible", True, is_irreducible(image)),
     ]
-    systems = all_systems(image, cap_subspaces=cap_subspaces, stats=stats)
+    systems = all_systems(image, stats=stats)
     nonref = set(nonrefinable(systems))
     lines = [s for s in systems if s.component_dim == 1 and s.component_count == 4]
     planes = [s for s in systems if s.component_dim == 2 and s.component_count == 2]
@@ -267,8 +258,8 @@ def induced_example_report(
         rest2 = [restrict_matrix(m, w2) for m in restricted_gens]
         claims.append(
             Claim("restriction_summands_irreducible", True,
-                  is_irreducible(MatrixGroup(rest1), cap_subspaces)
-                  and is_irreducible(MatrixGroup(rest2), cap_subspaces))
+                  is_irreducible(MatrixGroup(rest1))
+                  and is_irreducible(MatrixGroup(rest2)))
         )
         claims.append(
             Claim("summands_nonisomorphic_hom_dim", 0,
@@ -296,8 +287,7 @@ def _block_relabeling(partition) -> Permutation:
     return Permutation(images)
 
 
-def _structural_conditions(spec1: WreathSpec, h2: MatrixGroup, k2: PermGroup,
-                           cap_elements: int):
+def _structural_conditions(spec1: WreathSpec, h2: MatrixGroup, k2: PermGroup):
     """Search the block systems of the point group for a witness to the
     structural containment conditions; returns (holds, witness_blocks)."""
     k = spec1.block_count
@@ -312,7 +302,7 @@ def _structural_conditions(spec1: WreathSpec, h2: MatrixGroup, k2: PermGroup,
         if not point_action.is_subgroup_of(k2):
             continue
         sigma = _block_relabeling(partition)
-        wreath_perm = perm_wreath(stab_action, point_action, cap=cap_elements)
+        wreath_perm = perm_wreath(stab_action, point_action)
         if not all(
             wreath_perm.contains(g.relabel(sigma)) for g in spec1.k.gens
         ):
@@ -320,8 +310,7 @@ def _structural_conditions(spec1: WreathSpec, h2: MatrixGroup, k2: PermGroup,
         if block_size == 1:
             inner = spec1.h
         else:
-            inner = wreath_product(WreathSpec(spec1.h, stab_action),
-                                   cap=cap_elements)
+            inner = wreath_product(WreathSpec(spec1.h, stab_action))
         if inner.is_subgroup_of(h2):
             return True, partition
     return False, None
@@ -332,8 +321,6 @@ def wreath_inclusion_report(
     k1: PermGroup,
     h2: MatrixGroup,
     k2: PermGroup,
-    cap_elements: int = DEFAULT_CAP_ELEMENTS,
-    cap_subspaces: int = DEFAULT_CAP_SUBSPACES,
 ) -> VerificationReport:
     """Literal containment of one wreath product in another, checked against
     the structural conditions (divisor shape, block systems, inner inclusion).
@@ -344,7 +331,7 @@ def wreath_inclusion_report(
     """
     t0 = time.perf_counter()
     spec1 = WreathSpec(h1, k1)
-    if check_hypotheses(spec1, cap_subspaces) is not None:
+    if check_hypotheses(spec1) is not None:
         raise ExceptionalInstance(
             "inclusion conditions exclude the exceptional shape"
         )
@@ -352,10 +339,10 @@ def wreath_inclusion_report(
         raise ValidationError("the two wreath products must share a field")
     if spec1.degree != h2.n * k2.degree:
         raise ValidationError("degrees do not match")
-    group1 = wreath_product(spec1, cap=cap_elements)
-    group2 = wreath_product(WreathSpec(h2, k2), cap=cap_elements)
+    group1 = wreath_product(spec1)
+    group2 = wreath_product(WreathSpec(h2, k2))
     lhs = group1.is_subgroup_of(group2)
-    rhs, witness = _structural_conditions(spec1, h2, k2, cap_elements)
+    rhs, witness = _structural_conditions(spec1, h2, k2)
     instance = {
         "p": h1.p,
         "inner_degree": (h1.n, k1.degree),
@@ -376,9 +363,7 @@ def wreath_inclusion_report(
     return report
 
 
-def maximal_solvable_witness(
-    q: int, cap_elements: int = DEFAULT_CAP_ELEMENTS
-) -> VerificationReport:
+def maximal_solvable_witness(q: int) -> VerificationReport:
     """A solvable group strictly between the degree-2 monomial group and
     GL2(q), exhibited by exhaustive scan; defined for q in {3, 5}.
 
@@ -390,21 +375,21 @@ def maximal_solvable_witness(
     t0 = time.perf_counter()
     if q not in (3, 5):
         raise BadModulus(f"no witness claim is made for q={q}")
-    ambient = general_linear_group(2, q, cap=cap_elements)
+    ambient = general_linear_group(2, q)
     zeta = primitive_root(q)
     monomial_gens = [
         Matrix([[zeta, 0], [0, 1]], q),
         Matrix([[1, 0], [0, zeta]], q),
         Matrix([[0, 1], [1, 0]], q),
     ]
-    base = MatrixGroup(monomial_gens, cap=cap_elements)
+    base = MatrixGroup(monomial_gens)
     outside = ambient.element_array[~base.member_mask(ambient.element_array)]
     # listed now, so the derived series reads the ambient order off the list
     ambient_solvable = ambient.is_solvable()
     witness = None
     cache: dict[bytes, bool] = {}
     for a in outside:
-        candidate = MatrixGroup(list(monomial_gens) + [Matrix(a, q)], cap=cap_elements)
+        candidate = MatrixGroup(list(monomial_gens) + [Matrix(a, q)])
         key = candidate.sorted_keys.tobytes()
         if key not in cache:
             if candidate.order == ambient.order and not ambient_solvable:
@@ -425,8 +410,6 @@ def maximal_solvable_witness(
         Claim("ambient_group_solvable", q == 3, ambient_solvable),
     ]
     if witness is not None:
-        from .descriptions import matrix_group_description
-
         stats["witness_generators"] = matrix_group_description(witness).to_dict()
         claims.append(Claim("witness_solvable", True, witness.is_solvable()))
         claims.append(
@@ -454,14 +437,12 @@ def load_regression_manifest() -> dict:
     return json.loads(text)
 
 
-def regression_theorem_instances(cap_elements: int = DEFAULT_CAP_ELEMENTS):
+def regression_theorem_instances():
     """(name, WreathSpec) pairs for the built-in uniqueness instances."""
-    from .descriptions import parse_group
-
     manifest = load_regression_manifest()
     out = []
     for entry in manifest["theorem_instances"]:
-        h = parse_group(entry["h"], f"{entry['name']}.h").build(cap_elements)
-        k = parse_group(entry["k"], f"{entry['name']}.k").build(cap_elements)
+        h = parse_group(entry["h"], f"{entry['name']}.h").build()
+        k = parse_group(entry["k"], f"{entry['name']}.k").build()
         out.append((entry["name"], WreathSpec(h, k)))
     return out

@@ -22,8 +22,6 @@ import numpy as np
 
 from .errors import HypothesisViolation, NotExceptional
 from .groups import (
-    DEFAULT_CAP_ELEMENTS,
-    DEFAULT_CAP_SUBSPACES,
     BlockSystem,
     MatrixGroup,
     PermGroup,
@@ -80,7 +78,7 @@ def embed_at_block(m: Matrix, block: int, count: int) -> Matrix:
     return Matrix(out, m.p)
 
 
-def wreath_product(spec: WreathSpec, cap: int = DEFAULT_CAP_ELEMENTS) -> MatrixGroup:
+def wreath_product(spec: WreathSpec) -> MatrixGroup:
     """H wr K as a matrix group of degree d*k over GF(p).
 
     H's generators sit at the smallest block of each K-orbit; K's
@@ -93,7 +91,7 @@ def wreath_product(spec: WreathSpec, cap: int = DEFAULT_CAP_ELEMENTS) -> MatrixG
             gens.append(embed_at_block(a, i, k))
     for perm in spec.k.gens:
         gens.append(block_permutation_matrix(perm, d, spec.p))
-    return MatrixGroup(gens, cap=cap)
+    return MatrixGroup(gens)
 
 
 @dataclass
@@ -151,23 +149,22 @@ def _census(spec: WreathSpec, pair_systems: list[BlockSystem]) -> ExceptionalCen
     )
 
 
-def check_hypotheses(spec: WreathSpec,
-                     cap_subspaces: int = DEFAULT_CAP_SUBSPACES) -> ExceptionalCensus | None:
+def check_hypotheses(spec: WreathSpec) -> ExceptionalCensus | None:
     """Decide the uniqueness-statement hypotheses and the exceptional shape.
 
     Raises HypothesisViolation naming the first hypothesis that fails.
     Returns the census of the exceptional shape (d = 1, even point degree,
     |H| = 2, K preserving a pair partition), or None outside it.  The
-    irreducibility spin and the primitivity scan of H count against
-    cap_subspaces.
+    irreducibility spin and the primitivity scan of H count against the
+    subspace cap of errors.limits.
     """
     if spec.block_count < 2:
         raise HypothesisViolation("k > 1")
     if spec.h.order < 2:
         raise HypothesisViolation("H nontrivial")
-    if not is_irreducible(spec.h, cap_subspaces):
+    if not is_irreducible(spec.h):
         raise HypothesisViolation("H irreducible")
-    if all_systems(spec.h, cap_subspaces=cap_subspaces):
+    if all_systems(spec.h):
         raise HypothesisViolation("H primitive")
     if not spec.k.is_transitive():
         raise HypothesisViolation("K transitive")
@@ -182,11 +179,9 @@ def is_exceptional(spec: WreathSpec) -> bool:
     return check_hypotheses(spec) is not None
 
 
-def expected_exceptional_systems(
-    spec: WreathSpec, cap_subspaces: int = DEFAULT_CAP_SUBSPACES
-) -> ExceptionalCensus:
+def expected_exceptional_systems(spec: WreathSpec) -> ExceptionalCensus:
     """The census of an exceptional instance; NotExceptional otherwise."""
-    census = check_hypotheses(spec, cap_subspaces)
+    census = check_hypotheses(spec)
     if census is None:
         raise NotExceptional("instance is not in the exceptional shape")
     return census

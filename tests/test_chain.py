@@ -19,7 +19,7 @@ from hypothesis import event, given
 from hypothesis import strategies as st
 
 from imprimlab import groups
-from imprimlab.errors import CapExceeded, PhaseCapExceeded
+from imprimlab.errors import DEFAULT_CAP_ELEMENTS, PhaseCapExceeded, limits
 from imprimlab.groups import (
     MatrixGroup,
     PermGroup,
@@ -45,8 +45,9 @@ CAP = 3000  # bounds the closure; larger groups are skipped
 
 def closed_twin(group, cap=CAP):
     """The same group from the same generators, with its elements listed."""
-    twin = type(group)(group.gens, cap=cap)
-    twin.element_array
+    twin = type(group)(group.gens)
+    with limits(elements=cap):
+        twin.element_array
     return twin
 
 
@@ -70,10 +71,10 @@ def multiplicative_order(a, p):
 @given(st.one_of(matrix_groups(), reducible_matrix_groups()), st.data())
 def test_matrix_chain_matches_the_closure(gens, data):
     p, n = gens[0].p, gens[0].rows
-    group = MatrixGroup(gens, cap=CAP)
+    group = MatrixGroup(gens)
     try:
         twin = closed_twin(group)
-    except CapExceeded:
+    except PhaseCapExceeded:
         event("over the cap")
         return
     elements = twin.element_array
@@ -85,7 +86,7 @@ def test_matrix_chain_matches_the_closure(gens, data):
     subset = MatrixGroup(gens[: data.draw(st.integers(1, len(gens)))])
     probe = Matrix(probes[0], p)
     with chains_only():
-        assert group.order == len(mulclose(group._generator_stack, p, CAP)) == len(elements)
+        assert group.order == len(mulclose(group._generator_stack, p)) == len(elements)
         assert np.array_equal(group.member_mask(stack), twin.member_mask(stack))
         assert all(group.contains(Matrix(a, p)) == twin.contains(Matrix(a, p)) for a in stack)
         # containment: a subgroup from a generator subset, an overgroup with a probe
@@ -123,10 +124,12 @@ def test_chain_points_are_counted_against_the_cap(gens):
     stack = np.stack([g.a for g in gens])
     chain = StabilizerChain(stack, p)
     assert chain.points <= chain.order - 1
-    assert StabilizerChain(stack, p, cap=chain.points).order == chain.order
+    with limits(elements=chain.points):
+        assert StabilizerChain(stack, p).order == chain.order
     if chain.points:
-        with pytest.raises(PhaseCapExceeded, match="stabilizer chain"):
-            StabilizerChain(stack, p, cap=chain.points - 1)
+        with (limits(elements=chain.points - 1),
+              pytest.raises(PhaseCapExceeded, match="^stabilizer chain: ")):
+            StabilizerChain(stack, p)
 
 
 def test_long_cycle_orders_in_a_few_steps():
@@ -148,7 +151,7 @@ def test_order_above_the_element_cap():
     # |sign wr S_9| = 2^9 * 9! = 185 794 560 is far above the 2^20 elements
     # the closure may list; the chain needs 81 orbit points
     group = wreath_product(WreathSpec(sign_group(3), symmetric_group(9)))
-    assert group.order == 2**9 * math.factorial(9) > group.cap
+    assert group.order == 2**9 * math.factorial(9) > DEFAULT_CAP_ELEMENTS
     flip = np.eye(9, dtype=np.int64)
     flip[[0, 4]] = flip[[4, 0]]
     flip[4] *= -1

@@ -387,7 +387,8 @@ def test_cap_exceeded_exit_code(tmp_path, capsys):
     )
     assert code == 3
     assert payload is None
-    assert "cap" in err
+    assert err.startswith("error: group closure:")
+    assert "exceed the cap of 10\n" in err
 
 
 @pytest.mark.parametrize("flag,value", [("--cap-elements", "0"), ("--cap-subspaces", "-1")])

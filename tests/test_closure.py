@@ -13,7 +13,7 @@ import pytest
 from hypothesis import event, given
 from hypothesis import strategies as st
 
-from imprimlab.errors import CapExceeded, InconsistentCharacter
+from imprimlab.errors import InconsistentCharacter, PhaseCapExceeded, limits
 from imprimlab.groups import (
     MatrixGroup,
     PermGroup,
@@ -40,7 +40,7 @@ def mulclose_oracle(gens, identity, cap):
                 if b.key not in elems:
                     elems[b.key] = b
                     if len(elems) > cap:
-                        raise CapExceeded(cap)
+                        raise PhaseCapExceeded("group closure", len(elems), "elements", cap)
                     new.append(b)
         frontier = new
     return elems
@@ -95,12 +95,12 @@ CAP = 3000  # bounds the oracle's time; larger groups must raise in both
 @given(matrix_groups(), st.data())
 def test_matrix_closure_matches_oracle(gens, data):
     p, n = gens[0].p, gens[0].rows
-    group = MatrixGroup(gens, cap=CAP)
+    group = MatrixGroup(gens)
     try:
         oracle = mulclose_oracle(gens, Matrix.identity(n, p), CAP)
-    except CapExceeded:
+    except PhaseCapExceeded:
         event("over the cap")
-        with pytest.raises(CapExceeded):
+        with limits(elements=CAP), pytest.raises(PhaseCapExceeded, match="^group closure: "):
             group.element_array
         return
     event("closed")
@@ -116,12 +116,13 @@ def test_matrix_closure_matches_oracle(gens, data):
         assert group.contains(m) == (m.key in oracle)
     # the cap is exceeded exactly when the group outgrows it
     cap = data.draw(st.integers(1, len(oracle) + 1))
-    capped = MatrixGroup(gens, cap=cap)
-    if len(oracle) > cap:
-        with pytest.raises(CapExceeded):
-            capped.element_array
-    else:
-        assert capped.order == len(oracle)
+    capped = MatrixGroup(gens)
+    with limits(elements=cap):
+        if len(oracle) > cap:
+            with pytest.raises(PhaseCapExceeded, match=f"^group closure: .* the cap of {cap}$"):
+                capped.element_array
+        else:
+            assert capped.order == len(oracle)
 
 
 @given(perm_gens(), st.data())
@@ -135,12 +136,13 @@ def test_perm_closure_matches_oracle(gens, data):
         probe = Permutation(data.draw(st.permutations(range(degree))))
         assert group.contains(probe) == (probe.key in oracle)
     cap = data.draw(st.integers(1, len(oracle) + 1))
-    capped = PermGroup(gens, cap=cap)
-    if len(oracle) > cap:
-        with pytest.raises(CapExceeded):
-            capped.element_array
-    else:
-        assert capped.order == len(oracle)
+    capped = PermGroup(gens)
+    with limits(elements=cap):
+        if len(oracle) > cap:
+            with pytest.raises(PhaseCapExceeded, match=f"^group closure: .* the cap of {cap}$"):
+                capped.element_array
+        else:
+            assert capped.order == len(oracle)
 
 
 def test_wide_entries_close_like_the_oracle():
@@ -182,10 +184,11 @@ def test_closing_gl33_builds_no_matrix_per_element(monkeypatch):
 @given(matrix_groups(max_n=2))
 def test_derived_subgroup_matches_oracle(gens):
     # [G, G] is generated by the commutators of all pairs of elements
-    group = MatrixGroup(gens, cap=200)
+    group = MatrixGroup(gens)
     try:
-        group.element_array
-    except CapExceeded:
+        with limits(elements=200):
+            group.element_array
+    except PhaseCapExceeded:
         return
     n, p = group.n, group.p
     expected = mulclose_oracle(
@@ -201,10 +204,11 @@ def test_derived_subgroup_of_gl33_is_sl33():
 
 @given(matrix_groups(), st.data())
 def test_part_stabilizer_and_restriction_match_oracle(gens, data):
-    group = MatrixGroup(gens, cap=CAP)
+    group = MatrixGroup(gens)
     try:
-        group.element_array
-    except CapExceeded:
+        with limits(elements=CAP):
+            group.element_array
+    except PhaseCapExceeded:
         return
     n, p = group.n, group.p
     d = data.draw(st.integers(1, n))
@@ -222,10 +226,11 @@ def test_part_stabilizer_and_restriction_match_oracle(gens, data):
 
 @given(matrix_groups(max_n=2), st.data())
 def test_character_matches_oracle(gens, data):
-    group = MatrixGroup(gens, cap=200)
+    group = MatrixGroup(gens)
     try:
-        group.element_array
-    except CapExceeded:
+        with limits(elements=200):
+            group.element_array
+    except PhaseCapExceeded:
         return
     values = [data.draw(st.integers(1, 6)) for _ in gens]
     try:

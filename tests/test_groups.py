@@ -13,7 +13,7 @@ import pytest
 from hypothesis import event, example, given
 from hypothesis import strategies as st
 
-from imprimlab.errors import CapError, CapExceeded, OddDegree, ValidationError
+from imprimlab.errors import CapError, OddDegree, PhaseCapExceeded, ValidationError, limits
 from imprimlab.groups import (
     BlockSystem,
     MatrixGroup,
@@ -58,8 +58,9 @@ def test_dihedral_subgroup_order():
 
 
 def test_enumeration_cap():
-    with pytest.raises(CapExceeded):
-        MatrixGroup(general_linear_group(2, 5).gens, cap=100).order
+    with (limits(elements=100),
+          pytest.raises(PhaseCapExceeded, match="^group closure: .* the cap of 100$")):
+        MatrixGroup(general_linear_group(2, 5).gens).order
 
 
 @pytest.mark.parametrize(

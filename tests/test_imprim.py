@@ -3,9 +3,10 @@ import itertools
 import pytest
 
 from imprimlab.errors import (
-    EnumerationCapExceeded,
     NotTransitiveOnParts,
+    PhaseCapExceeded,
     ValidationError,
+    limits,
 )
 from imprimlab.groups import (
     MatrixGroup,
@@ -112,8 +113,12 @@ def test_all_systems_sign_wreath_c4_frozen():
 
 def test_all_systems_cap():
     g = general_linear_group(2, 7)
-    with pytest.raises(EnumerationCapExceeded):
-        all_systems(g, cap_subspaces=5)
+    with (limits(subspaces=5),
+          pytest.raises(PhaseCapExceeded,
+                        match="^subspace scan: 8 subspaces of dimension 1 exceed the cap of 5$")
+          as err):
+        all_systems(g)
+    assert (err.value.phase, err.value.count, err.value.cap) == ("subspace scan", 8, 5)
 
 
 def test_all_systems_members_pass_is_system():
@@ -200,6 +205,18 @@ def test_nonrefinable_via_stabilizer_examples():
     planes = coordinate_system(4, 2, 3)
     assert is_system(d8, planes.parts)
     assert not nonrefinable_via_stabilizer(d8, planes)
+
+
+def test_subspace_cap_reaches_the_stabilizer_criterion():
+    # the stabilizer of a coordinate plane of GL(2,3) wr S_2 acts on it as
+    # GL(2,3): certified irreducible, then scanned for systems over its 4 lines
+    group = wreath_product(WreathSpec(general_linear_group(2, 3), symmetric_group(2)))
+    planes = coordinate_system(4, 2, 3)
+    assert nonrefinable_via_stabilizer(group, planes)
+    with (limits(subspaces=3),
+          pytest.raises(PhaseCapExceeded,
+                        match="^subspace scan: 4 subspaces of dimension 1 exceed the cap of 3$")):
+        nonrefinable_via_stabilizer(group, planes)
 
 
 def test_nonrefinable_via_stabilizer_rejects_intransitive_parts():

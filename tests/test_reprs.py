@@ -7,13 +7,14 @@ from hypothesis import strategies as st
 
 from imprimlab import reprs
 from imprimlab.errors import (
-    CapError,
     InconsistentCharacter,
     LengthMismatch,
     NotASubgroup,
     NotStabilized,
+    PhaseCapExceeded,
     ValidationError,
     ZeroVector,
+    limits,
 )
 from imprimlab.groups import MatrixGroup, cyclic_group, general_linear_group, symmetric_group
 from imprimlab.imprim import is_primitive_linear
@@ -194,10 +195,12 @@ def test_algebra_products_do_not_overflow_for_large_moduli():
 
 
 def test_spin_fallback_counts_against_the_subspace_cap():
-    with pytest.raises(CapError, match="irreducibility spin: 4 projective points"):
-        is_irreducible(companion_group([2, 0], 3), cap_subspaces=3)
-    # a certified group spins nothing, so the cap does not apply
-    assert is_irreducible(general_linear_group(2, 3), cap_subspaces=3)
+    with limits(subspaces=3):
+        with pytest.raises(PhaseCapExceeded,
+                           match="^irreducibility spin: 4 projective points exceed the cap of 3$"):
+            is_irreducible(companion_group([2, 0], 3))
+        # a certified group spins nothing, so the cap does not apply
+        assert is_irreducible(general_linear_group(2, 3))
 
 
 def test_large_groups_are_certified_without_a_spin(monkeypatch):
@@ -382,6 +385,14 @@ def test_restrict_to_block_examples():
     swap = Matrix([[0, 1], [1, 0]], 3)
     with pytest.raises(NotStabilized):
         restrict_matrix(swap, e1)
+
+
+def test_restricted_group_lists_under_the_element_cap():
+    gl = general_linear_group(2, 3)
+    with limits(elements=10):
+        same = restrict_to_block(list(gl.gens), Subspace.full(2, 3))
+        with pytest.raises(PhaseCapExceeded, match="^group closure: .* the cap of 10$"):
+            same.element_array
 
 
 def test_invariant_subspaces_of_diagonal_group():

@@ -12,10 +12,9 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from imprimlab import imprim
-from imprimlab.errors import EnumerationCapExceeded
+from imprimlab.errors import CapError, check_cap, current_limits, limits
 from imprimlab.groups import MatrixGroup
 from imprimlab.imprim import (
-    DEFAULT_CAP_SUBSPACES,
     ImprimitivitySystem,
     all_systems,
     subspace_orbit,
@@ -33,14 +32,14 @@ from imprimlab.reprs import invariant_subspaces
 from conftest import block_diagonal_product, sign_group
 
 
-def scan_oracle(g, cap_subspaces=DEFAULT_CAP_SUBSPACES, stats=None):
+def scan_oracle(g, stats=None):
     """all_systems as one subspace_orbit per unvisited subspace."""
     n = g.n
     candidate_dims = [d for d in divisors(n) if d < n]
     for d in candidate_dims:
         count = gaussian_binomial(n, d, g.p)
-        if count > cap_subspaces:
-            raise EnumerationCapExceeded(d, count)
+        check_cap("subspace scan", count, f"subspaces of dimension {d}",
+                  current_limits().subspaces)
     scanned = 0
     systems = []
     for d in candidate_dims:
@@ -170,8 +169,9 @@ def test_key_width_guard_fires_before_allocation(monkeypatch):
         raise AssertionError("the scan allocated its subspace stack")
 
     monkeypatch.setattr(imprim, "subspace_array", no_allocation)
-    with pytest.raises(EnumerationCapExceeded) as err:
-        all_systems(cycle, cap_subspaces=10**13)
-    assert err.value.dim == 1
-    assert err.value.count == gaussian_binomial(3, 1, p)
-    assert "int32" in str(err.value)
+    with limits(subspaces=10**13), pytest.raises(CapError) as err:
+        all_systems(cycle)
+    message = str(err.value)
+    assert message.startswith(f"subspace scan: {gaussian_binomial(3, 1, p)} subspaces of ")
+    assert "dimension 1" in message
+    assert "int32" in message

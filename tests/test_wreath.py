@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from imprimlab import verify
 from imprimlab.errors import HypothesisViolation, NotExceptional
 from imprimlab.groups import (
-    DEFAULT_CAP_ELEMENTS,
     MatrixGroup,
     PermGroup,
     Permutation,
@@ -50,15 +49,15 @@ from conftest import count_calls, matrix_groups, perm, sign_group
 ORACLE_ORDER = 2**13
 
 
-def wreath_product_oracle(spec, cap=DEFAULT_CAP_ELEMENTS):
+def wreath_product_oracle(spec):
     """H wr K with every generator of H embedded at every block."""
     d, k = spec.block_dim, spec.block_count
     gens = [embed_at_block(a, i, k) for i in range(k) for a in spec.h.gens]
     gens += [block_permutation_matrix(g, d, spec.p) for g in spec.k.gens]
-    return MatrixGroup(gens, cap=cap)
+    return MatrixGroup(gens)
 
 
-def perm_wreath_oracle(x, y, cap=DEFAULT_CAP_ELEMENTS):
+def perm_wreath_oracle(x, y):
     """The imprimitive wreath action with x's generators in every block."""
     s, ell = x.degree, y.degree
     degree = s * ell
@@ -71,7 +70,7 @@ def perm_wreath_oracle(x, y, cap=DEFAULT_CAP_ELEMENTS):
             gens.append(Permutation(images))
     for g in y.gens:
         gens.append(Permutation([g(i // s) * s + (i % s) for i in range(degree)]))
-    return PermGroup(gens, cap=cap)
+    return PermGroup(gens)
 
 
 @st.composite
@@ -276,25 +275,23 @@ def test_structural_conditions_with_intransitive_stabilizer_action(monkeypatch):
     built = []
 
     def record(build, oracle):
-        def wrapper(*args, cap):
-            group = build(*args, cap=cap)
-            built.append((args, group, oracle(*args, cap=cap)))
+        def wrapper(*args):
+            group = build(*args)
+            built.append((args, group, oracle(*args)))
             return group
         return wrapper
 
     monkeypatch.setattr(verify, "wreath_product", record(wreath_product, wreath_product_oracle))
     monkeypatch.setattr(verify, "perm_wreath", record(perm_wreath, perm_wreath_oracle))
     signs = wreath_product_oracle(WreathSpec(sign_group(3), symmetric_group(3)))
-    holds, witness = _structural_conditions(spec1, signs, cyclic_group(2),
-                                            DEFAULT_CAP_ELEMENTS)
+    holds, witness = _structural_conditions(spec1, signs, cyclic_group(2))
     assert holds and witness.blocks[0] == (0, 1, 2)
     # the inner wreath product has signs at all three points, so it is not
     # in the group with signs at points 1 and 2 only
     short = MatrixGroup([Matrix.diagonal([2, 1, 1], 3),
                          block_permutation_matrix(perm(2, 1, 3), 1, 3)])
     assert short.order == 8
-    assert _structural_conditions(spec1, short, cyclic_group(2),
-                                  DEFAULT_CAP_ELEMENTS) == (False, None)
+    assert _structural_conditions(spec1, short, cyclic_group(2)) == (False, None)
     specs = [args[0] for args, _, _ in built if len(args) == 1]
     stab_actions = [args[0] for args, _, _ in built if len(args) == 2]
     assert specs and not any(spec.k.is_transitive() for spec in specs)
