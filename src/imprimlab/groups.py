@@ -5,11 +5,11 @@ chain (StabilizerChain: deterministic Schreier-Sims with the standard basis
 vectors as base, or the points for a permutation group) answers the order,
 as the product of its orbit lengths, and membership and containment, by
 sifting; it never lists the group.  The closure (mulclose) lists every
-element.  It is built where elements are read (the GL(2, q) scan of the
-maximal-solvable report, sorted_keys, positions, characters, induced
-modules, setwise stabilizers of permutation groups) and for groups inside
-an ambient GL_n(p) or S_k of at most LIST_AMBIENT elements, which it
-lists at least as fast as their chain is built.  Once a group's elements
+element.  It is built where elements are read (the GL(2, q) double-coset
+scan of the maximal-solvable report, sorted_keys, positions, characters,
+induced modules, setwise stabilizers of permutation groups) and for groups
+inside an ambient GL_n(p) or S_k of at most LIST_AMBIENT elements, which
+it lists at least as fast as their chain is built.  Once a group's elements
 are listed, its order is their count and membership a lookup among them,
 so no group pays for both descriptions unless both are read.  Both count
 against the element cap that errors.limits sets for the run: the closure
@@ -17,7 +17,9 @@ its elements (phase "group closure"), the chain its orbit points beyond
 the base points, which never exceed |G| - 1 (phase "stabilizer chain").
 Solvability follows the derived series, each derived subgroup the normal
 closure of its group's generator commutators, with membership and orders
-read as above; only generators are multiplied as Matrix objects.
+read as above; only generators are multiplied as Matrix objects.  A
+group computes its derived series once, the first time it is asked for
+the series or its solvability.
 
 The closure works on arrays.  A group's elements are one (|G|, n, n) stack
 of matrices (or (|G|, k) stack of permutation images) in the smallest
@@ -409,8 +411,12 @@ class _ElementArray:
         return len(self.element_array) if self._listed else self.chain.order
 
     def positions(self, stack) -> np.ndarray:
-        """Index in element_array of every entry of a stack, -1 if absent."""
-        stack = np.asarray(stack)
+        """Index in element_array of every entry of a stack, -1 if absent.
+
+        Leading axes are flattened, as the chain's sift flattens them: an
+        (s, t, n, n) stack gives s * t positions.
+        """
+        stack = np.asarray(stack).reshape(-1, *self.element_array.shape[1:])
         if self._modulus is not None:
             stack = stack % self._modulus
         keys = byte_keys(stack.astype(self.element_array.dtype))
@@ -419,7 +425,8 @@ class _ElementArray:
         return np.where(sorted_keys[pos] == keys, order[pos], -1)
 
     def member_mask(self, stack) -> np.ndarray:
-        """Which entries of a stack of group-shaped arrays lie in the group."""
+        """Which entries of a stack of group-shaped arrays lie in the group,
+        as one flat mask: leading axes are flattened on either route."""
         if self._listed:
             return self.positions(stack) >= 0
         return self.chain.sifts(self._matrices(stack))
@@ -506,8 +513,8 @@ class MatrixGroup(_ElementArray):
                 return subgroup
             gens += itertools.compress(conjugates, outside)
 
-    def derived_series_orders(self) -> list[int]:
-        """Orders along the derived series, computed until stabilization."""
+    @cached_property
+    def _derived_series_orders(self) -> tuple[int, ...]:
         orders = [self.order]
         current = self
         while True:
@@ -518,7 +525,14 @@ class MatrixGroup(_ElementArray):
             current = nxt
             if current.order == 1:
                 break
-        return orders
+        return tuple(orders)
+
+    def derived_series_orders(self) -> list[int]:
+        """Orders along the derived series, computed until stabilization.
+
+        The series is computed once per group; each call returns a new list.
+        """
+        return list(self._derived_series_orders)
 
     def is_solvable(self) -> bool:
         return self.derived_series_orders()[-1] == 1

@@ -294,13 +294,17 @@ def invariant_subspaces(gens, n: int, p: int, dims=None) -> list[Subspace]:
     dims restricts the scan to the given dimensions; default is 1..n-1.
     Each dimension is scanned as one subspace_array stack in chunks: W is
     invariant when every generator image of its RREF basis B is its own
-    pivot-column coordinates times B.
+    pivot-column coordinates times B.  A dimension with more subspaces than
+    the subspace cap raises PhaseCapExceeded ("subspace scan") before its
+    stack is allocated.
     """
     gens = list(gens)
     if dims is None:
         dims = range(1, n)
     found = []
     for d in dims:
+        check_cap("subspace scan", gaussian_binomial(n, d, p), f"subspaces of dimension {d}",
+                  current_limits().subspaces)
         subs = subspace_array(n, d, p)
         invariant = np.ones(len(subs), dtype=bool)
         for g in gens:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from imprimlab import Matrix, MatrixGroup, PermGroup, Permutation, Subspace
 from imprimlab.descriptions import parse_group
 from imprimlab.errors import ShapeMismatch
+from imprimlab.groups import general_linear_group, primitive_root
 from imprimlab.linalg import mul_mod, rref
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -108,6 +109,35 @@ def intersect(w1, w2):
     # u @ stacked = 0  <=>  u[:r1] @ B1 = u[r1:] @ B2
     kernel = nullspace_rows(stacked.T, w1.p)
     return Subspace.span(kernel[:, : w1.rank] @ w1.basis % w1.p, w1.ambient, w1.p)
+
+
+def maximal_solvable_oracle(q):
+    """The first <M, a> that is solvable, a outside the monomial group M of
+    GL_2(q), taking every such a in the ambient group's listing order (the
+    candidate-by-candidate scan the double-coset scan replaced); None if
+    there is none."""
+    ambient = general_linear_group(2, q)
+    zeta = primitive_root(q)
+    monomial_gens = [
+        Matrix([[zeta, 0], [0, 1]], q),
+        Matrix([[1, 0], [0, zeta]], q),
+        Matrix([[0, 1], [1, 0]], q),
+    ]
+    base = MatrixGroup(monomial_gens)
+    outside = ambient.element_array[~base.member_mask(ambient.element_array)]
+    ambient_solvable = ambient.is_solvable()
+    cache = {}
+    for a in outside:
+        candidate = MatrixGroup(monomial_gens + [Matrix(a, q)])
+        key = candidate.sorted_keys.tobytes()
+        if key not in cache:
+            if candidate.order == ambient.order and not ambient_solvable:
+                cache[key] = False
+            else:
+                cache[key] = candidate.is_solvable()
+        if cache[key]:
+            return candidate
+    return None
 
 
 def regression_inclusion_instances():

@@ -189,3 +189,28 @@ def test_small_ambient_groups_are_listed_and_large_ones_sifted():
         assert group.contains(group.gens[0])
     assert all("element_array" in g.__dict__ and "chain" not in g.__dict__ for g in small)
     assert all("chain" in g.__dict__ and "element_array" not in g.__dict__ for g in large)
+
+
+@pytest.mark.parametrize("kind", ["matrix", "perm"])
+def test_stacks_with_leading_axes_get_one_flat_answer_on_both_routes(kind):
+    # a (3, 4, ...) stack of six members and six elements of the ambient
+    # group: the chain, the listed elements and positions all flatten it
+    if kind == "matrix":
+        ambient = general_linear_group(2, 5)
+        group = MatrixGroup([Matrix([[2, 0], [0, 1]], 5), Matrix([[0, 1], [1, 0]], 5)])
+    else:
+        ambient = symmetric_group(4)
+        group = PermGroup([Permutation([1, 2, 3, 0]), Permutation([0, 3, 2, 1])])
+    twin = closed_twin(group)
+    flat = np.concatenate([twin.element_array[:6], ambient.element_array[-6:]])
+    stack = flat.reshape(3, 4, *flat.shape[1:])
+    expected = np.array([twin.member_mask(a[None])[0] for a in flat])
+    assert expected.any() and not expected.all()
+    with chains_only():
+        assert np.array_equal(group.member_mask(stack), expected)
+    assert "element_array" not in group.__dict__
+    assert np.array_equal(twin.member_mask(stack), expected)
+    positions = twin.positions(stack)
+    assert np.array_equal(positions, twin.positions(flat))
+    assert np.array_equal(twin.element_array[positions[expected]], flat[expected])
+    assert (positions[~expected] == -1).all()

@@ -120,6 +120,30 @@ def test_derived_series_and_solvability():
     assert MatrixGroup([Matrix.identity(1, 3)]).is_solvable()
 
 
+def test_derived_series_is_computed_once(monkeypatch):
+    derived = []
+    original = MatrixGroup.derived_subgroup
+
+    def derived_subgroup(self):
+        derived.append(self)
+        return original(self)
+
+    monkeypatch.setattr(MatrixGroup, "derived_subgroup", derived_subgroup)
+    gl23 = general_linear_group(2, 3)
+    series = gl23.derived_series_orders()
+    assert series == [48, 24, 8, 2, 1]
+    assert len(derived) == 4
+    series.append(7)
+    assert gl23.derived_series_orders() == [48, 24, 8, 2, 1]
+    assert gl23.is_solvable()
+    gl25 = general_linear_group(2, 5)
+    assert not gl25.is_solvable()
+    calls = len(derived)
+    assert gl25.derived_series_orders() == [480, 120]
+    assert not gl25.is_solvable()
+    assert len(derived) == calls
+
+
 def test_derived_subgroup_of_abelian_group_is_trivial():
     diag = MatrixGroup([Matrix.diagonal([2, 1], 7), Matrix.diagonal([1, 3], 7)])
     assert diag.order == 18

@@ -398,3 +398,13 @@ def test_restricted_group_lists_under_the_element_cap():
 def test_invariant_subspaces_of_diagonal_group():
     found = invariant_subspaces(diag_group().gens, 2, 3)
     assert sorted(s.basis.tolist() for s in found) == [[[0, 1]], [[1, 0]]]
+
+
+def test_invariant_subspace_scan_counts_against_the_subspace_cap():
+    gens = general_linear_group(4, 5).gens
+    with limits(elements=10, subspaces=10):
+        with pytest.raises(PhaseCapExceeded, match="^subspace scan: 806 subspaces of "
+                           "dimension 2 exceed the cap of 10$"):
+            invariant_subspaces(gens, 4, 5, dims=[2])
+    with limits(subspaces=806):
+        assert invariant_subspaces(gens, 4, 5, dims=[2]) == []

@@ -1,12 +1,26 @@
-import pytest
+import json
 
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from imprimlab.cli import main
+from imprimlab.descriptions import matrix_group_description
 from imprimlab.errors import (
     BadModulus,
     ExceptionalInstance,
     HypothesisViolation,
     ValidationError,
 )
-from imprimlab.groups import MatrixGroup, PermGroup, cyclic_group, symmetric_group
+from imprimlab.groups import (
+    MatrixGroup,
+    PermGroup,
+    cyclic_group,
+    general_linear_group,
+    mulclose,
+    symmetric_group,
+)
 from imprimlab.linalg import Matrix
 from imprimlab.verify import (
     REPORT_SCHEMA,
@@ -18,7 +32,14 @@ from imprimlab.verify import (
 )
 from imprimlab.wreath import WreathSpec
 
-from conftest import perm, regression_inclusion_instances, sign_group
+from conftest import (
+    count_calls,
+    matrix_groups,
+    maximal_solvable_oracle,
+    perm,
+    regression_inclusion_instances,
+    sign_group,
+)
 
 
 def c3_mod7():
@@ -79,6 +100,35 @@ def test_maximal_solvable_witness_small_field():
     assert report.claim("ambient_group_solvable").observed is True
     assert report.stats["base_order"] == 8
     assert report.stats["witness_order"] > 8
+
+
+@pytest.mark.parametrize("q", [3, 5])
+def test_double_coset_scan_finds_the_oracle_witness(q):
+    report = maximal_solvable_witness(q)
+    witness = maximal_solvable_oracle(q)
+    assert report.stats["witness_generators"] == matrix_group_description(witness).to_dict()
+    assert report.stats["witness_order"] == witness.order
+
+
+@given(matrix_groups(max_n=2), st.data())
+def test_a_double_coset_generates_one_overgroup(gens, data):
+    # <B, a> = <B, b a c> for b, c in B: the fact the scan skips by
+    p, n = gens[0].p, gens[0].rows
+    base = MatrixGroup(gens).element_array.astype(np.int64)
+    ambient = general_linear_group(n, p).element_array.astype(np.int64)
+    a = ambient[data.draw(st.integers(0, len(ambient) - 1))]
+    b, c = (base[data.draw(st.integers(0, len(base) - 1))] for _ in range(2))
+    keys = [MatrixGroup(gens + [Matrix(x, p)]).sorted_keys.tobytes() for x in (a, b @ a @ c)]
+    assert keys[0] == keys[1]
+
+
+def test_maxsolv_q5_closes_one_candidate_per_double_coset(monkeypatch, capsys):
+    # the ambient group, M, the ambient's and the witness's derived series
+    # and 3 candidates, where the element-by-element scan closed 51
+    closures = count_calls(monkeypatch, mulclose)
+    assert main(["maxsolv", "--q", "5", "--json-only"]) == 0
+    assert json.loads(capsys.readouterr().out)["pass"] is True
+    assert len(closures) <= 11
 
 
 def test_maximal_solvable_witness_rejects_other_fields():
