@@ -112,8 +112,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="verify the unique-nonrefinable-system dichotomy")
     p.add_argument("--h", dest="h_file", help="block group description (matrix kind)")
     p.add_argument("--k", dest="k_file", help="point group description (perm kind)")
-    p.add_argument("--p", dest="modulus", type=int,
-                   help="optional consistency check against the block group field")
     p.add_argument("--regression", action="store_true",
                    help="run every built-in regression instance instead")
     p.set_defaults(run=_theorem)
@@ -198,8 +196,8 @@ def _report_payload(report: VerificationReport):
 
 def _theorem(args):
     if args.regression:
-        given = [flag for flag, value in (("--h", args.h_file), ("--k", args.k_file),
-                                          ("--p", args.modulus)) if value is not None]
+        given = [flag for flag, value in (("--h", args.h_file), ("--k", args.k_file))
+                 if value is not None]
         if given:
             raise ImprimlabError(
                 f"theorem --regression runs the built-in instances and takes no "
@@ -218,12 +216,7 @@ def _theorem(args):
         return payload, code, summary
     if not args.h_file or not args.k_file:
         raise ImprimlabError("theorem requires --h and --k (or --regression)")
-    spec = _wreath_spec_from_files(args)
-    if args.modulus is not None and args.modulus != spec.p:
-        raise ImprimlabError(
-            f"--p {args.modulus} disagrees with the block group field {spec.p}"
-        )
-    return _report_payload(wreath_uniqueness_report(spec))
+    return _report_payload(wreath_uniqueness_report(_wreath_spec_from_files(args)))
 
 
 def _example21(args):

@@ -7,8 +7,8 @@ branch of the hierarchy because they map to a dedicated exit code.
 Every exhaustive loop checks its count with check_cap and names its phase:
 "group closure", "stabilizer chain", "subspace scan", "irreducibility spin"
 or "block systems".  The element and subspace caps are set once for a run
-by limits(), which every phase reads when it checks; the block-system route
-counts against the constant DEFAULT_CAP_PARTITIONS.
+by limits(), which every phase reads when it checks; the block-system
+search counts its nodes against the constant DEFAULT_CAP_PARTITIONS.
 """
 
 import contextlib

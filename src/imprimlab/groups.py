@@ -40,6 +40,12 @@ among them are searchsorted.  No Matrix or Permutation object is built per
 element.  Orbits of points are min-label propagation over permutation
 tables (orbit_labels), the routine the subspace scan uses as well.
 
+Block systems of a permutation group, transitive or not, come from one
+backtracking search (block_systems): each node is a generator-invariant
+partition held as a label array, and each child joins two of its classes
+by Atkinson's merge.  Its nodes count against DEFAULT_CAP_PARTITIONS
+(phase "block systems").
+
 Permutations are stored 0-based and compose left to right:
 (s * t)(i) = t(s(i)), matching the row-vector right action used elsewhere.
 The chain of a permutation group acts with the permutation matrices, whose
@@ -542,19 +548,26 @@ class MatrixGroup(_ElementArray):
 
 
 def primitive_root(p: int) -> int:
-    """Smallest primitive root mod p."""
+    """Smallest primitive root mod p.
+
+    g has order p - 1 iff g^((p-1)/r) != 1 for every prime factor r of
+    p - 1, which trial division finds.
+    """
     if not is_prime(p):
         raise ValidationError(f"{p} is not prime")
     if p == 2:
         return 1
-    for g in range(2, p):
-        x, order = g, 1
-        while x != 1:
-            x = x * g % p
-            order += 1
-        if order == p - 1:
-            return g
-    raise ValidationError(f"no primitive root found mod {p}")
+    factors, rest, r = [], p - 1, 2
+    while r * r <= rest:
+        if rest % r == 0:
+            factors.append(r)
+            while rest % r == 0:
+                rest //= r
+        r += 1
+    if rest > 1:
+        factors.append(rest)
+    return next(g for g in range(2, p)
+                if all(pow(g, (p - 1) // r, p) != 1 for r in factors))
 
 
 def general_linear_group(n: int, p: int) -> MatrixGroup:
@@ -692,14 +705,13 @@ class PermGroup(_ElementArray):
         return self.element_array[(images == points).all(axis=1)]
 
     def block_action(self, partition: "BlockSystem") -> "PermGroup":
-        """Induced action of the generators on the sorted blocks."""
-        blocks = partition.blocks
-        index = {b: i for i, b in enumerate(blocks)}
-        gens = []
-        for g in self.gens:
-            images = [index[_image_block(g, b, blocks)] for b in blocks]
-            gens.append(Permutation(images))
-        return PermGroup(_dedupe(gens) or [Permutation.identity(len(blocks))])
+        """Induced action of the generators on the sorted blocks: each
+        block goes to the block of its first point's image."""
+        blocks = np.array(partition.blocks)
+        block_of = np.empty(self.degree, dtype=np.intp)
+        block_of[blocks] = np.arange(len(blocks))[:, None]
+        images = block_of[self._generator_stack[:, blocks[:, 0]]]
+        return PermGroup(_dedupe(Permutation(row) for row in images))
 
     def stabilizer_block_action(self, block) -> "PermGroup":
         """Action of the setwise stabilizer of a block on that block.
@@ -726,14 +738,6 @@ def _dedupe(elements):
     return list(seen.values())
 
 
-def _image_block(g: Permutation, block, blocks):
-    member = g(block[0])
-    for b in blocks:
-        if member in b:
-            return b
-    raise ValidationError("generator does not permute the blocks")
-
-
 class BlockSystem:
     """A partition of {0..k-1} into equal-size blocks, canonically sorted."""
 
@@ -755,12 +759,6 @@ class BlockSystem:
     def count(self) -> int:
         return len(self.blocks)
 
-    def preserved_by(self, g: Permutation) -> bool:
-        block_set = set(self.blocks)
-        return all(
-            tuple(sorted(g(x) for x in b)) in block_set for b in self.blocks
-        )
-
     def one_based(self) -> list[list[int]]:
         return [[x + 1 for x in b] for b in self.blocks]
 
@@ -777,129 +775,79 @@ class BlockSystem:
         return f"BlockSystem({[list(b) for b in self.blocks]})"
 
 
-def _equal_partitions(points, block_size):
-    """All partitions of the points into blocks of the given size."""
-    points = list(points)
-    if not points:
-        yield []
-        return
-    first, rest = points[0], points[1:]
-    for companions in itertools.combinations(rest, block_size - 1):
-        block = (first,) + companions
-        remaining = [x for x in rest if x not in companions]
-        for tail in _equal_partitions(remaining, block_size):
-            yield [block] + tail
+def _join(labels: list, members: dict, gens: list, x: int, y: int, size: int):
+    """Atkinson's merge: the finest generator-invariant partition that is
+    coarser than the invariant partition labels and joins x and y.
 
-
-def _block_systems_exhaustive(group: PermGroup, block_size: int) -> list[BlockSystem]:
-    k, b = group.degree, block_size
-    count = math.factorial(k) // (math.factorial(b) ** (k // b) * math.factorial(k // b))
-    check_cap("block systems", count, "equal partitions", DEFAULT_CAP_PARTITIONS)
-    out = []
-    for blocks in _equal_partitions(range(group.degree), block_size):
-        system = BlockSystem(blocks, group.degree)
-        if all(system.preserved_by(g) for g in group.gens):
-            out.append(system)
-    return sorted(out)
-
-
-class _UnionFind:
-    def __init__(self, n):
-        self.parent = list(range(n))
-
-    def find(self, x):
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, x, y):
-        rx, ry = self.find(x), self.find(y)
-        if rx == ry:
-            return False
-        self.parent[ry] = rx
-        return True
-
-    def partition(self, degree):
-        classes = {}
-        for x in range(degree):
-            classes.setdefault(self.find(x), []).append(x)
-        return tuple(sorted(tuple(c) for c in classes.values()))
-
-
-def _minimal_congruence(group: PermGroup, a: int, b: int):
-    """Finest generator-invariant partition merging a and b (Atkinson)."""
-    uf = _UnionFind(group.degree)
-    uf.union(a, b)
-    queue = [(a, b)]
-    while queue:
-        x, y = queue.pop()
-        for g in group.gens:
-            gx, gy = g(x), g(y)
-            if uf.union(gx, gy):
-                queue.append((gx, gy))
-    return uf.partition(group.degree)
-
-
-def _join_partitions(p1, p2, degree):
-    uf = _UnionFind(degree)
-    for part in itertools.chain(p1, p2):
-        for x in part[1:]:
-            uf.union(part[0], x)
-    return uf.partition(degree)
-
-
-def _block_systems_seeded(group: PermGroup, block_size: int) -> list[BlockSystem]:
-    """Pair-seeded minimal congruences closed under joins, then filtered.
-
-    For a transitive group every invariant partition is a join of the
-    partitions generated by merging point 0 with another point, so the join
-    closure of those seeds is the complete congruence lattice.
+    labels maps each point to the smallest point of its class, and members
+    each such label to its class.  Joining two classes joins their images
+    under every generator in turn.  Returns the new labels and classes,
+    leaving the arguments unchanged, or None as soon as a class has more
+    than size points.
     """
-    seeds = set()
-    for j in range(1, group.degree):
-        seeds.add(_minimal_congruence(group, 0, j))
-    closure = set(seeds)
-    frontier = set(seeds)
-    while frontier:
-        new = set()
-        for a in frontier:
-            for b in closure:
-                joined = _join_partitions(a, b, group.degree)
-                if joined not in closure:
-                    new.add(joined)
-        closure |= new
-        frontier = new
-    out = []
-    for partition in closure:
-        sizes = {len(b) for b in partition}
-        if sizes == {block_size}:
-            out.append(BlockSystem(partition, group.degree))
-    return sorted(out)
+    labels, members = labels[:], dict(members)
+    pairs = [(x, y)]
+    while pairs:
+        u, v = pairs.pop()
+        keep, gone = sorted((labels[u], labels[v]))
+        if keep == gone:
+            continue
+        moved = members.pop(gone)
+        if len(members[keep]) + len(moved) > size:
+            return None
+        members[keep] = members[keep] + moved
+        for point in moved:
+            labels[point] = keep
+        pairs += [(g[u], g[v]) for g in gens]
+    return labels, members
 
 
 def block_systems(group: PermGroup, block_size: int) -> list[BlockSystem]:
     """All equal-size block systems of the group with the given block size.
 
-    Transitive groups take the pair-seeded congruence closure; the seeded
-    route requires transitivity, so intransitive groups are exhausted over
-    every partition (the brute-force oracle), once their number is known
-    not to exceed DEFAULT_CAP_PARTITIONS (PhaseCapExceeded otherwise).
+    A backtracking search over the generator-invariant partitions whose
+    classes have at most block_size points, each a label array: every
+    point's label is the smallest point of its class.  The root is the
+    partition into single points.  At a node, x is the smallest point whose
+    class has fewer than block_size points; each child joins x's class with
+    one later class and closes the result under the generators (_join,
+    after Atkinson, Math. Comp. 29, 1975).  While x stays the same, the
+    joined classes go up by smallest point.  So the block of x in any
+    system is reached by joining, each time, the smallest of its classes
+    not yet in x's class, and every system is a leaf.  A leaf reached on
+    several paths is kept once.  Every node counts against
+    DEFAULT_CAP_PARTITIONS (PhaseCapExceeded, phase "block systems").
     """
-    k = group.degree
-    if block_size < 1 or k % block_size != 0:
-        raise ValidationError(
-            f"block size {block_size} does not divide degree {k}"
-        )
-    if block_size == 1:
-        return [BlockSystem([(i,) for i in range(k)], k)]
-    if block_size == k:
+    k, b = group.degree, block_size
+    if b < 1 or k % b != 0:
+        raise ValidationError(f"block size {b} does not divide degree {k}")
+    if b == k:  # one block: the search would try every subset of the points
         return [BlockSystem([tuple(range(k))], k)]
-    if not group.is_transitive():
-        return _block_systems_exhaustive(group, block_size)
-    return _block_systems_seeded(group, block_size)
+    gens = group._generator_stack.tolist()
+    leaves = {}
+    nodes = 0
+    # each entry: a node's labels and classes, and the x and the last
+    # joined class of the path that made it
+    stack = [(list(range(k)), {x: [x] for x in range(k)}, -1, -1)]
+    while stack:
+        labels, members, last_x, after = stack.pop()
+        nodes += 1
+        check_cap("block systems", nodes, "search nodes", DEFAULT_CAP_PARTITIONS)
+        x = min((c for c, points in members.items() if len(points) < b), default=None)
+        if x is None:
+            leaves[tuple(labels)] = members
+            continue
+        if x != last_x:
+            after = x
+        room = b - len(members[x])
+        children = []
+        for y in sorted(members):
+            if y > after and len(members[y]) <= room:
+                child = _join(labels, members, gens, x, y, b)
+                if child is not None:
+                    children.append((*child, x, y))
+        stack += reversed(children)
+    return sorted(BlockSystem(members.values(), k) for members in leaves.values())
 
 
 def has_pair_partition(group: PermGroup) -> bool:

@@ -27,6 +27,7 @@ from .groups import (
     PermGroup,
     Permutation,
     block_systems,
+    primitive_root,
 )
 from .imprim import ImprimitivitySystem, all_systems, coordinate_system
 from .linalg import Matrix, Subspace
@@ -111,8 +112,8 @@ class ExceptionalCensus:
 def _lambda_classes(p: int) -> list[int]:
     """Scalars with square +-1, one per {x, -x} class, smallest member."""
     out = [1]
-    if p % 4 == 1:
-        root = next(x for x in range(2, p) if x * x % p == p - 1)
+    if p % 4 == 1:  # a primitive root to the power (p - 1)/4 squares to -1
+        root = pow(primitive_root(p), (p - 1) // 4, p)
         out.append(min(root, p - root))
     return out
 

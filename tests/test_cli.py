@@ -199,20 +199,11 @@ def test_reducible_group_systems_are_labelled_incomplete(tmp_path, capsys):
 def test_theorem_command(tmp_path, capsys):
     h = write(tmp_path, "h.json", SIGN_P3)
     k = write(tmp_path, "k.json", S3)
-    code, payload, err = run(capsys, "theorem", "--h", h, "--k", k, "--p", "3")
+    code, payload, err = run(capsys, "theorem", "--h", h, "--k", k)
     assert code == 0
     assert payload["pass"] is True
     assert payload["schema"] == "imprimlab-report/1"
     assert "wreath-uniqueness: PASS" in err
-
-
-def test_theorem_command_modulus_mismatch(tmp_path, capsys):
-    h = write(tmp_path, "h.json", SIGN_P3)
-    k = write(tmp_path, "k.json", S3)
-    code, payload, err = run(capsys, "theorem", "--h", h, "--k", k, "--p", "5")
-    assert code == 2
-    assert payload is None
-    assert "disagrees" in err
 
 
 def test_theorem_regression_command(capsys):
@@ -224,9 +215,7 @@ def test_theorem_regression_command(capsys):
 
 @pytest.mark.parametrize("extra,named", [
     (["--h", "h", "--k", "k"], "--h, --k"),
-    (["--p", "5"], "--p"),
-    (["--h", "h", "--p", "3"], "--h, --p"),
-], ids=["h-and-k", "p", "h-and-p"])
+], ids=["h-and-k"])
 def test_theorem_regression_rejects_instance_flags(tmp_path, capsys, extra, named):
     # H = <diag(1, -1)> is reducible: on its own it violates the hypotheses,
     # so the flags must not be dropped silently in favour of the regression
@@ -452,14 +441,25 @@ def test_cap_subspaces_reaches_the_hypothesis_checks(tmp_path, capsys, command, 
 def test_block_systems_over_the_cap_exit_code(tmp_path, capsys, monkeypatch):
     from imprimlab import groups
 
-    # the fixed points make the group intransitive: every pairing is tried
-    swaps = {"kind": "perm", "degree": 6, "generators": [[2, 1, 3, 4, 5, 6]]}
-    k = write(tmp_path, "k.json", swaps)
-    monkeypatch.setattr(groups, "DEFAULT_CAP_PARTITIONS", 14)
-    code, payload, err = run(capsys, "blocks", "--group", k, "--size", "2")
-    assert code == 3
-    assert payload is None
-    assert "block systems: 15 equal partitions" in err
+    cases = [
+        # the fixed points make the group intransitive: the search pairs 1
+        # with 2 (pairing 1 with a fixed point would put 2 in its class as
+        # well), then pairs the four fixed points in each of 3 ways
+        ([[2, 1, 3, 4, 5, 6]], 8),
+        # (C_2)^3 acting regularly on itself, with its 7 pair systems
+        ([[2, 1, 4, 3, 6, 5, 8, 7], [3, 4, 1, 2, 7, 8, 5, 6], [5, 6, 7, 8, 1, 2, 3, 4]], 8),
+    ]
+    for generators, nodes in cases:
+        group = {"kind": "perm", "degree": len(generators[0]), "generators": generators}
+        k = write(tmp_path, "k.json", group)
+        monkeypatch.setattr(groups, "DEFAULT_CAP_PARTITIONS", nodes)
+        code, _, _ = run(capsys, "blocks", "--group", k, "--size", "2")
+        assert code == 0
+        monkeypatch.setattr(groups, "DEFAULT_CAP_PARTITIONS", nodes - 1)
+        code, payload, err = run(capsys, "blocks", "--group", k, "--size", "2")
+        assert code == 3
+        assert payload is None
+        assert f"block systems: {nodes} search nodes" in err
 
 
 def test_json_only_suppresses_summary(tmp_path, capsys):

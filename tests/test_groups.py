@@ -2,15 +2,19 @@
 
 orbit_oracle (breadth-first search over the generators) and
 stabilizer_block_action_oracle (one Permutation per element) are the
-per-point and per-element routes the array versions replaced; they are kept
+per-point and per-element routes the array versions replaced;
+_block_systems_exhaustive (every equal partition, each tested against the
+generators) is the route the block-system search replaced, and
+primitive_root_oracle the order-by-multiplication loop.  They are kept
 here as the references those are checked against.
 """
 
 import itertools
+import math
 
 import numpy as np
 import pytest
-from hypothesis import event, example, given
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from imprimlab.errors import CapError, OddDegree, PhaseCapExceeded, ValidationError, limits
@@ -19,9 +23,6 @@ from imprimlab.groups import (
     MatrixGroup,
     PermGroup,
     Permutation,
-    _block_systems_exhaustive,
-    _block_systems_seeded,
-    _equal_partitions,
     block_systems,
     cyclic_group,
     general_linear_group,
@@ -31,7 +32,7 @@ from imprimlab.groups import (
     primitive_root,
     symmetric_group,
 )
-from imprimlab.linalg import Matrix
+from imprimlab.linalg import Matrix, gaussian_binomial, is_prime
 
 from conftest import element_keys, elements, general_linear_order, perm
 
@@ -150,11 +151,33 @@ def test_derived_subgroup_of_abelian_group_is_trivial():
     assert diag.derived_subgroup().order == 1
 
 
+def primitive_root_oracle(p):
+    """The smallest g whose order, found by repeated multiplication, is p - 1."""
+    if p == 2:
+        return 1
+    for g in range(2, p):
+        x, order = g, 1
+        while x != 1:
+            x = x * g % p
+            order += 1
+        if order == p - 1:
+            return g
+
+
 def test_primitive_roots():
     assert primitive_root(3) == 2
     assert primitive_root(5) == 2
     assert primitive_root(7) == 3
     assert primitive_root(13) == 2
+    for p in filter(is_prime, range(500)):
+        assert primitive_root(p) == primitive_root_oracle(p)
+
+
+def test_primitive_roots_of_large_primes():
+    # 7 generates the multiplicative group of 2^31 - 1 (16807 = 7^5 is the
+    # Park-Miller multiplier)
+    assert primitive_root(2147483647) == 7
+    assert primitive_root(1000000009) == 13
 
 
 def test_permutation_composition_left_to_right():
@@ -191,6 +214,12 @@ def test_block_systems_examples(klein_group):
     assert len(block_systems(klein_group, 2)) == 3
 
 
+def preserves(g, system):
+    """True iff the permutation maps every block of the system to a block."""
+    blocks = set(system.blocks)
+    return all(tuple(sorted(g(x) for x in b)) in blocks for b in system.blocks)
+
+
 def test_block_systems_are_preserved(dihedral8_group):
     for group in (cyclic_group(6), dihedral8_group, symmetric_group(4)):
         for size in (2, 3):
@@ -198,7 +227,7 @@ def test_block_systems_are_preserved(dihedral8_group):
                 continue
             for system in block_systems(group, size):
                 for g in elements(group):
-                    assert system.preserved_by(g)
+                    assert preserves(g, system)
 
 
 def test_block_systems_degenerate_sizes():
@@ -211,7 +240,37 @@ def test_block_systems_degenerate_sizes():
         block_systems(c4, 3)
 
 
-def test_seeded_matches_exhaustive(klein_group, dihedral8_group):
+def _equal_partitions(points, block_size):
+    """All partitions of the points into blocks of the given size."""
+    points = list(points)
+    if not points:
+        yield []
+        return
+    first, rest = points[0], points[1:]
+    for companions in itertools.combinations(rest, block_size - 1):
+        block = (first,) + companions
+        remaining = [x for x in rest if x not in companions]
+        for tail in _equal_partitions(remaining, block_size):
+            yield [block] + tail
+
+
+def _block_systems_exhaustive(group, block_size):
+    """Every equal partition the generators preserve, sorted."""
+    out = []
+    for blocks in _equal_partitions(range(group.degree), block_size):
+        system = BlockSystem(blocks, group.degree)
+        if all(preserves(g, system) for g in group.gens):
+            out.append(system)
+    return sorted(out)
+
+
+def regular_elementary_abelian(r):
+    """(C_2)^r acting on itself: the points are the vectors of GF(2)^r, read
+    as integers, and generator i adds the i-th basis vector."""
+    return PermGroup([Permutation([x ^ (1 << i) for x in range(2**r)]) for i in range(r)])
+
+
+def test_block_systems_match_the_exhaustive_oracle(klein_group, dihedral8_group):
     groups = [
         cyclic_group(4),
         cyclic_group(6),
@@ -220,27 +279,51 @@ def test_seeded_matches_exhaustive(klein_group, dihedral8_group):
         symmetric_group(6),
         klein_group,
         dihedral8_group,
+        PermGroup([perm(2, 1, 3, 4, 5, 6)]),
+        PermGroup([perm(2, 3, 1, 4, 5, 6), perm(1, 2, 3, 5, 6, 4)]),
     ]
     for group in groups:
-        for size in range(2, group.degree):
-            if group.degree % size:
-                continue
-            assert _block_systems_seeded(group, size) == _block_systems_exhaustive(
-                group, size
-            )
+        for size in range(1, group.degree + 1):
+            if group.degree % size == 0:
+                assert block_systems(group, size) == _block_systems_exhaustive(group, size)
+
+
+@pytest.mark.parametrize("r", [3, 4, 5])
+def test_regular_elementary_abelian_systems_are_its_subgroups(r):
+    # the blocks through 0 of a regular abelian group are its subgroups, and
+    # the subgroups of order 2^j of (C_2)^r are the j-subspaces of GF(2)^r
+    group = regular_elementary_abelian(r)
+    for j in range(r + 1):
+        assert len(block_systems(group, 2**j)) == gaussian_binomial(r, j, 2)
 
 
 @pytest.mark.parametrize("k,b", [(6, 2), (6, 3), (8, 2), (8, 4)])
 def test_exhaustive_block_systems_count_partitions_against_the_cap(monkeypatch, k, b):
     from imprimlab import groups
 
-    trivial = PermGroup([Permutation.identity(k)])  # every partition is a system
+    # every partition is a system of the trivial group, and the search
+    # builds each of them one class at a time
+    nodes = {(6, 2): 36, (6, 3): 46, (8, 2): 253, (8, 4): 309}[k, b]
+    trivial = PermGroup([Permutation.identity(k)])
     count = len(list(_equal_partitions(range(k), b)))
-    monkeypatch.setattr(groups, "DEFAULT_CAP_PARTITIONS", count)
+    monkeypatch.setattr(groups, "DEFAULT_CAP_PARTITIONS", nodes)
     assert len(block_systems(trivial, b)) == count
-    monkeypatch.setattr(groups, "DEFAULT_CAP_PARTITIONS", count - 1)
-    with pytest.raises(CapError, match=f"block systems: {count} equal partitions"):
+    monkeypatch.setattr(groups, "DEFAULT_CAP_PARTITIONS", nodes - 1)
+    with pytest.raises(CapError, match=f"^block systems: {nodes} search nodes"):
         block_systems(trivial, b)
+
+
+@pytest.mark.parametrize("r,b,nodes", [(3, 2, 8), (4, 4, 51)])
+def test_transitive_block_search_counts_nodes_against_the_cap(monkeypatch, r, b, nodes):
+    from imprimlab import groups
+
+    group = regular_elementary_abelian(r)
+    assert group.is_transitive()
+    monkeypatch.setattr(groups, "DEFAULT_CAP_PARTITIONS", nodes)
+    assert len(block_systems(group, b)) == gaussian_binomial(r, int(math.log2(b)), 2)
+    monkeypatch.setattr(groups, "DEFAULT_CAP_PARTITIONS", nodes - 1)
+    with pytest.raises(PhaseCapExceeded, match=f"^block systems: {nodes} search nodes"):
+        block_systems(group, b)
 
 
 def test_block_systems_large_degree_uses_seeding():
@@ -323,6 +406,39 @@ def test_orbit_routines_match_the_breadth_first_oracle(gens):
     assert orbit_labels(stack).tolist() == smallest
     assert group.orbit_representatives() == sorted(set(smallest))
     assert group.is_transitive() == (max(smallest) == 0)
+
+
+@st.composite
+def imprimitive_gens(draw, max_degree=8):
+    """1-3 permutations that preserve one random partition of the points into
+    equal blocks: each permutes the blocks and the points inside them."""
+    degree = draw(st.integers(1, max_degree))
+    size = draw(st.sampled_from([b for b in range(1, degree + 1) if degree % b == 0]))
+    count = degree // size
+    points = draw(st.permutations(range(degree)))  # block i: points[i*size:(i+1)*size]
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        outer = draw(st.permutations(range(count)))
+        images = [0] * degree
+        for i in range(count):
+            inner = draw(st.permutations(range(size)))
+            for t in range(size):
+                images[points[i * size + t]] = points[outer[i] * size + inner[t]]
+        gens.append(Permutation(images))
+    return gens
+
+
+@given(st.one_of(perm_group_gens(), imprimitive_gens()))
+@settings(max_examples=150)
+def test_block_systems_match_the_oracle_on_generated_groups(gens):
+    group = PermGroup(gens)
+    event("transitive" if group.is_transitive() else "intransitive")
+    for size in range(1, group.degree + 1):
+        if group.degree % size == 0:
+            expected = _block_systems_exhaustive(group, size)
+            if 1 < size < group.degree:
+                event("a proper size with systems" if expected else "a proper size without")
+            assert block_systems(group, size) == expected
 
 
 def stabilizer_block_action_oracle(group, block):

@@ -4,6 +4,8 @@ The library generates H wr K from one copy of H per K-orbit of blocks.
 wreath_product_oracle and perm_wreath_oracle are the constructions it
 replaced, with a copy of H at every block; they are kept here, and only
 here, as the references the reduced generator sets are checked against.
+lambda_classes_oracle is the linear search for a square root of -1 that a
+power of the primitive root replaced.
 """
 
 import math
@@ -26,7 +28,7 @@ from imprimlab.groups import (
     symmetric_group,
 )
 from imprimlab.imprim import all_systems, is_system, nonrefinable_systems
-from imprimlab.linalg import Matrix
+from imprimlab.linalg import Matrix, is_prime
 from imprimlab.reprs import is_irreducible
 from imprimlab.verify import (
     _structural_conditions,
@@ -35,6 +37,7 @@ from imprimlab.verify import (
 )
 from imprimlab.wreath import (
     WreathSpec,
+    _lambda_classes,
     block_permutation_matrix,
     check_hypotheses,
     embed_at_block,
@@ -175,6 +178,25 @@ def test_census_counts(klein_group, dihedral8_group):
 
     census = expected_exceptional_systems(WreathSpec(sign_group(3), dihedral8_group))
     assert census.count == 2 and len(census.pair_systems) == 1
+
+
+def lambda_classes_oracle(p):
+    """1, and for p = 1 mod 4 the smaller square root of -1, found by trying
+    every residue."""
+    out = [1]
+    if p % 4 == 1:
+        root = next(x for x in range(2, p) if x * x % p == p - 1)
+        out.append(min(root, p - root))
+    return out
+
+
+def test_census_scalars_match_the_linear_search():
+    for p in filter(is_prime, range(3, 500)):
+        assert _lambda_classes(p) == lambda_classes_oracle(p)
+    p, root = 1000000009, 430477711
+    assert root * root % p == p - 1 and root < p - root
+    census = expected_exceptional_systems(WreathSpec(sign_group(p), cyclic_group(4)))
+    assert census.lambdas == [1, root] and census.count == 3
 
 
 def test_census_rejects_non_exceptional():
