@@ -2,13 +2,20 @@
 
 all_systems is the exhaustive scan of the package.  For every proper
 divisor d of n it enumerates every d-dimensional subspace once, as the
-(N, d, n) RREF stack of linalg.subspace_array, and turns each generator into
-a permutation table of that stack: the generator is applied to the whole
-stack, the images are row-reduced in batch (linalg.rref_batch sweeps the d
-rows of each image, then sorts them by leading column) and each is ranked
-from the stack's order, linalg.subspace_layout.  Orbits come from min-label
-propagation over the tables (groups.orbit_labels), and the orbits of size
-n/d that decompose the space into a direct sum are the systems.  Orbits of a
+(N, d, n) RREF stack of linalg.subspace_array, and turns group elements into
+permutation tables of that stack (linalg.subspace_tables): the element is
+applied to the whole stack, the images are row-reduced in batch
+(linalg.rref_batch sweeps the d rows of each image, then sorts them by
+leading column) and each is ranked from the stack's order,
+linalg.subspace_layout.  Only the one word w = g_1 * ... * g_m of the
+generators is applied to every subspace.  A w-cycle lies inside an orbit, so
+a subspace on a w-cycle longer than n/d lies in no system and is dropped; the
+generators' tables are made only for the rest, and a remaining subspace with
+a generator image outside the rest is dropped until none is left, which
+drains every orbit kept in part (w is not ranked when a power w^k, k <= n/d,
+is a scalar: it would drop nothing).  Orbits come from min-label propagation
+over the tables (groups.orbit_labels), and the orbits of size n/d that
+decompose the space into a direct sum are the systems.  Orbits of a
 transitive part action are exactly the systems, so every system is found once.
 
 Memory: the stack is stored in the smallest integer dtype that holds p - 1
@@ -29,6 +36,9 @@ of a part acts irreducibly and primitively on it).
 """
 
 from __future__ import annotations
+
+import functools
+import operator
 
 import numpy as np
 
@@ -161,14 +171,59 @@ def is_system(g: MatrixGroup, parts) -> bool:
     return bool((part_table(g, parts) >= 0).all())
 
 
+def _short_orbit_tables(gens, subs: np.ndarray, p: int, target: int):
+    """Whole orbits of subs that hold every orbit of at most target members.
+
+    Returns (keep, tables): keep holds, in increasing order, the indices in
+    subs of a union of whole orbits that contains every orbit of at most
+    target members, and tables[k, i] is the position in keep of the image of
+    subs[keep[i]] under gens[k].  Every subspace is first ranked under the
+    one word w = gens[0] * ... * gens[-1]; a w-cycle lies inside an orbit,
+    so a subspace on a longer cycle is dropped.  The generators rank only the
+    survivors, and a survivor with an image outside the survivors is dropped
+    until none is left: an orbit is connected under the generators, so an
+    orbit kept in part always has such a member and drains away whole.
+    When some power w^k with k <= target is a scalar, it fixes every
+    subspace, so no w-cycle is longer than target and w is not ranked.
+    """
+    word = functools.reduce(operator.mul, gens)
+    eye, power = np.eye(subs.shape[2], dtype=np.int64), word
+    for _ in range(target):
+        if np.array_equal(power.a, power.a[0, 0] * eye):
+            return np.arange(len(subs)), subspace_tables(gens, subs, p)
+        power = power * word
+    word_table = subspace_tables([word], subs, p)
+    if len(gens) == 1:
+        return np.arange(len(subs)), word_table
+    cycles = orbit_labels(word_table)
+    keep = np.flatnonzero((np.bincount(cycles) <= target)[cycles])
+    images = subspace_tables(gens, subs[keep], p)
+    # the position of each image in keep, or len(keep) when it is not kept
+    pos = np.searchsorted(keep, images)
+    pos[keep[np.minimum(pos, len(keep) - 1)] != images] = len(keep)
+    alive = np.ones(len(keep) + 1, dtype=bool)
+    alive[-1] = False
+    while True:
+        closed = alive[pos].all(axis=0)
+        if np.array_equal(closed, alive[:-1]):
+            break
+        alive[:-1] = closed
+    kept = np.flatnonzero(closed)
+    position = np.cumsum(closed) - 1
+    return keep[kept], position[pos[:, kept]].astype(np.int32)
+
+
 def all_systems(g: MatrixGroup, *, stats: dict | None = None) -> list[ImprimitivitySystem]:
     """Every system of imprimitivity of g whose parts form a single orbit.
 
     For irreducible g the part action of any system is transitive, so this
-    is the complete list.  Fails fast, before anything is allocated, with
-    PhaseCapExceeded ("subspace scan") when some candidate dimension has
-    more subspaces than the subspace cap, and with a CapError when it has
-    too many to index in int32 tables.
+    is the complete list.  Each candidate dimension ranks every subspace
+    under one word of the generators, and under each generator only the
+    subspaces whose word cycle fits a system (_short_orbit_tables).  Fails
+    fast, before anything is allocated, with PhaseCapExceeded ("subspace
+    scan") when some candidate dimension has more subspaces than the
+    subspace cap, and with a CapError when it has too many to index in int32
+    tables.
     """
     n = g.n
     candidate_dims = [d for d in divisors(n) if d < n]
@@ -185,9 +240,10 @@ def all_systems(g: MatrixGroup, *, stats: dict | None = None) -> list[Imprimitiv
         target = n // d
         subs = subspace_array(n, d, g.p)
         scanned += len(subs)
-        labels = orbit_labels(subspace_tables(g.gens, subs, g.p))
+        keep, tables = _short_orbit_tables(g.gens, subs, g.p, target)
+        labels = orbit_labels(tables)
         members = np.flatnonzero(np.bincount(labels)[labels] == target)
-        orbits = members[np.argsort(labels[members], kind="stable")]
+        orbits = keep[members[np.argsort(labels[members], kind="stable")]]
         for orbit in orbits.reshape(-1, target):
             parts = [echelon_subspace(subs[i], g.p) for i in orbit]
             if direct_sum_check(parts):

@@ -294,9 +294,10 @@ def invariant_subspaces(gens, n: int, p: int, dims=None) -> list[Subspace]:
     dims restricts the scan to the given dimensions; default is 1..n-1.
     Each dimension is scanned as one subspace_array stack in chunks: W is
     invariant when every generator image of its RREF basis B is its own
-    pivot-column coordinates times B.  A dimension with more subspaces than
-    the subspace cap raises PhaseCapExceeded ("subspace scan") before its
-    stack is allocated.
+    pivot-column coordinates times B.  Each generator after the first is
+    applied only to the subspaces the earlier ones left invariant.  A
+    dimension with more subspaces than the subspace cap raises
+    PhaseCapExceeded ("subspace scan") before its stack is allocated.
     """
     gens = list(gens)
     if dims is None:
@@ -306,12 +307,13 @@ def invariant_subspaces(gens, n: int, p: int, dims=None) -> list[Subspace]:
         check_cap("subspace scan", gaussian_binomial(n, d, p), f"subspaces of dimension {d}",
                   current_limits().subspaces)
         subs = subspace_array(n, d, p)
-        invariant = np.ones(len(subs), dtype=bool)
+        invariant = np.arange(len(subs))
         for g in gens:
-            for start, chunk, image in image_chunks(subs, g):
+            moved = np.empty(len(invariant), dtype=bool)
+            for start, chunk, image in image_chunks(subs[invariant], g):
                 pivots = (chunk != 0).argmax(axis=2)[:, None, :]
                 coords = np.take_along_axis(image, pivots, axis=2)
-                moved = ((image - coords @ chunk) % p).any(axis=(1, 2))
-                invariant[start : start + len(chunk)] &= ~moved
-        found.extend(echelon_subspace(subs[i], p) for i in np.flatnonzero(invariant))
+                moved[start : start + len(chunk)] = ((image - coords @ chunk) % p).any(axis=(1, 2))
+            invariant = invariant[~moved]
+        found.extend(echelon_subspace(subs[i], p) for i in invariant)
     return found

@@ -6,6 +6,9 @@ subspace_orbit (or one containment test) per enumerated subspace.  They are
 kept here, and only here, as the reference the library is checked against.
 """
 
+import functools
+import operator
+
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -13,7 +16,7 @@ from hypothesis import strategies as st
 
 from imprimlab import imprim
 from imprimlab.errors import CapError, check_cap, current_limits, limits
-from imprimlab.groups import MatrixGroup
+from imprimlab.groups import MatrixGroup, PermGroup, orbit_labels
 from imprimlab.imprim import (
     ImprimitivitySystem,
     all_systems,
@@ -26,10 +29,12 @@ from imprimlab.linalg import (
     divisors,
     gaussian_binomial,
     subspace_array,
+    subspace_tables,
 )
 from imprimlab.reprs import invariant_subspaces
+from imprimlab.wreath import WreathSpec, wreath_product
 
-from conftest import block_diagonal_product, sign_group
+from conftest import block_diagonal_product, perm, sign_group
 
 
 def scan_oracle(g, stats=None):
@@ -144,6 +149,87 @@ def test_scan_matches_oracle_on_generated_groups(g):
 @given(block_diagonal_groups())
 def test_scan_matches_oracle_on_block_diagonal_products(g):
     assert_scan_matches_oracle(g)
+
+
+def word(gens):
+    """The product gens[0] * ... * gens[-1] all_systems ranks first."""
+    return functools.reduce(operator.mul, gens)
+
+
+@st.composite
+def word_filter_groups(draw):
+    """Groups of n <= 4; in half the draws the last generator is the inverse
+    of the product of the others, so the word is the identity, a scalar that
+    all_systems does not rank."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    n = draw(st.integers(1, 4))
+    gens = draw(generator_lists(n, p))
+    if draw(st.booleans()):
+        gens.append(word(gens).inv())
+    return MatrixGroup(gens)
+
+
+def sign_wreath(p, *points):
+    return wreath_product(WreathSpec(sign_group(p), PermGroup(list(points))))
+
+
+def word_keeps_part_of_an_orbit_past_one_drop(g):
+    """True iff for some candidate d the word's cycles of at most n/d members
+    hold some but not all members of an orbit, and one of the members they
+    hold has every generator image held too: dropping the members with an
+    image outside once is not enough."""
+    for d in divisors(g.n)[:-1]:
+        subs = subspace_array(g.n, d, g.p)
+        cycles = orbit_labels(subspace_tables([word(g.gens)], subs, g.p))
+        kept = np.bincount(cycles)[cycles] <= g.n // d
+        images = subspace_tables(g.gens, subs, g.p)
+        orbits = orbit_labels(images)
+        kept_count = np.bincount(orbits, weights=kept)
+        partly = ((kept_count > 0) & (kept_count < np.bincount(orbits)))[orbits]
+        if (partly & kept & kept[images].all(axis=0)).any():
+            return True
+    return False
+
+
+TWIST = Matrix([[0, 1, 0], [0, 0, 2], [1, 0, 0]], 3)
+
+
+@example(MatrixGroup([TWIST, TWIST.inv()]))  # the word is the identity
+# one generator, with no scalar power up to its cube: its table is the word's
+@example(MatrixGroup([Matrix([[1, 1, 0], [0, 1, 0], [0, 0, 2]], 3)]))
+@example(sign_wreath(5, perm(2, 1, 4, 3), perm(3, 4, 1, 2)))  # 10 systems
+@given(word_filter_groups())
+def test_word_filter_matches_oracle(g):
+    assert_scan_matches_oracle(g)
+
+
+def test_sign_wreath_klein_has_ten_systems():
+    assert len(all_systems(sign_wreath(5, perm(2, 1, 4, 3), perm(3, 4, 1, 2)))) == 10
+
+
+def test_orbits_the_word_keeps_in_part_drain_away():
+    g = MatrixGroup([
+        Matrix([[6, 0, 0, 0], [0, 2, 0, 0], [0, 0, 0, 2], [0, 0, 5, 0]], 7),
+        Matrix([[0, 4, 0, 0], [0, 0, 5, 0], [0, 0, 0, 3], [5, 0, 0, 0]], 7),
+    ])
+    assert word_keeps_part_of_an_orbit_past_one_drop(g)
+    assert_scan_matches_oracle(g)
+
+
+def test_generators_rank_only_what_the_word_keeps(monkeypatch):
+    g = sign_wreath(3, perm(2, 1, 3, 4, 5, 6), perm(2, 3, 4, 5, 6, 1))
+    ranked = []
+
+    def counting_tables(gens, subs, p):
+        ranked.append(len(gens) * len(subs))
+        return subspace_tables(gens, subs, p)
+
+    monkeypatch.setattr(imprim, "subspace_tables", counting_tables)
+    stats = {}
+    all_systems(g, stats=stats)
+    # every generator on every subspace would rank 135 765 images
+    assert sum(ranked) <= 46000
+    assert stats["subspaces_scanned"] == 45255
 
 
 @pytest.mark.parametrize("p,dtype", [(127, np.int8), (131, np.int16)])
