@@ -12,8 +12,7 @@ generators is applied to every subspace.  A w-cycle lies inside an orbit, so
 a subspace on a w-cycle longer than n/d lies in no system and is dropped; the
 generators' tables are made only for the rest, and a remaining subspace with
 a generator image outside the rest is dropped until none is left, which
-drains every orbit kept in part (w is not ranked when a power w^k, k <= n/d,
-is a scalar: it would drop nothing).  Orbits come from min-label propagation
+drains every orbit kept in part.  Orbits come from min-label propagation
 over the tables (groups.orbit_labels), and the orbits of size n/d that
 decompose the space into a direct sum are the systems.  Orbits of a
 transitive part action are exactly the systems, so every system is found once.
@@ -183,15 +182,10 @@ def _short_orbit_tables(gens, subs: np.ndarray, p: int, target: int):
     survivors, and a survivor with an image outside the survivors is dropped
     until none is left: an orbit is connected under the generators, so an
     orbit kept in part always has such a member and drains away whole.
-    When some power w^k with k <= target is a scalar, it fixes every
-    subspace, so no w-cycle is longer than target and w is not ranked.
+    subspace_tables ranks each image in the order of the whole subspace_array
+    stack, also for the rows subs[keep], so the images are indices in subs.
     """
     word = functools.reduce(operator.mul, gens)
-    eye, power = np.eye(subs.shape[2], dtype=np.int64), word
-    for _ in range(target):
-        if np.array_equal(power.a, power.a[0, 0] * eye):
-            return np.arange(len(subs)), subspace_tables(gens, subs, p)
-        power = power * word
     word_table = subspace_tables([word], subs, p)
     if len(gens) == 1:
         return np.arange(len(subs)), word_table

@@ -446,10 +446,12 @@ def rref_batch(a: np.ndarray, p: int) -> np.ndarray:
 def subspace_tables(gens, subs: np.ndarray, p: int) -> np.ndarray:
     """Permutation tables of invertible generators on a subspace_array stack.
 
-    tables[k, i] is the index in subs of the image of subs[i] under gens[k],
-    an int32.  A chunk's images under all generators are row-reduced in one
-    batch, and each is ranked from the layout: the offset of its pivot
-    combination plus its free cells as base-p digits.
+    tables[k, i] is the rank of the image of subs[i] under gens[k] in
+    subspace_layout order, an int32: its index in the whole subspace_array
+    stack of that (n, d, p), also when subs holds only some of its rows.  A
+    chunk's images under all generators are row-reduced in one batch, and
+    each is ranked from the layout: the offset of its pivot combination plus
+    its free cells as base-p digits.
     """
     _, d, n = subs.shape
     combos, offsets, weights = subspace_layout(n, d, p)

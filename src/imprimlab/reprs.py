@@ -307,13 +307,14 @@ def invariant_subspaces(gens, n: int, p: int, dims=None) -> list[Subspace]:
         check_cap("subspace scan", gaussian_binomial(n, d, p), f"subspaces of dimension {d}",
                   current_limits().subspaces)
         subs = subspace_array(n, d, p)
-        invariant = np.arange(len(subs))
-        for g in gens:
-            moved = np.empty(len(invariant), dtype=bool)
-            for start, chunk, image in image_chunks(subs[invariant], g):
+        invariant = np.ones(len(subs), dtype=bool)
+        for k, g in enumerate(gens):
+            rest = subs if k == 0 else subs[invariant]
+            moved = np.empty(len(rest), dtype=bool)
+            for start, chunk, image in image_chunks(rest, g):
                 pivots = (chunk != 0).argmax(axis=2)[:, None, :]
                 coords = np.take_along_axis(image, pivots, axis=2)
                 moved[start : start + len(chunk)] = ((image - coords @ chunk) % p).any(axis=(1, 2))
-            invariant = invariant[~moved]
-        found.extend(echelon_subspace(subs[i], p) for i in invariant)
+            invariant[invariant] = ~moved
+        found.extend(echelon_subspace(subs[i], p) for i in np.flatnonzero(invariant))
     return found
