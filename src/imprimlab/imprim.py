@@ -2,20 +2,20 @@
 
 all_systems is the exhaustive scan of the package.  For every proper
 divisor d of n it enumerates every d-dimensional subspace once, as the
-(N, d, n) RREF stack of linalg.subspace_array, and turns group elements into
-permutation tables of that stack (linalg.subspace_tables): the element is
-applied to the whole stack, the images are row-reduced in batch
-(linalg.rref_batch sweeps the d rows of each image, then sorts them by
-leading column) and each is ranked from the stack's order,
-linalg.subspace_layout.  Only the one word w = g_1 * ... * g_m of the
-generators is applied to every subspace.  A w-cycle lies inside an orbit, so
-a subspace on a w-cycle longer than n/d lies in no system and is dropped; the
-generators' tables are made only for the rest, and a remaining subspace with
-a generator image outside the rest is dropped until none is left, which
-drains every orbit kept in part.  Orbits come from min-label propagation
-over the tables (groups.orbit_labels), and the orbits of size n/d that
-decompose the space into a direct sum are the systems.  Orbits of a
-transitive part action are exactly the systems, so every system is found once.
+(N, d, n) RREF stack of linalg.subspace_array, in the order
+linalg.subspace_layout defines.  A subspace on a cycle of more than n/d
+members under the word w = g_1 * ... * g_m of the generators lies in no
+system, since a w-cycle lies inside an orbit.  Which subspaces lie on short
+w-cycles is decided for the whole stack by invariance under a few powers
+of w (linalg.invariance_table), with no row reduction.  The generators are
+turned into permutation tables (linalg.subspace_tables) only on the rest:
+their images are row-reduced in batch (linalg.rref_batch) and ranked in the
+stack's order, and a remaining subspace with a generator image outside the
+rest is dropped until none is left, which drains every orbit kept in part.
+Orbits come from min-label propagation over the tables
+(groups.orbit_labels), and the orbits of size n/d that decompose the space
+into a direct sum are the systems.  Orbits of a transitive part action are
+exactly the systems, so every system is found once.
 
 Memory: the stack is stored in the smallest integer dtype that holds p - 1
 and the tables as int32; only chunks of linalg.SCAN_CHUNK subspaces are
@@ -37,6 +37,7 @@ of a part acts irreducibly and primitively on it).
 from __future__ import annotations
 
 import functools
+import itertools
 import operator
 
 import numpy as np
@@ -56,6 +57,7 @@ from .linalg import (
     divisors,
     echelon_subspace,
     gaussian_binomial,
+    invariance_table,
     subspace_array,
     subspace_tables,
 )
@@ -170,27 +172,36 @@ def is_system(g: MatrixGroup, parts) -> bool:
     return bool((part_table(g, parts) >= 0).all())
 
 
+def _short_cycles(word, subs: np.ndarray, p: int, target: int) -> np.ndarray:
+    """Which subspaces of subs lie on a word-cycle of at most target members.
+
+    W lies on such a cycle exactly when W @ word^c <= W for some c with
+    target / 2 < c <= target: a cycle of l <= target members has a multiple
+    of l in that range, and W @ word^c = W (the word is invertible, so <= is
+    =) makes l divide c.  That is one invariance test per power
+    (linalg.invariance_table), not a row reduction and a rank per subspace.
+    """
+    powers = list(itertools.accumulate([word] * target, operator.mul))
+    return invariance_table(subs, powers[target // 2 :], p).any(axis=0)
+
+
 def _short_orbit_tables(gens, subs: np.ndarray, p: int, target: int):
     """Whole orbits of subs that hold every orbit of at most target members.
 
     Returns (keep, tables): keep holds, in increasing order, the indices in
     subs of a union of whole orbits that contains every orbit of at most
     target members, and tables[k, i] is the position in keep of the image of
-    subs[keep[i]] under gens[k].  Every subspace is first ranked under the
-    one word w = gens[0] * ... * gens[-1]; a w-cycle lies inside an orbit,
-    so a subspace on a longer cycle is dropped.  The generators rank only the
-    survivors, and a survivor with an image outside the survivors is dropped
-    until none is left: an orbit is connected under the generators, so an
-    orbit kept in part always has such a member and drains away whole.
+    subs[keep[i]] under gens[k].  A cycle of the word w = gens[0] * ... *
+    gens[-1] lies inside an orbit, so only subspaces on w-cycles of at most
+    target members are kept (_short_cycles).  The generators rank only those,
+    and a kept subspace with an image outside the kept ones is dropped until
+    none is left: an orbit is connected under the generators, so an orbit
+    kept in part always has such a member and drains away whole.
     subspace_tables ranks each image in the order of the whole subspace_array
     stack, also for the rows subs[keep], so the images are indices in subs.
     """
     word = functools.reduce(operator.mul, gens)
-    word_table = subspace_tables([word], subs, p)
-    if len(gens) == 1:
-        return np.arange(len(subs)), word_table
-    cycles = orbit_labels(word_table)
-    keep = np.flatnonzero((np.bincount(cycles) <= target)[cycles])
+    keep = np.flatnonzero(_short_cycles(word, subs, p, target))
     images = subspace_tables(gens, subs[keep], p)
     # the position of each image in keep, or len(keep) when it is not kept
     pos = np.searchsorted(keep, images)
@@ -211,9 +222,9 @@ def all_systems(g: MatrixGroup, *, stats: dict | None = None) -> list[Imprimitiv
     """Every system of imprimitivity of g whose parts form a single orbit.
 
     For irreducible g the part action of any system is transitive, so this
-    is the complete list.  Each candidate dimension ranks every subspace
-    under one word of the generators, and under each generator only the
-    subspaces whose word cycle fits a system (_short_orbit_tables).  Fails
+    is the complete list.  Each candidate dimension tests every subspace for
+    a short cycle of one word of the generators, and ranks the generators'
+    images only of the subspaces that have one (_short_orbit_tables).  Fails
     fast, before anything is allocated, with PhaseCapExceeded ("subspace
     scan") when some candidate dimension has more subspaces than the
     subspace cap, and with a CapError when it has too many to index in int32

@@ -12,14 +12,18 @@ in 64 bits, so construction rejects moduli where n * (p-1)^2 would overflow;
 in practice every instance here has p < 100.  Subspaces take any p < 2^31,
 so their containment tests use the overflow-safe mul_mod.  A scan over the
 subspaces of one dimension works on one stack of RREF bases, subspace_array,
-in the order subspace_layout defines.  rref_batch row-reduces a whole stack
-of images at once by a sweep over its rows, so a d-subspace costs d steps
+in the order subspace_layout defines (built once per (n, d, p)).
+invariance_table tests which subspaces of a stack some matrices map into
+themselves, one pivot block at a time, with products and no row reduction.
+subspace_tables ranks the images of a stack instead: rref_batch row-reduces
+them all at once by a sweep over their rows, so a d-subspace costs d steps
 however large the ambient dimension n is; its products of earlier rows go
 through mul_mod, since several of them can overflow int64 for p near 2^31.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -335,6 +339,7 @@ def entry_dtype(m: int):
     return np.int64
 
 
+@functools.lru_cache(maxsize=64)
 def subspace_layout(n: int, d: int, p: int):
     """The order of subspace_array, as (combos, offsets, weights).
 
@@ -342,8 +347,10 @@ def subspace_layout(n: int, d: int, p: int):
     offsets[c] to offsets[c + 1] - 1 have pivots combos[c], and weights[c]
     holds the base-p place values of their free cells (right of each pivot,
     outside pivot columns, row by row, the last cell 1), 0 elsewhere.  RREF
-    rows with pivots combos[c] are subspace offsets[c] + sum(rows * weights[c])."""
-    combos = list(itertools.combinations(range(n), d))
+    rows with pivots combos[c] are subspace offsets[c] + sum(rows * weights[c]).
+    Built once per (n, d, p) and shared: combos is a tuple, and offsets and
+    weights are read-only int64 arrays."""
+    combos = tuple(itertools.combinations(range(n), d))
     weights = np.zeros((len(combos), d, n), dtype=np.int64)
     offsets = [0]
     for c, pivots in enumerate(combos):
@@ -353,6 +360,8 @@ def subspace_layout(n: int, d: int, p: int):
         for k, (i, j) in enumerate(reversed(free_cells)):
             weights[c, i, j] = p**k
         offsets.append(offsets[-1] + p ** len(free_cells))
+    offsets = np.array(offsets, dtype=np.int64)
+    offsets.flags.writeable = weights.flags.writeable = False
     return combos, offsets, weights
 
 
@@ -387,18 +396,6 @@ def all_subspaces(n: int, d: int, p: int):
 
 # Rows per chunk of a subspace scan: only a chunk and its images are int64.
 SCAN_CHUNK = 1024
-
-
-def image_chunks(subs: np.ndarray, g: Matrix):
-    """Yield (start, chunk, image) over subs, with image = chunk @ g mod p.
-
-    chunk and image are int64 arrays of at most SCAN_CHUNK subspaces.
-    """
-    n = subs.shape[2]
-    for start in range(0, len(subs), SCAN_CHUNK):
-        chunk = subs[start : start + SCAN_CHUNK].astype(np.int64)
-        image = (chunk.reshape(-1, n) @ g.a % g.p).reshape(chunk.shape)
-        yield start, chunk, image
 
 
 def _inverse_mod(x: np.ndarray, p: int) -> np.ndarray:
@@ -443,6 +440,35 @@ def rref_batch(a: np.ndarray, p: int) -> np.ndarray:
     return a[every[:, None], order]
 
 
+def invariance_table(subs: np.ndarray, mats, p: int, rows=None) -> np.ndarray:
+    """Which subspaces of a subspace_array stack each matrix maps into itself.
+
+    mats is a sequence of Matrix.  table[k, i] is True when the row space W
+    of subs[rows[i]] satisfies W @ mats[k] <= W; rows, increasing, defaults
+    to the whole stack.  The rows go one pivot block of subspace_layout at a
+    time, so every basis B of a block is the identity on the same pivot
+    columns P.  An image row v lies in W exactly when v agrees with v[P] @ B
+    outside P.  The columns are reordered with P first, so v[P] is a slice
+    and only the n - d other entries are compared.
+    """
+    _, d, n = subs.shape
+    combos, offsets, _ = subspace_layout(n, d, p)
+    stack = np.stack([g.a for g in mats])
+    bounds = offsets if rows is None else np.searchsorted(rows, offsets)
+    table = np.empty((len(stack), bounds[-1]), dtype=bool)
+    for pivots, lo, hi in zip(combos, bounds, bounds[1:]):
+        order = list(pivots) + [j for j in range(n) if j not in pivots]
+        moved = stack[:, order][:, :, order]
+        for start in range(lo, hi, SCAN_CHUNK):
+            stop = min(start + SCAN_CHUNK, hi)
+            chunk = subs[start:stop] if rows is None else subs[rows[start:stop]]
+            basis = chunk[..., order].astype(np.int64)
+            image = mul_mod(basis.reshape(-1, n), moved, p).reshape(len(stack), -1, d, n)
+            inside = mul_mod(image[..., :d], basis[..., d:], p) == image[..., d:]
+            table[:, start:stop] = inside.all(axis=(2, 3))
+    return table
+
+
 def subspace_tables(gens, subs: np.ndarray, p: int) -> np.ndarray:
     """Permutation tables of invertible generators on a subspace_array stack.
 
@@ -455,7 +481,7 @@ def subspace_tables(gens, subs: np.ndarray, p: int) -> np.ndarray:
     """
     _, d, n = subs.shape
     combos, offsets, weights = subspace_layout(n, d, p)
-    offsets, weights = np.array(offsets), weights.reshape(len(combos), d * n)
+    weights = weights.reshape(len(combos), d * n)
     # lexicographic rank of pivots c: C(n, d) - 1 - sum_i C(n - 1 - c_i, d - i)
     place = np.array([math.comb(n - 1 - j, d - i) for i in range(d) for j in range(n)])
     row_starts = np.arange(0, d * n, n)

@@ -37,7 +37,7 @@ from .linalg import (
     Subspace,
     echelon_subspace,
     gaussian_binomial,
-    image_chunks,
+    invariance_table,
     mul_mod,
     rref,
     subspace_array,
@@ -292,11 +292,10 @@ def invariant_subspaces(gens, n: int, p: int, dims=None) -> list[Subspace]:
     """All proper nonzero invariant subspaces, by exhaustive scan.
 
     dims restricts the scan to the given dimensions; default is 1..n-1.
-    Each dimension is scanned as one subspace_array stack in chunks: W is
-    invariant when every generator image of its RREF basis B is its own
-    pivot-column coordinates times B.  Each generator after the first is
-    applied only to the subspaces the earlier ones left invariant.  A
-    dimension with more subspaces than the subspace cap raises
+    Each dimension is scanned as one subspace_array stack by
+    linalg.invariance_table, one generator at a time: the first tests every
+    subspace, and each later one only the subspaces the earlier ones left
+    invariant.  A dimension with more subspaces than the subspace cap raises
     PhaseCapExceeded ("subspace scan") before its stack is allocated.
     """
     gens = list(gens)
@@ -307,14 +306,8 @@ def invariant_subspaces(gens, n: int, p: int, dims=None) -> list[Subspace]:
         check_cap("subspace scan", gaussian_binomial(n, d, p), f"subspaces of dimension {d}",
                   current_limits().subspaces)
         subs = subspace_array(n, d, p)
-        invariant = np.ones(len(subs), dtype=bool)
-        for k, g in enumerate(gens):
-            rest = subs if k == 0 else subs[invariant]
-            moved = np.empty(len(rest), dtype=bool)
-            for start, chunk, image in image_chunks(rest, g):
-                pivots = (chunk != 0).argmax(axis=2)[:, None, :]
-                coords = np.take_along_axis(image, pivots, axis=2)
-                moved[start : start + len(chunk)] = ((image - coords @ chunk) % p).any(axis=(1, 2))
-            invariant[invariant] = ~moved
-        found.extend(echelon_subspace(subs[i], p) for i in np.flatnonzero(invariant))
+        rows = np.arange(len(subs))
+        for g in gens:
+            rows = rows[invariance_table(subs, [g], p, rows)[0]]
+        found.extend(echelon_subspace(subs[i], p) for i in rows)
     return found

@@ -26,6 +26,7 @@ from imprimlab.linalg import (
     rref,
     rref_batch,
     subspace_array,
+    subspace_layout,
     subspace_tables,
 )
 
@@ -360,6 +361,15 @@ def test_subspace_tables_are_the_generator_actions():
             assert np.array_equal(subs[j], image.basis)
     with pytest.raises(Singular):
         subspace_tables([Matrix.diagonal([1, 1, 0], p)], subs, p)
+
+
+def test_subspace_layout_is_built_once_and_read_only():
+    combos, offsets, weights = layout = subspace_layout(4, 2, 3)
+    assert subspace_layout(4, 2, 3) is layout
+    assert isinstance(combos, tuple) and offsets.tolist() == [0, 81, 108, 117, 126, 129, 130]
+    for array in (offsets, weights):
+        with pytest.raises(ValueError):
+            array[0] = 1
 
 
 @st.composite

@@ -4,6 +4,9 @@ scan_oracle and invariant_oracle are the exhaustive loops that all_systems
 and invariant_subspaces ran before the scan became table-based: one
 subspace_orbit (or one containment test) per enumerated subspace.  They are
 kept here, and only here, as the reference the library is checked against.
+The invariance kernel both scans share is checked against
+Subspace.contains_rows, and the short-cycle mask against the word's full
+permutation table.
 """
 
 import functools
@@ -23,12 +26,16 @@ from imprimlab.imprim import (
     subspace_orbit,
 )
 from imprimlab.linalg import (
+    SCAN_CHUNK,
     Matrix,
     all_subspaces,
     direct_sum_check,
     divisors,
+    echelon_subspace,
     gaussian_binomial,
+    invariance_table,
     subspace_array,
+    subspace_layout,
     subspace_tables,
 )
 from imprimlab.reprs import invariant_subspaces
@@ -153,6 +160,8 @@ def sign_wreath(p, *points):
     return wreath_product(WreathSpec(sign_group(p), PermGroup(list(points))))
 
 
+CYCLE = Matrix([[0, 1, 0], [0, 0, 1], [1, 0, 0]], 3)
+CYCLE_4 = Matrix([[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0]], 3)
 TWIST = Matrix([[0, 1, 0], [0, 0, 2], [1, 0, 0]], 3)
 
 
@@ -199,8 +208,31 @@ def test_orbits_the_word_keeps_in_part_drain_away():
     assert_scan_matches_oracle(g)
 
 
+def short_cycle_oracle(w, subs, p, target):
+    """The subspaces on w-cycles of at most target members, read off w's
+    full permutation table of subs."""
+    cycles = orbit_labels(subspace_tables([w], subs, p))
+    return np.bincount(cycles)[cycles] <= target
+
+
+@example(MatrixGroup([CYCLE, CYCLE]))  # the word has order 3 = n/1: every line is kept
+@example(MatrixGroup([Matrix([[1, 1, 0], [0, 1, 0], [0, 0, 2]], 3)]))  # one generator
+@example(sign_wreath(5, perm(2, 1, 4, 3), perm(3, 4, 1, 2)))  # 10 systems
+@given(small_groups())
+def test_short_cycle_mask_matches_the_word_table(g):
+    w = word(g.gens)
+    for d in divisors(g.n)[:-1]:
+        subs = subspace_array(g.n, d, g.p)
+        mask = imprim._short_cycles(w, subs, g.p, g.n // d)
+        assert np.array_equal(mask, short_cycle_oracle(w, subs, g.p, g.n // d))
+
+
 def test_generators_rank_only_what_the_word_keeps(monkeypatch):
     g = sign_wreath(3, perm(2, 1, 3, 4, 5, 6), perm(2, 3, 4, 5, 6, 1))
+    survivors = sum(
+        int(short_cycle_oracle(word(g.gens), subspace_array(6, d, 3), 3, 6 // d).sum())
+        for d in (1, 2, 3)
+    )
     ranked = []
 
     def counting_tables(gens, subs, p):
@@ -210,9 +242,76 @@ def test_generators_rank_only_what_the_word_keeps(monkeypatch):
     monkeypatch.setattr(imprim, "subspace_tables", counting_tables)
     stats = {}
     all_systems(g, stats=stats)
-    # every generator on every subspace would rank 135 765 images
-    assert sum(ranked) <= 46000
+    # the word is never ranked: its short cycles come from the invariance
+    # kernel, and only the generators rank, each on the survivors alone
+    assert sum(ranked) == len(g.gens) * survivors < 1000
     assert stats["subspaces_scanned"] == 45255
+
+
+# (n, d, p) shapes with more than SCAN_CHUNK subspaces
+PAST_A_CHUNK = [(6, 3, 2), (5, 2, 3), (3, 1, 131), (3, 2, 131)]
+
+
+def matrices(n, p):
+    """Random invertible, monomial, or diagonal matrices with at most two
+    distinct entries; the last leave many subspaces invariant."""
+    values = st.lists(st.integers(1, p - 1), min_size=2, max_size=2)
+    picks = st.lists(st.integers(0, 1), min_size=n, max_size=n)
+    diagonal = st.builds(lambda v, i: Matrix.diagonal([v[k] for k in i], p), values, picks)
+    return st.one_of(invertible_matrices(n, p), monomial_matrices(n, p), diagonal)
+
+
+@st.composite
+def kernel_cases(draw):
+    """(n, d, p, mats, rows): 1-3 matrices and one of five row sets of the
+    d-subspaces of GF(p)^n: all of them, none, a run inside one pivot block,
+    a strided run across blocks, or a run of more than SCAN_CHUNK rows."""
+    kind = draw(st.sampled_from(["all", "none", "one block", "across blocks", "past a chunk"]))
+    if kind == "past a chunk":
+        n, d, p = draw(st.sampled_from(PAST_A_CHUNK))
+    else:
+        p = draw(st.sampled_from([2, 3, 5, 131]))
+        n = draw(st.integers(1 if kind != "across blocks" else 2, {2: 5, 3: 4, 5: 3, 131: 2}[p]))
+        d = draw(st.integers(1, n if kind != "across blocks" else n - 1))
+    mats = draw(st.lists(matrices(n, p), min_size=1, max_size=3))
+    _, offsets, _ = subspace_layout(n, d, p)
+    count = int(offsets[-1])
+    if kind == "all":
+        return n, d, p, mats, None
+    if kind == "none":
+        return n, d, p, mats, np.array([], dtype=np.intp)
+    if kind == "past a chunk":
+        start = draw(st.integers(0, count - SCAN_CHUNK - 1))
+        stop = draw(st.integers(start + SCAN_CHUNK + 1, min(count, start + SCAN_CHUNK + 300)))
+        return n, d, p, mats, np.arange(start, stop)
+    step = draw(st.integers(1, 7))
+    if kind == "one block":
+        block = draw(st.integers(0, len(offsets) - 2))
+        start = draw(st.integers(int(offsets[block]), int(offsets[block + 1]) - 1))
+        return n, d, p, mats, np.arange(start, int(offsets[block + 1]), step)[:300]
+    # from a row before the last block to the last row of a later block
+    start = draw(st.integers(0, int(offsets[-2]) - 1))
+    later = int(np.searchsorted(offsets, start, side="right")) + 1
+    stop = int(offsets[draw(st.integers(later, len(offsets) - 1))])
+    return n, d, p, mats, np.union1d(np.arange(start, stop, step)[:299], [stop - 1])
+
+
+@example((3, 1, 131, [Matrix.diagonal([1, 1, 2], 131)], np.arange(17000, 17293)))
+@example((3, 2, 131, [Matrix.diagonal([1, 2, 2], 131)], np.arange(100, 1300)))
+@example((2, 1, 2, [Matrix.identity(2, 2)], np.array([], dtype=np.intp)))
+@example((4, 2, 3, [Matrix.diagonal([1, 2, 2, 1], 3), CYCLE_4], np.arange(3, 130, 3)))
+@example((5, 2, 3, [Matrix.diagonal([2, 2, 1, 1, 1], 3)], np.arange(0, 1100)))
+@given(kernel_cases())
+def test_invariance_table_matches_contains_rows(case):
+    n, d, p, mats, rows = case
+    subs = subspace_array(n, d, p)
+    table = invariance_table(subs, mats, p, rows)
+    rows = np.arange(len(subs)) if rows is None else rows
+    assert table.shape == (len(mats), len(rows)) and table.dtype == bool
+    for i, row in enumerate(rows):
+        w = echelon_subspace(subs[row], p)
+        for k, m in enumerate(mats):
+            assert table[k, i] == w.contains_rows(w.basis @ m.a % p)
 
 
 @pytest.mark.parametrize("p,dtype", [(127, np.int8), (131, np.int16)])
