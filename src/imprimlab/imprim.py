@@ -25,13 +25,12 @@ dimension is checked against the subspace cap of errors.limits (phase
 The tests check the scan against one subspace_orbit (a plain breadth-first
 search, with no caller here) per unvisited subspace.
 
-A list of parts is acted on through one part table (part_table: for every
-generator, the index of the part each part is sent to, or -1), the
-package's only action on single subspaces.  is_system reads it, and the
-stabilizer criterion builds its transversal along it.  Nonrefinability is
-decided by two independent routes: brute force (no other enumerated system
-properly refines it) and the stabilizer criterion (the setwise stabilizer
-of a part acts irreducibly and primitively on it).
+ImprimitivitySystem alone validates a list of parts, and one part table
+(part_table: each part's image under each generator, as a part index or
+-1) acts on it; is_system and the stabilizer criterion's transversal read
+it.  Nonrefinability is decided by brute force (no other enumerated system
+properly refines it) and by the stabilizer criterion (a part's setwise
+stabilizer acts irreducibly and primitively on it).
 """
 
 from __future__ import annotations
@@ -58,6 +57,7 @@ from .linalg import (
     echelon_subspace,
     gaussian_binomial,
     invariance_table,
+    rref_batch,
     subspace_array,
     subspace_tables,
 )
@@ -77,16 +77,12 @@ class ImprimitivitySystem:
         parts = sorted(parts)
         if len(parts) < 2:
             raise ValidationError("a system needs at least two parts")
-        ambient, p = parts[0].ambient, parts[0].p
-        for w in parts:
-            if w.ambient != ambient or w.p != p:
-                raise AmbientMismatch("parts live in different ambient spaces")
-        if len({w.key for w in parts}) != len(parts):
-            raise ValidationError("parts must be pairwise distinct")
+        if any(w.rank == 0 for w in parts):
+            raise ValidationError("parts must be nonzero")
+        # raises AmbientMismatch; nonzero summands of a direct sum are distinct
         if not direct_sum_check(parts):
             raise ValidationError("parts do not decompose the full space")
-        self.ambient = ambient
-        self.p = p
+        self.ambient, self.p = parts[0].ambient, parts[0].p
         self.parts = tuple(parts)
         self._key = tuple(w.key for w in parts)
 
@@ -146,30 +142,36 @@ def subspace_orbit(g: MatrixGroup, w: Subspace) -> list[Subspace]:
     return list(seen.values())
 
 
+def _lookup(keys: np.ndarray, queries: np.ndarray, missing: int) -> np.ndarray:
+    """The index in keys of each query, or missing where it is absent."""
+    order = np.argsort(keys)
+    pos = order[np.minimum(np.searchsorted(keys, queries, sorter=order), len(keys) - 1)]
+    return np.where(keys[pos] == queries, pos, missing)
+
+
 def part_table(g: MatrixGroup, parts) -> np.ndarray:
-    """The generators' action on a list of parts, as an (m, k) table.
+    """The generators' action on distinct nonzero parts, as an (m, k) table.
 
     Entry [s, i] is the index in parts of the image of parts[i] under the
-    s-th generator, or -1 when that image is not one of the parts.
+    s-th generator, or -1 if no part is that image; parts match by RREF bytes.
     """
-    index = {w.key: i for i, w in enumerate(parts)}
-    return np.array([[index.get(w.apply(s).key, -1) for w in parts] for s in g.gens],
-                    dtype=np.intp)
+    subs = np.zeros((len(parts), g.n, g.n), dtype=np.int64)  # bases, zero rows last
+    for w, rows in zip(parts, subs):
+        rows[: w.rank] = w.basis
+    images = rref_batch((subs @ g._generator_stack[:, None] % g.p).reshape(-1, g.n, g.n), g.p)
+    return _lookup(byte_keys(subs), byte_keys(images), -1).reshape(len(g.gens), -1)
 
 
 def is_system(g: MatrixGroup, parts) -> bool:
-    """True iff the parts decompose V and every generator permutes them."""
+    """True iff the parts form an ImprimitivitySystem that every generator permutes."""
     parts = list(parts)
-    if not parts:
-        raise ValidationError("no parts given")
-    for w in parts:
-        if w.ambient != g.n or w.p != g.p:
-            raise AmbientMismatch("parts do not match the group's space")
-    if len(parts) < 2 or not direct_sum_check(parts):
+    if any(w.ambient != g.n or w.p != g.p for w in parts):
+        raise AmbientMismatch("parts do not match the group's space")
+    try:
+        system = ImprimitivitySystem(parts)
+    except ValidationError:
         return False
-    if len({w.key for w in parts}) != len(parts):
-        return False
-    return bool((part_table(g, parts) >= 0).all())
+    return bool((part_table(g, system.parts) >= 0).all())
 
 
 def _short_cycles(word, subs: np.ndarray, p: int, target: int) -> np.ndarray:
@@ -203,9 +205,7 @@ def _short_orbit_tables(gens, subs: np.ndarray, p: int, target: int):
     word = functools.reduce(operator.mul, gens)
     keep = np.flatnonzero(_short_cycles(word, subs, p, target))
     images = subspace_tables(gens, subs[keep], p)
-    # the position of each image in keep, or len(keep) when it is not kept
-    pos = np.searchsorted(keep, images)
-    pos[keep[np.minimum(pos, len(keep) - 1)] != images] = len(keep)
+    pos = _lookup(keep, images, len(keep))
     alive = np.ones(len(keep) + 1, dtype=bool)
     alive[-1] = False
     while True:

@@ -10,9 +10,9 @@ Conventions used by the whole package:
 Matrices are small dense numpy int64 arrays.  Intermediate products must fit
 in 64 bits, so construction rejects moduli where n * (p-1)^2 would overflow;
 in practice every instance here has p < 100.  Subspaces take any p < 2^31,
-so their containment tests use the overflow-safe mul_mod.  A scan over the
-subspaces of one dimension works on one stack of RREF bases, subspace_array,
-in the order subspace_layout defines (built once per (n, d, p)).
+so their containment tests use the overflow-safe mul_mod.  A d-subspace is
+named by its index in the order subspace_layout(n, d, p) defines (its rank
+and unrank convert), and a scan works on subspace_array, every index unranked.
 invariance_table tests which subspaces of a stack some matrices map into
 themselves, one pivot block at a time, with products and no row reduction.
 subspace_tables ranks the images of a stack instead: rref_batch row-reduces
@@ -31,6 +31,7 @@ import numpy as np
 
 from .errors import (
     AmbientMismatch,
+    CapError,
     ModulusMismatch,
     ShapeMismatch,
     Singular,
@@ -339,45 +340,65 @@ def entry_dtype(m: int):
     return np.int64
 
 
-@functools.lru_cache(maxsize=64)
-def subspace_layout(n: int, d: int, p: int):
-    """The order of subspace_array, as (combos, offsets, weights).
+class SubspaceLayout:
+    """The order of subspace_array: rank names d-subspaces by index, unrank back.
 
     combos are the pivot combinations in lexicographic order; subspaces
     offsets[c] to offsets[c + 1] - 1 have pivots combos[c], and weights[c]
     holds the base-p place values of their free cells (right of each pivot,
     outside pivot columns, row by row, the last cell 1), 0 elsewhere.  RREF
-    rows with pivots combos[c] are subspace offsets[c] + sum(rows * weights[c]).
-    Built once per (n, d, p) and shared: combos is a tuple, and offsets and
-    weights are read-only int64 arrays."""
-    combos = tuple(itertools.combinations(range(n), d))
-    weights = np.zeros((len(combos), d, n), dtype=np.int64)
-    offsets = [0]
-    for c, pivots in enumerate(combos):
-        free_cells = [
-            (i, j) for i in range(d) for j in range(pivots[i] + 1, n) if j not in pivots
-        ]
-        for k, (i, j) in enumerate(reversed(free_cells)):
-            weights[c, i, j] = p**k
-        offsets.append(offsets[-1] + p ** len(free_cells))
-    offsets = np.array(offsets, dtype=np.int64)
-    offsets.flags.writeable = weights.flags.writeable = False
-    return combos, offsets, weights
+    rows with pivots combos[c] are subspace offsets[c] + sum(rows * weights[c]),
+    and c = C(n, d) - 1 - sum_i place[i * n + combos[c][i]].  combos is a
+    tuple, and offsets, weights and place are read-only int64 arrays.
+    """
+
+    def __init__(self, n: int, d: int, p: int):
+        if gaussian_binomial(n, d, p) >= 2**63:
+            raise CapError(f"the {d}-subspaces of GF({p})^{n} are too many to index in int64")
+        self.p, self.combos = p, tuple(itertools.combinations(range(n), d))
+        self.weights = np.zeros((len(self.combos), d, n), dtype=np.int64)
+        for c, pivots in enumerate(self.combos):
+            free_cells = [(i, j) for i in range(d) for j in range(pivots[i] + 1, n)
+                          if j not in pivots]
+            for k, (i, j) in enumerate(reversed(free_cells)):
+                self.weights[c, i, j] = p**k
+        self.offsets = np.cumsum([0] + [p ** np.count_nonzero(w) for w in self.weights])
+        self.place = np.array([math.comb(n - 1 - j, d - i) for i in range(d) for j in range(n)],
+                              np.int64)
+        for array in (self.offsets, self.weights, self.place):
+            array.flags.writeable = False
+
+    def rank(self, rows: np.ndarray) -> np.ndarray:
+        """The int64 index of every basis of an (N, d, n) stack of RREF bases."""
+        _, d, n = rows.shape
+        cells = (rows != 0).argmax(axis=2) + np.arange(0, d * n, n)
+        # a product with ones sums a short last axis faster than sum() does
+        combo = len(self.combos) - 1 - np.take(self.place, cells) @ np.ones(d, dtype=np.int64)
+        weights = np.take(self.weights.reshape(len(self.combos), -1), combo, axis=0)
+        return self.offsets[combo] + np.einsum("kj,kj->k", rows.reshape(len(rows), -1), weights)
+
+    def unrank(self, indices) -> np.ndarray:
+        """The RREF bases of increasing indices, filled one pivot block at a time."""
+        indices = np.asarray(indices, dtype=np.int64)
+        _, d, n = self.weights.shape
+        subs = np.zeros((len(indices), d, n), dtype=entry_dtype(self.p))
+        bounds = np.searchsorted(indices, self.offsets)
+        for c, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+            block, index = subs[lo:hi], indices[lo:hi] - self.offsets[c]
+            block[:, np.arange(d), list(self.combos[c])] = 1
+            for i, j in zip(*np.nonzero(self.weights[c])):
+                block[:, i, j] = index // self.weights[c, i, j] % self.p
+        return subs
+
+
+subspace_layout = functools.lru_cache(maxsize=64)(SubspaceLayout)
 
 
 def subspace_array(n: int, d: int, p: int) -> np.ndarray:
     """Every d-dimensional subspace of GF(p)^n as an (N, d, n) RREF stack, in
     subspace_layout order; entries in entry_dtype(p) keep large scans small."""
-    p = _check_modulus(p)
-    combos, offsets, weights = subspace_layout(n, d, p)
-    subs = np.zeros((offsets[-1], d, n), dtype=entry_dtype(p))
-    for pivots, start, stop, weight in zip(combos, offsets, offsets[1:], weights):
-        block = subs[start:stop]
-        block[:, np.arange(d), list(pivots)] = 1
-        index = np.arange(stop - start, dtype=np.int64)
-        for i, j in zip(*np.nonzero(weight)):
-            block[:, i, j] = index // weight[i, j] % p
-    return subs
+    layout = subspace_layout(n, d, _check_modulus(p))
+    return layout.unrank(np.arange(layout.offsets[-1]))
 
 
 def echelon_subspace(rows: np.ndarray, p: int) -> Subspace:
@@ -389,7 +410,6 @@ def echelon_subspace(rows: np.ndarray, p: int) -> Subspace:
 
 def all_subspaces(n: int, d: int, p: int):
     """Yield every d-dimensional subspace of GF(p)^n in subspace_array order."""
-    p = _check_modulus(p)
     for rows in subspace_array(n, d, p):
         yield echelon_subspace(rows, p)
 
@@ -452,11 +472,11 @@ def invariance_table(subs: np.ndarray, mats, p: int, rows=None) -> np.ndarray:
     and only the n - d other entries are compared.
     """
     _, d, n = subs.shape
-    combos, offsets, _ = subspace_layout(n, d, p)
+    layout = subspace_layout(n, d, p)
     stack = np.stack([g.a for g in mats])
-    bounds = offsets if rows is None else np.searchsorted(rows, offsets)
+    bounds = layout.offsets if rows is None else np.searchsorted(rows, layout.offsets)
     table = np.empty((len(stack), bounds[-1]), dtype=bool)
-    for pivots, lo, hi in zip(combos, bounds, bounds[1:]):
+    for pivots, lo, hi in zip(layout.combos, bounds, bounds[1:]):
         order = list(pivots) + [j for j in range(n) if j not in pivots]
         moved = stack[:, order][:, :, order]
         for start in range(lo, hi, SCAN_CHUNK):
@@ -472,33 +492,22 @@ def invariance_table(subs: np.ndarray, mats, p: int, rows=None) -> np.ndarray:
 def subspace_tables(gens, subs: np.ndarray, p: int) -> np.ndarray:
     """Permutation tables of invertible generators on a subspace_array stack.
 
-    tables[k, i] is the rank of the image of subs[i] under gens[k] in
-    subspace_layout order, an int32: its index in the whole subspace_array
-    stack of that (n, d, p), also when subs holds only some of its rows.  A
-    chunk's images under all generators are row-reduced in one batch, and
-    each is ranked from the layout: the offset of its pivot combination plus
-    its free cells as base-p digits.
+    tables[k, i] is the index of the image of subs[i] under gens[k] in the
+    whole subspace_array stack of that (n, d, p), also for a part of it, an
+    int32 while every index fits: a chunk's images under all generators are
+    row-reduced in one batch and ranked by SubspaceLayout.rank.
     """
     _, d, n = subs.shape
-    combos, offsets, weights = subspace_layout(n, d, p)
-    weights = weights.reshape(len(combos), d * n)
-    # lexicographic rank of pivots c: C(n, d) - 1 - sum_i C(n - 1 - c_i, d - i)
-    place = np.array([math.comb(n - 1 - j, d - i) for i in range(d) for j in range(n)])
-    row_starts = np.arange(0, d * n, n)
-    # a product with ones sums a short last axis faster than sum() does
-    ones_d, ones_n = np.ones(d, dtype=np.int64), np.ones(n, dtype=np.int64)
+    layout = subspace_layout(n, d, p)
     stack = np.stack([g.a for g in gens])
-    tables = np.empty((len(gens), len(subs)), dtype=np.int32)
+    dtype = np.int32 if layout.offsets[-1] <= 2**31 else np.int64
+    tables = np.empty((len(gens), len(subs)), dtype=dtype)
     for start in range(0, len(subs), SCAN_CHUNK):
         chunk = subs[start : start + SCAN_CHUNK].astype(np.int64)
         reduced = rref_batch((chunk.reshape(-1, n) @ stack % p).reshape(-1, d, n), p)
-        if not (reduced[:, -1] @ ones_n).all():  # a zero last row
+        if not (reduced[:, -1] @ np.ones(n, dtype=np.int64)).all():  # a zero last row
             raise Singular("a generator maps a subspace to a smaller one")
-        pivots = (reduced != 0).argmax(axis=2)
-        combo = len(combos) - 1 - np.take(place, pivots + row_starts) @ ones_d
-        flat = reduced.reshape(len(reduced), -1)
-        ranks = offsets[combo] + np.einsum("kj,kj->k", flat, np.take(weights, combo, axis=0))
-        tables[:, start : start + len(chunk)] = ranks.reshape(len(gens), -1)
+        tables[:, start : start + len(chunk)] = layout.rank(reduced).reshape(len(gens), -1)
     return tables
 
 

@@ -291,7 +291,7 @@ def restrict_to_block(stab_gens, w: Subspace) -> MatrixGroup:
 def invariant_subspaces(gens, n: int, p: int, dims=None) -> list[Subspace]:
     """All proper nonzero invariant subspaces, by exhaustive scan.
 
-    dims restricts the scan to the given dimensions; default is 1..n-1.
+    dims restricts the scan to some of the dimensions 1..n-1 (all by default).
     Each dimension is scanned as one subspace_array stack by
     linalg.invariance_table, one generator at a time: the first tests every
     subspace, and each later one only the subspaces the earlier ones left
@@ -299,8 +299,9 @@ def invariant_subspaces(gens, n: int, p: int, dims=None) -> list[Subspace]:
     PhaseCapExceeded ("subspace scan") before its stack is allocated.
     """
     gens = list(gens)
-    if dims is None:
-        dims = range(1, n)
+    dims = range(1, n) if dims is None else list(dims)
+    if not all(0 < d < n for d in dims):
+        raise ValidationError(f"dims {list(dims)} are not all in 1..{n - 1}")
     found = []
     for d in dims:
         check_cap("subspace scan", gaussian_binomial(n, d, p), f"subspaces of dimension {d}",

@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 
 from imprimlab.errors import (
@@ -25,6 +26,7 @@ from imprimlab.imprim import (
     nonrefinable_systems,
     nonrefinable_via_stabilizer,
     part_stabilizer_elements,
+    part_table,
     subspace_orbit,
 )
 from imprimlab.linalg import Matrix, Subspace
@@ -73,6 +75,28 @@ def test_is_system_examples():
     gl = general_linear_group(2, 3)
     assert not is_system(gl, lines)
     assert not is_system(gl, [Subspace.full(2, 3)])
+
+
+def test_zero_parts_are_rejected():
+    # V + 0 is a direct sum, but 0 is no part of a system of imprimitivity
+    full, zero = Subspace.full(2, 3), Subspace.span([], 2, 3)
+    swap = MatrixGroup([Matrix([[0, 1], [1, 0]], 3)])
+    with pytest.raises(ValidationError, match="nonzero"):
+        ImprimitivitySystem([full, zero])
+    assert not is_system(swap, [full, zero])
+    assert not is_system(swap, [])
+
+
+@pytest.mark.parametrize("n, p", [(8, 5), (16, 2)])
+def test_part_table_has_no_subspace_count_bound(n, p):
+    # GF(5)^8 has 2.0e11 4-subspaces, past int32; GF(2)^16 has more 8-subspaces than int64
+    half = n // 2
+    swap = MatrixGroup([Matrix(np.roll(np.eye(n, dtype=np.int64), half, axis=0), p)])
+    parts = coordinate_system(n, half, p).parts
+    assert is_system(swap, parts)
+    assert part_table(swap, parts).tolist() == [[1, 0]]
+    assert part_stabilizer_elements(swap, parts).tolist() == [np.eye(n, dtype=int).tolist()]
+    assert not nonrefinable_via_stabilizer(swap, coordinate_system(n, half, p))
 
 
 def test_all_systems_of_primitive_group_is_empty():

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from imprimlab.errors import (
     AmbientMismatch,
+    CapError,
     ModulusMismatch,
     ShapeMismatch,
     Singular,
@@ -363,13 +364,65 @@ def test_subspace_tables_are_the_generator_actions():
         subspace_tables([Matrix.diagonal([1, 1, 0], p)], subs, p)
 
 
+def test_subspace_tables_widen_past_int32():
+    # the last of the 2.0e11 4-subspaces of GF(5)^8, as a one-row part of the stack
+    layout = subspace_layout(8, 4, 5)
+    last = int(layout.offsets[-1]) - 1
+    swap = Matrix(np.roll(np.eye(8, dtype=np.int64), 4, axis=0), 5)
+    tables = subspace_tables([Matrix.identity(8, 5), swap], layout.unrank([last]), 5)
+    # the block swap sends span(e5..e8) to span(e1..e4), the first subspace
+    assert tables.dtype == np.int64 and tables.tolist() == [[last], [0]]
+
+
 def test_subspace_layout_is_built_once_and_read_only():
-    combos, offsets, weights = layout = subspace_layout(4, 2, 3)
+    layout = subspace_layout(4, 2, 3)
     assert subspace_layout(4, 2, 3) is layout
-    assert isinstance(combos, tuple) and offsets.tolist() == [0, 81, 108, 117, 126, 129, 130]
-    for array in (offsets, weights):
+    assert isinstance(layout.combos, tuple)
+    assert layout.offsets.tolist() == [0, 81, 108, 117, 126, 129, 130]
+    for array in (layout.offsets, layout.weights, layout.place):
         with pytest.raises(ValueError):
             array[0] = 1
+
+
+@st.composite
+def layout_samples(draw):
+    """(n, d, p, drawn): n <= 8, p in {2, 3, 5}, 1 <= d <= n, and up to 20
+    indices drawn from the gaussian_binomial(n, d, p) subspaces."""
+    n = draw(st.integers(1, 8))
+    d = draw(st.integers(1, n))
+    p = draw(st.sampled_from([2, 3, 5]))
+    count = gaussian_binomial(n, d, p)
+    return n, d, p, draw(st.lists(st.integers(0, count - 1), max_size=20))
+
+
+@example((8, 4, 3, [37_949_999]))  # one of the 75.9 million 4-subspaces of GF(3)^8
+@example((8, 4, 5, []))  # 70 pivot blocks, 5^16 subspaces in the first
+@given(layout_samples())
+def test_rank_inverts_unrank(sample):
+    n, d, p, drawn = sample
+    layout = subspace_layout(n, d, p)
+    # the first and last index of every pivot block, so also the last index
+    edges = np.concatenate([layout.offsets[:-1], layout.offsets[1:] - 1])
+    indices = np.union1d(edges, drawn)
+    assert indices[-1] == gaussian_binomial(n, d, p) - 1
+    subs = layout.unrank(indices)
+    assert subs.shape == (len(indices), d, n)  # the rows asked for, not the whole stack
+    assert np.array_equal(layout.rank(subs), indices)
+    for rows in subs:
+        reduced, rank, _ = rref(rows, p)
+        assert rank == d and np.array_equal(reduced, rows)
+
+
+def test_subspace_layout_refuses_indices_past_int64():
+    # (3^40 - 1) / 2 lines fit in int64, (3^41 - 1) / 2 do not
+    layout = subspace_layout(40, 1, 3)
+    last = int(layout.offsets[-1]) - 1
+    assert last == gaussian_binomial(40, 1, 3) - 1
+    rows = layout.unrank([0, last])
+    assert rows.reshape(2, -1).tolist() == [[1] + [0] * 39, [0] * 39 + [1]]
+    assert layout.rank(rows).tolist() == [0, last]
+    with pytest.raises(CapError, match="too many to index in int64"):
+        subspace_layout(41, 1, 3)
 
 
 @st.composite

@@ -400,6 +400,16 @@ def test_invariant_subspaces_of_diagonal_group():
     assert sorted(s.basis.tolist() for s in found) == [[[0, 1]], [[1, 0]]]
 
 
+@pytest.mark.parametrize("dims", [[2], [0], [3], [1, 2], [-1]])
+def test_invariant_subspaces_rejects_dimensions_outside_the_proper_range(dims):
+    # only 1..n-1: dims=[2] used to return the full space, [0] a numpy
+    # ValueError, and [3] an empty list
+    gens = diag_group().gens
+    with pytest.raises(ValidationError, match=r"not all in 1\.\.1"):
+        invariant_subspaces(gens, 2, 3, dims=dims)
+    assert len(invariant_subspaces(gens, 2, 3, dims=[1])) == 2
+
+
 def test_invariant_subspace_scan_counts_against_the_subspace_cap():
     gens = general_linear_group(4, 5).gens
     with limits(elements=10, subspaces=10):

@@ -23,6 +23,8 @@ from imprimlab.groups import MatrixGroup, PermGroup, orbit_labels
 from imprimlab.imprim import (
     ImprimitivitySystem,
     all_systems,
+    part_stabilizer_elements,
+    part_table,
     subspace_orbit,
 )
 from imprimlab.linalg import (
@@ -248,6 +250,57 @@ def test_generators_rank_only_what_the_word_keeps(monkeypatch):
     assert stats["subspaces_scanned"] == 45255
 
 
+def part_table_oracle(g, parts):
+    """part_table as one Subspace.apply and one key lookup per part and generator."""
+    index = {w.key: i for i, w in enumerate(parts)}
+    table = [[index.get(w.apply(s).key, -1) for w in parts] for s in g.gens]
+    return np.array(table, dtype=np.intp).reshape(len(g.gens), len(parts))
+
+
+@st.composite
+def groups_with_parts(draw):
+    """(g, parts): a small group and distinct nonzero parts of mixed
+    dimension, in a drawn order.  Each drawn subspace comes alone, whose
+    images are then mostly not parts, or with its images under every
+    generator, which are."""
+    g = draw(small_groups())
+    parts = {}
+    for _ in range(draw(st.integers(1, 4))):
+        d = draw(st.integers(1, g.n))
+        index = draw(st.integers(0, gaussian_binomial(g.n, d, g.p) - 1))
+        w = echelon_subspace(subspace_layout(g.n, d, g.p).unrank([index])[0], g.p)
+        images = [w.apply(s) for s in g.gens] if draw(st.booleans()) else []
+        parts.update((x.key, x) for x in [w, *images])
+    return g, draw(st.permutations(list(parts.values())))
+
+
+@given(groups_with_parts())
+def test_part_table_matches_the_apply_oracle(case):
+    g, parts = case
+    table = part_table(g, parts)
+    assert table.dtype == np.intp
+    assert np.array_equal(table, part_table_oracle(g, parts))
+
+
+def test_part_tables_of_the_sign_wreath_systems():
+    g = sign_wreath(5, perm(2, 1, 4, 3), perm(3, 4, 1, 2))
+    systems = all_systems(g)
+    assert len(systems) == 10
+    # every part of every system, lines and planes, and one plane in none
+    stray = echelon_subspace(np.array([[1, 0, 1, 2], [0, 1, 3, 4]]), 5)
+    parts = list({w.key: w for s in systems for w in s.parts}.values()) + [stray]
+    assert {w.rank for w in parts} == {1, 2} and stray not in parts[:-1]
+    table = part_table(g, parts)
+    assert np.array_equal(table, part_table_oracle(g, parts))
+    assert (table[:, :-1] >= 0).all() and (table[:, -1] == -1).any()
+    for system in systems:
+        stab = part_stabilizer_elements(g, list(system.parts))
+        first = system.parts[0]
+        assert all(first.contains_rows(first.basis @ a % 5) for a in stab)
+        order = MatrixGroup([Matrix(a, 5) for a in stab]).order
+        assert order * system.component_count == g.order
+
+
 # (n, d, p) shapes with more than SCAN_CHUNK subspaces
 PAST_A_CHUNK = [(6, 3, 2), (5, 2, 3), (3, 1, 131), (3, 2, 131)]
 
@@ -274,7 +327,7 @@ def kernel_cases(draw):
         n = draw(st.integers(1 if kind != "across blocks" else 2, {2: 5, 3: 4, 5: 3, 131: 2}[p]))
         d = draw(st.integers(1, n if kind != "across blocks" else n - 1))
     mats = draw(st.lists(matrices(n, p), min_size=1, max_size=3))
-    _, offsets, _ = subspace_layout(n, d, p)
+    offsets = subspace_layout(n, d, p).offsets
     count = int(offsets[-1])
     if kind == "all":
         return n, d, p, mats, None
