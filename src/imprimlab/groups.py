@@ -74,11 +74,11 @@ from .linalg import Matrix, entry_dtype, is_prime
 # matrices a stabilizer chain handles in one step.
 CLOSE_PRODUCTS = 8192
 # A group inside GL_n(p) or S_k with at most this many elements is listed
-# for its order and membership as well: on a 2-vCPU x86 host with Python
-# 3.11, closing S_5 took 0.7 ms against 2.6 ms for its stabilizer chain and
-# S_7 6.1 ms against 6.1 ms, but GL_2(11) (13 200 elements) 22 ms against
-# 2.3 ms.
-LIST_AMBIENT = 5040
+# for its order and membership as well.  On a 2-vCPU x86 host with Python
+# 3.11 (best of 25), listing S_6 with its sorted keys took 1.3 ms against
+# 1.8 ms for its stabilizer chain and GL_2(5) 1.0 ms against 1.0 ms, but
+# S_7 5.4 ms against 2.6 ms and GL_2(7) 2.9 ms against 1.2 ms.
+LIST_AMBIENT = 720
 
 
 def byte_keys(stack: np.ndarray) -> np.ndarray:
@@ -169,14 +169,16 @@ class StabilizerChain:
 
     Sims' algorithm (Sims 1970; Seress, Permutation Group Algorithms,
     ch. 4) works up from the last level.  Every Schreier generator
-    u_x s u_(x s)^-1 of a level is sifted through the levels below it; the
-    first that does not sift to the identity joins the generators of every
-    level from the next one down to the level it stopped at, whose orbits
-    are then extended (never recomputed), and the work resumes at that
-    level.  Transversals never change once set, so a Schreier generator
-    that has passed keeps passing and is not sifted again.  When every one
-    has passed, the order is the product of the orbit lengths, and a matrix
-    lies in the group iff it sifts through every level.
+    u_x s u_(x s)^-1 of a level is sifted through the levels below it.  Of
+    those that do not sift to the identity, the first to stop at each level
+    joins the generators of every level from the next one down to the level
+    it stopped at, with its inverse multiplied out of stored elements.  The
+    orbits of those levels are then extended (never recomputed), and the
+    work resumes at the deepest of them.  Transversals never change once
+    set, so a Schreier generator that has passed keeps passing and is not
+    sifted again.  When every one has passed, the order is the product of
+    the orbit lengths, and a matrix lies in the group iff it sifts through
+    every level.
 
     Orbit points beyond the base points count against the element cap,
     read from errors.limits when they are entered.  Their number, the sum
@@ -329,12 +331,16 @@ class StabilizerChain:
         """Strip a stack of int64 matrices, in place, through the levels from
         start on.
 
-        Returns (depth, residue): the level at which each matrix's image of
-        the base point left the orbit (n if it never did), and what was left
-        of it there.
+        Returns (depth, residue, path): the level at which each matrix's
+        image of the base point left the orbit (n if it never did), what was
+        left of it there, and path[l - start, i], the index of the
+        transversal element that stripped matrix i at level l, for every
+        level l before its depth.  The residue is the matrix times the
+        inverses of those elements, level by level.
         """
         residue = stack
         depth = np.full(len(stack), self.n)
+        path = np.zeros((self.n - start, len(stack)), dtype=np.intp)
         alive = np.arange(len(stack))
         for level in range(start, self.n):
             x = self._lookup(level, residue[alive, level])
@@ -343,15 +349,23 @@ class StabilizerChain:
             alive, x = alive[inside], x[inside]
             if not len(alive):
                 break
+            path[level - start, alive] = x
             residue[alive] = residue[alive] @ self._trans_inv[level][x] % self.p
-        return depth, residue
+        return depth, residue, path
 
     def _complete(self):
         """Run Sims' algorithm until every Schreier generator has passed.
 
         Each pass takes the untested Schreier generators of one level, at
-        most CLOSE_PRODUCTS of them.  The last level needs none: its
-        Schreier generators fix every base point, so they are the identity.
+        most CLOSE_PRODUCTS of them, and sifts them through the levels
+        below.  Of those that fail, the first at each distinct depth joins
+        the generators of every level from the next one down to its depth:
+        its residue fixes the base points before that depth.  The work
+        resumes at the deepest level that changed.  A residue's inverse is
+        the product of stored elements that undoes its sift and its
+        Schreier generator, u_k ... u_1 u_(x s) s^-1 u_x^-1, so no matrix
+        is inverted.  The last level needs no pass: its Schreier
+        generators fix every base point, so they are the identity.
         """
         p, n = self.p, self.n
         eye = np.eye(n, dtype=np.int64)
@@ -366,18 +380,26 @@ class StabilizerChain:
             y = self._lookup(level, us[:, level])
             schreier = us @ self._trans_inv[level][y] % p
             moving = np.flatnonzero((schreier != eye).any(axis=(1, 2)))
-            depth, residue = self._sift(schreier[moving], level + 1)
+            depth, residue, path = self._sift(schreier[moving], level + 1)
             passed = np.ones(len(s), dtype=bool)
             passed[moving] = depth == n
             self._passed[level][s[passed], x[passed]] = True
             if passed.all():
                 continue
-            bad = int((depth == n).argmin())
-            deeper, h = int(depth[bad]), residue[bad]
-            h_inv = Matrix(h, p).inv().a
-            for below in range(level + 1, deeper + 1):
-                self._add_generators(below, h[None], h_inv[None])
-            level = min(deeper, n - 2)
+            depths, first = np.unique(depth, return_index=True)
+            first, depths = first[depths < n], depths[depths < n]
+            h, j = residue[first], moving[first]
+            # h = u_x s u_(x s)^-1 u_1^-1 ... u_k^-1, read backwards
+            h_inv = self._trans[level][y[j]] @ self._gen_inv[level][s[j]] % p
+            h_inv = h_inv @ self._trans_inv[level][x[j]] % p
+            deepest = int(depths[-1])
+            for below in range(level + 1, deepest):
+                on = depths > below
+                h_inv[on] = self._trans[below][path[below - level - 1, first[on]]] @ h_inv[on] % p
+            for below in range(level + 1, deepest + 1):
+                on = depths >= below
+                self._add_generators(below, h[on], h_inv[on])
+            level = min(deepest, n - 2)
 
 
 class _ElementArray:

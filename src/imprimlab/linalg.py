@@ -14,7 +14,7 @@ so their containment tests use the overflow-safe mul_mod.  A d-subspace is
 named by its index in the order subspace_layout(n, d, p) defines (its rank
 and unrank convert), and a scan works on subspace_array, every index unranked.
 invariance_table tests which subspaces of a stack some matrices map into
-themselves, one pivot block at a time, with products and no row reduction.
+themselves, first row first, with products and no row reduction.
 subspace_tables ranks the images of a stack instead: rref_batch row-reduces
 them all at once by a sweep over their rows, so a d-subspace costs d steps
 however large the ambient dimension n is; its products of earlier rows go
@@ -377,6 +377,11 @@ class SubspaceLayout:
         weights = np.take(self.weights.reshape(len(self.combos), -1), combo, axis=0)
         return self.offsets[combo] + np.einsum("kj,kj->k", rows.reshape(len(rows), -1), weights)
 
+    def pivots(self, indices) -> np.ndarray:
+        """The (N, d) pivot columns of the subspaces at N indices."""
+        block = np.searchsorted(self.offsets, indices, side="right") - 1
+        return np.take(np.array(self.combos, dtype=np.intp), block, axis=0)
+
     def unrank(self, indices) -> np.ndarray:
         """The RREF bases of increasing indices, filled one pivot block at a time."""
         indices = np.asarray(indices, dtype=np.int64)
@@ -464,29 +469,55 @@ def invariance_table(subs: np.ndarray, mats, p: int, rows=None) -> np.ndarray:
     """Which subspaces of a subspace_array stack each matrix maps into itself.
 
     mats is a sequence of Matrix.  table[k, i] is True when the row space W
-    of subs[rows[i]] satisfies W @ mats[k] <= W; rows, increasing, defaults
-    to the whole stack.  The rows go one pivot block of subspace_layout at a
-    time, so every basis B of a block is the identity on the same pivot
-    columns P.  An image row v lies in W exactly when v agrees with v[P] @ B
-    outside P.  The columns are reordered with P first, so v[P] is a slice
-    and only the n - d other entries are compared.
+    of subs[rows[i]] satisfies W @ mats[k] <= W; rows defaults to the whole
+    stack.  An RREF basis B is the identity on its pivot columns P
+    (SubspaceLayout.pivots), so a row v lies in W exactly when v = v[P] @ B:
+    a product per image row, and no row reduction.  Every matrix first maps
+    the first basis row of every subspace, in SCAN_CHUNK pieces.  Each
+    matrix then maps the other d - 1 rows, one product per piece, only of
+    the subspaces whose first row it kept inside, which a matrix that moves
+    most subspaces leaves few.
     """
     _, d, n = subs.shape
     layout = subspace_layout(n, d, p)
     stack = np.stack([g.a for g in mats])
-    bounds = layout.offsets if rows is None else np.searchsorted(rows, layout.offsets)
-    table = np.empty((len(stack), bounds[-1]), dtype=bool)
-    for pivots, lo, hi in zip(layout.combos, bounds, bounds[1:]):
-        order = list(pivots) + [j for j in range(n) if j not in pivots]
-        moved = stack[:, order][:, :, order]
-        for start in range(lo, hi, SCAN_CHUNK):
-            stop = min(start + SCAN_CHUNK, hi)
-            chunk = subs[start:stop] if rows is None else subs[rows[start:stop]]
-            basis = chunk[..., order].astype(np.int64)
-            image = mul_mod(basis.reshape(-1, n), moved, p).reshape(len(stack), -1, d, n)
-            inside = mul_mod(image[..., :d], basis[..., d:], p) == image[..., d:]
-            table[:, start:stop] = inside.all(axis=(2, 3))
+    rows = None if rows is None else np.asarray(rows, dtype=np.intp)
+    count = len(subs) if rows is None else len(rows)
+    table = np.empty((len(stack), count), dtype=bool)
+
+    def bases(at):
+        """The int64 bases at table positions at, and their pivot columns."""
+        index = at if rows is None else rows[at]
+        return subs[index].astype(np.int64), layout.pivots(index)
+
+    for start in range(0, count, SCAN_CHUNK):
+        at = np.arange(start, min(start + SCAN_CHUNK, count))
+        basis, pivots = bases(at)
+        image = mul_mod(basis[:, 0], stack, p)
+        table[:, at] = _inside(image[:, :, None], basis, pivots, p)
+    for k in range(len(stack) if d > 1 else 0):
+        kept = np.flatnonzero(table[k])
+        for start in range(0, len(kept), SCAN_CHUNK):
+            at = kept[start : start + SCAN_CHUNK]
+            basis, pivots = bases(at)
+            image = mul_mod(basis[:, 1:].reshape(-1, n), stack[k], p)
+            table[k, at] = _inside(image.reshape(len(at), d - 1, n), basis, pivots, p)
     return table
+
+
+def _inside(image: np.ndarray, basis: np.ndarray, pivots: np.ndarray, p: int) -> np.ndarray:
+    """Whether every image row lies in the row space of its basis.
+
+    image is a (..., N, r, n) stack of rows, basis the (N, d, n) stack of
+    RREF bases and pivots their (N, d) pivot columns; the answer is a
+    (..., N) mask.
+    """
+    *lead, count, r, n = image.shape
+    cells = (np.arange(count * r) * n).reshape(count, r, 1) + pivots[:, None, :]
+    at_pivots = np.take(image.reshape(*lead, -1), cells, axis=len(lead))
+    outside = mul_mod(at_pivots, basis, p) != image
+    # a bool product with ones is any() over a short last axis, and faster
+    return ~(outside.reshape(*lead, count, r * n) @ np.ones(r * n, dtype=bool))
 
 
 def subspace_tables(gens, subs: np.ndarray, p: int) -> np.ndarray:

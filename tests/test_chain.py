@@ -87,6 +87,12 @@ def test_matrix_chain_matches_the_closure(gens, data):
     probe = Matrix(probes[0], p)
     with chains_only():
         assert group.order == len(mulclose(group._generator_stack, p)) == len(elements)
+        # every stored element times its stored inverse is the identity
+        chain = group.chain
+        for pairs in ((chain._trans, chain._trans_inv), (chain._gens, chain._gen_inv)):
+            for level, (stored, inverses) in enumerate(zip(*pairs)):
+                products = stored.astype(np.int64) @ inverses % p
+                assert (products == np.eye(n, dtype=np.int64)).all(), level
         assert np.array_equal(group.member_mask(stack), twin.member_mask(stack))
         assert all(group.contains(Matrix(a, p)) == twin.contains(Matrix(a, p)) for a in stack)
         # containment: a subgroup from a generator subset, an overgroup with a probe
@@ -164,6 +170,12 @@ def test_order_above_the_element_cap():
 
 def test_chain_orders_of_known_groups():
     assert general_linear_group(3, 3).chain.order == general_linear_order(3, 3)
+    # passes of these chains fail at several depths at once:
+    # |sign wr S_6| = 2^6 6!, |sign wr S_7| = 2^7 7!, |GL(2, 3) wr S_3| = 48^3 3!
+    for h, k, order in ((sign_group(3), symmetric_group(6), 46080),
+                        (sign_group(3), symmetric_group(7), 645120),
+                        (general_linear_group(2, 3), symmetric_group(3), 663552)):
+        assert wreath_product(WreathSpec(h, k)).chain.order == order
     assert general_linear_group(4, 5).chain.order == general_linear_order(4, 5)
     assert symmetric_group(9).chain.order == math.factorial(9)
     assert MatrixGroup([Matrix.identity(3, 5)]).chain.order == 1
@@ -182,9 +194,11 @@ def test_chain_orders_of_known_groups():
 
 
 def test_small_ambient_groups_are_listed_and_large_ones_sifted():
-    # S_7 and GL_2(7) have at most LIST_AMBIENT elements, S_8 and GL_3(3) more
-    small = [symmetric_group(7), general_linear_group(2, 7)]
-    large = [symmetric_group(8), general_linear_group(3, 3)]
+    # S_6 and GL_2(5) have at most LIST_AMBIENT elements, S_7, GL_2(7), S_8
+    # and GL_3(3) more
+    small = [symmetric_group(6), general_linear_group(2, 5)]
+    large = [symmetric_group(7), general_linear_group(2, 7), symmetric_group(8),
+             general_linear_group(3, 3)]
     for group in small + large:
         assert group.contains(group.gens[0])
     assert all("element_array" in g.__dict__ and "chain" not in g.__dict__ for g in small)

@@ -408,6 +408,7 @@ def test_rank_inverts_unrank(sample):
     subs = layout.unrank(indices)
     assert subs.shape == (len(indices), d, n)  # the rows asked for, not the whole stack
     assert np.array_equal(layout.rank(subs), indices)
+    assert np.array_equal(layout.pivots(indices), (subs != 0).argmax(axis=2))
     for rows in subs:
         reduced, rank, _ = rref(rows, p)
         assert rank == d and np.array_equal(reduced, rows)

@@ -354,6 +354,11 @@ def kernel_cases(draw):
 @example((2, 1, 2, [Matrix.identity(2, 2)], np.array([], dtype=np.intp)))
 @example((4, 2, 3, [Matrix.diagonal([1, 2, 2, 1], 3), CYCLE_4], np.arange(3, 130, 3)))
 @example((5, 2, 3, [Matrix.diagonal([2, 2, 1, 1, 1], 3)], np.arange(0, 1100)))
+# the second stage, which random matrices seldom reach: a scalar keeps every
+# first row inside; of the 130 planes the diagonal keeps 26 first rows and 26
+# planes, the cycle 13 first rows and 2 planes
+@example((4, 2, 3, [Matrix.diagonal([2, 2, 2, 2], 3)], None))
+@example((4, 2, 3, [Matrix.diagonal([1, 2, 2, 2], 3), CYCLE_4], None))
 @given(kernel_cases())
 def test_invariance_table_matches_contains_rows(case):
     n, d, p, mats, rows = case
