@@ -1,29 +1,32 @@
 """Systems of imprimitivity: enumeration, refinement order, nonrefinability.
 
 all_systems is the exhaustive scan of the package.  For every proper
-divisor d of n it enumerates every d-dimensional subspace once, as the
-(N, d, n) RREF stack of linalg.subspace_array, in the order
-linalg.subspace_layout defines.  A subspace on a cycle of more than n/d
-members under the word w = g_1 * ... * g_m of the generators lies in no
-system, since a w-cycle lies inside an orbit.  Which subspaces lie on short
-w-cycles is decided for the whole stack by invariance under a few powers
-of w (linalg.invariance_table), with no row reduction.  The generators are
-turned into permutation tables (linalg.subspace_tables) only on the rest:
-their images are row-reduced in batch (linalg.rref_batch) and ranked in the
-stack's order, and a remaining subspace with a generator image outside the
-rest is dropped until none is left, which drains every orbit kept in part.
-Orbits come from min-label propagation over the tables
-(groups.orbit_labels), and the orbits of size n/d that decompose the space
-into a direct sum are the systems.  Orbits of a transitive part action are
-exactly the systems, so every system is found once.
+divisor d of n it considers every d-dimensional subspace once, named by its
+index in the order linalg.subspace_layout defines.  A subspace on a cycle of
+more than n/d members under the word w = g_1 * ... * g_m of the generators
+lies in no system, since a w-cycle lies inside an orbit.  Which subspaces
+lie on short w-cycles is decided by invariance under a few powers of w
+(linalg.invariant_indices), solved per first basis row, with no row
+reduction and no stack of every subspace.  Only those subspaces are
+unranked, and the generators are turned into permutation tables
+(linalg.subspace_tables) on them alone: their images are row-reduced in
+batch (linalg.rref_batch) and ranked, and a remaining subspace with a
+generator image outside the rest is dropped until none is left, which
+drains every orbit kept in part.  Orbits come from min-label propagation
+over the tables (groups.orbit_labels), and the orbits of size n/d that
+decompose the space into a direct sum are the systems.  Orbits of a
+transitive part action are exactly the systems, so every system is found
+once.
 
-Memory: the stack is stored in the smallest integer dtype that holds p - 1
-and the tables as int32; only chunks of linalg.SCAN_CHUNK subspaces are
-widened to int64.  Before anything is allocated, the count of each
-dimension is checked against the subspace cap of errors.limits (phase
-"subspace scan") and against int32, which the tables' indices must fit.
-The tests check the scan against one subspace_orbit (a plain breadth-first
-search, with no caller here) per unvisited subspace.
+Memory: no scan holds every subspace.  A dimension costs its layout's
+first basis rows (linalg.SubspaceLayout.heads, one per row-0 choice of each
+pivot block: 3 478 for the 75 913 222 4-subspaces of GF(3)^8), chunks of
+linalg.SCAN_CHUNK subspaces that pass the first-row test, and the kept
+subspaces with their int32 tables.  Before anything is allocated, the count
+of each dimension is checked against the subspace cap of errors.limits
+(phase "subspace scan") and against int32, which the tables' indices must
+fit.  The tests check the scan against one subspace_orbit (a plain
+breadth-first search, with no caller here) per unvisited subspace.
 
 ImprimitivitySystem alone validates a list of parts, and one part table
 (part_table: each part's image under each generator, as a part index or
@@ -56,9 +59,9 @@ from .linalg import (
     divisors,
     echelon_subspace,
     gaussian_binomial,
-    invariance_table,
+    invariant_indices,
     rref_batch,
-    subspace_array,
+    subspace_layout,
     subspace_tables,
 )
 from .reprs import is_irreducible, restrict_to_block
@@ -174,38 +177,47 @@ def is_system(g: MatrixGroup, parts) -> bool:
     return bool((part_table(g, system.parts) >= 0).all())
 
 
-def _short_cycles(word, subs: np.ndarray, p: int, target: int) -> np.ndarray:
-    """Which subspaces of subs lie on a word-cycle of at most target members.
+def _short_cycles(word, layout, target: int) -> np.ndarray:
+    """The increasing indices of the layout's subspaces on a word-cycle of at
+    most target members.
 
     W lies on such a cycle exactly when W @ word^c <= W for some c with
     target / 2 < c <= target: a cycle of l <= target members has a multiple
     of l in that range, and W @ word^c = W (the word is invertible, so <= is
-    =) makes l divide c.  That is one invariance test per power
-    (linalg.invariance_table), not a row reduction and a rank per subspace.
+    =) makes l divide c.  That is the union of one invariance test per power
+    (linalg.invariant_indices), not a row reduction and a rank per subspace;
+    a power that keeps every subspace, such as a scalar one, ends it.
     """
     powers = list(itertools.accumulate([word] * target, operator.mul))
-    return invariance_table(subs, powers[target // 2 :], p).any(axis=0)
+    found = []
+    for power in powers[target // 2 :]:
+        found.append(invariant_indices(layout, power))
+        if len(found[-1]) == layout.offsets[-1]:
+            return found[-1]
+    kept = np.sort(np.concatenate(found))
+    # not np.union1d: under numpy 2.4 its unique() imports numpy.ma, 0.7 MB of RSS
+    return kept[np.diff(kept, prepend=-1) != 0]
 
 
-def _short_orbit_tables(gens, subs: np.ndarray, p: int, target: int):
-    """Whole orbits of subs that hold every orbit of at most target members.
+def _short_orbit_tables(gens, layout, target: int):
+    """Whole orbits of the layout's subspaces that hold every orbit of at
+    most target members.
 
-    Returns (keep, tables): keep holds, in increasing order, the indices in
-    subs of a union of whole orbits that contains every orbit of at most
-    target members, and tables[k, i] is the position in keep of the image of
-    subs[keep[i]] under gens[k].  A cycle of the word w = gens[0] * ... *
-    gens[-1] lies inside an orbit, so only subspaces on w-cycles of at most
-    target members are kept (_short_cycles).  The generators rank only those,
-    and a kept subspace with an image outside the kept ones is dropped until
-    none is left: an orbit is connected under the generators, so an orbit
-    kept in part always has such a member and drains away whole.
-    subspace_tables ranks each image in the order of the whole subspace_array
-    stack, also for the rows subs[keep], so the images are indices in subs.
+    Returns (subs, tables): subs holds the RREF bases, in index order, of a
+    union of whole orbits that contains every orbit of at most target
+    members, and tables[k, i] is the position in subs of the image of
+    subs[i] under gens[k].  A cycle of the word w = gens[0] * ... * gens[-1]
+    lies inside an orbit, so only subspaces on w-cycles of at most target
+    members are kept (_short_cycles), and only they are unranked.  The
+    generators rank only those, and a kept subspace with an image outside
+    the kept ones is dropped until none is left: an orbit is connected under
+    the generators, so an orbit kept in part always has such a member and
+    drains away whole.
     """
     word = functools.reduce(operator.mul, gens)
-    keep = np.flatnonzero(_short_cycles(word, subs, p, target))
-    images = subspace_tables(gens, subs[keep], p)
-    pos = _lookup(keep, images, len(keep))
+    keep = _short_cycles(word, layout, target)
+    subs = layout.unrank(keep)
+    pos = _lookup(keep, subspace_tables(gens, subs, layout.p), len(keep))
     alive = np.ones(len(keep) + 1, dtype=bool)
     alive[-1] = False
     while True:
@@ -215,16 +227,18 @@ def _short_orbit_tables(gens, subs: np.ndarray, p: int, target: int):
         alive[:-1] = closed
     kept = np.flatnonzero(closed)
     position = np.cumsum(closed) - 1
-    return keep[kept], position[pos[:, kept]].astype(np.int32)
+    return subs[kept], position[pos[:, kept]].astype(np.int32)
 
 
 def all_systems(g: MatrixGroup, *, stats: dict | None = None) -> list[ImprimitivitySystem]:
     """Every system of imprimitivity of g whose parts form a single orbit.
 
     For irreducible g the part action of any system is transitive, so this
-    is the complete list.  Each candidate dimension tests every subspace for
-    a short cycle of one word of the generators, and ranks the generators'
-    images only of the subspaces that have one (_short_orbit_tables).  Fails
+    is the complete list.  Each candidate dimension solves for the subspaces
+    on a short cycle of one word of the generators, and unranks and ranks
+    the generators' images only of those (_short_orbit_tables).  Each orbit
+    of n/d members is one candidate system, built once; one that is not a
+    direct sum fails ImprimitivitySystem's check and is skipped.  Fails
     fast, before anything is allocated, with PhaseCapExceeded ("subspace
     scan") when some candidate dimension has more subspaces than the
     subspace cap, and with a CapError when it has too many to index in int32
@@ -243,16 +257,16 @@ def all_systems(g: MatrixGroup, *, stats: dict | None = None) -> list[Imprimitiv
     systems = []
     for d in candidate_dims:
         target = n // d
-        subs = subspace_array(n, d, g.p)
-        scanned += len(subs)
-        keep, tables = _short_orbit_tables(g.gens, subs, g.p, target)
+        layout = subspace_layout(n, d, g.p)
+        scanned += int(layout.offsets[-1])
+        subs, tables = _short_orbit_tables(g.gens, layout, target)
         labels = orbit_labels(tables)
         members = np.flatnonzero(np.bincount(labels)[labels] == target)
-        orbits = keep[members[np.argsort(labels[members], kind="stable")]]
-        for orbit in orbits.reshape(-1, target):
-            parts = [echelon_subspace(subs[i], g.p) for i in orbit]
-            if direct_sum_check(parts):
-                systems.append(ImprimitivitySystem(parts))
+        for orbit in members[np.argsort(labels[members], kind="stable")].reshape(-1, target):
+            try:
+                systems.append(ImprimitivitySystem(echelon_subspace(subs[i], g.p) for i in orbit))
+            except ValidationError:  # not a direct sum
+                pass
     if stats is not None:
         stats["subspaces_scanned"] = stats.get("subspaces_scanned", 0) + scanned
         stats["systems_found"] = len(systems)

@@ -12,13 +12,17 @@ in 64 bits, so construction rejects moduli where n * (p-1)^2 would overflow;
 in practice every instance here has p < 100.  Subspaces take any p < 2^31,
 so their containment tests use the overflow-safe mul_mod.  A d-subspace is
 named by its index in the order subspace_layout(n, d, p) defines (its rank
-and unrank convert), and a scan works on subspace_array, every index unranked.
-invariance_table tests which subspaces of a stack some matrices map into
-themselves, first row first, with products and no row reduction.
-subspace_tables ranks the images of a stack instead: rref_batch row-reduces
-them all at once by a sweep over their rows, so a d-subspace costs d steps
-however large the ambient dimension n is; its products of earlier rows go
-through mul_mod, since several of them can overflow int64 for p near 2^31.
+and unrank convert), and a scan works on indices, unranking only the
+subspaces it keeps.  invariant_indices lists the subspaces a matrix maps
+into themselves without building the others: within one pivot block the
+test on the first basis row is linear in the free cells of the other rows,
+so it is solved per first row, and only the subspaces that pass are
+unranked and have their other rows tested, with products and no row
+reduction.  subspace_tables ranks the images of a stack instead: rref_batch
+row-reduces them all at once by a sweep over their rows, so a d-subspace
+costs d steps however large the ambient dimension n is; its products of
+earlier rows go through mul_mod, since several of them can overflow int64
+for p near 2^31.
 """
 
 from __future__ import annotations
@@ -341,7 +345,7 @@ def entry_dtype(m: int):
 
 
 class SubspaceLayout:
-    """The order of subspace_array: rank names d-subspaces by index, unrank back.
+    """The order of the d-subspaces of GF(p)^n: rank names them by index, unrank back.
 
     combos are the pivot combinations in lexicographic order; subspaces
     offsets[c] to offsets[c + 1] - 1 have pivots combos[c], and weights[c]
@@ -349,7 +353,11 @@ class SubspaceLayout:
     outside pivot columns, row by row, the last cell 1), 0 elsewhere.  RREF
     rows with pivots combos[c] are subspace offsets[c] + sum(rows * weights[c]),
     and c = C(n, d) - 1 - sum_i place[i * n + combos[c][i]].  combos is a
-    tuple, and offsets, weights and place are read-only int64 arrays.
+    tuple, pivot_array the same combinations as a (C(n, d), d) array,
+    digit_cells[c, k] the flat cell (i * n + j) of block c's base-p digit k,
+    and offsets, weights, place, pivot_array and digit_cells are read-only
+    int64 arrays.  heads and columns, which invariant_indices reads, are
+    built on first use.
     """
 
     def __init__(self, n: int, d: int, p: int):
@@ -365,8 +373,53 @@ class SubspaceLayout:
         self.offsets = np.cumsum([0] + [p ** np.count_nonzero(w) for w in self.weights])
         self.place = np.array([math.comb(n - 1 - j, d - i) for i in range(d) for j in range(n)],
                               np.int64)
-        for array in (self.offsets, self.weights, self.place):
+        self.pivot_array = np.array(self.combos, dtype=np.int64).reshape(len(self.combos), d)
+        # digit k (place p^k) of a block's free cells, in the flat d * n cell
+        # order; past the block's last free cell, row 0's pivot, set to 1 later
+        flat = self.weights.reshape(len(self.combos), d * n)
+        order = np.argsort(np.where(flat == 0, np.iinfo(np.int64).max, flat), axis=1)
+        digit = np.arange(max(d * (n - d), 0))
+        self.digit_cells = np.where(digit < np.count_nonzero(flat, axis=1)[:, None],
+                                    order[:, : len(digit)], self.pivot_array[:, :1])
+        for array in (self.offsets, self.weights, self.place, self.pivot_array, self.digit_cells):
             array.flags.writeable = False
+
+    @functools.cached_property
+    def heads(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(rows, index, block): every first basis row of every pivot block.
+
+        Block c is a grid, first rows times the rest: its subspace with row 0
+        digits t (row 0's free cells, read in base p) is offsets[c] + t * p^F
+        + (the digits of rows 1..d-1), F the free cells of those rows.  rows
+        is the (R, n) stack of the R first rows in index order, in
+        entry_dtype(p); index[k] the index of the subspace of rows[k] whose
+        other free cells are 0, and block[k] its block.  Read-only.
+        """
+        free = np.count_nonzero(self.weights, axis=2)
+        grid = self.p ** free[:, 0]
+        block = np.repeat(np.arange(len(self.combos)), grid)
+        digits = np.arange(len(block)) - np.repeat(np.cumsum(grid) - grid, grid)
+        index = self.offsets[block] + digits * (self.p ** free[:, 1:].sum(axis=1))[block]
+        rows = self.unrank(index)[:, 0]
+        for array in (rows, index, block):
+            array.flags.writeable = False
+        return rows, index, block
+
+    @functools.cached_property
+    def columns(self) -> tuple[np.ndarray, np.ndarray]:
+        """(cols, cells): the n - d non-pivot columns of every block, and the
+        (C(n, d), n - d, d - 1) place values of rows 1..d-1 in them; row i is
+        active in column j (it has a free cell there) where cells is nonzero.
+        Read-only.
+        """
+        count, d, n = self.weights.shape
+        outside = np.ones((count, n), dtype=bool)
+        outside[np.arange(count)[:, None], self.pivot_array] = False
+        cols = np.nonzero(outside)[1].reshape(count, n - d)
+        cells = np.take_along_axis(self.weights[:, 1:], cols[:, None], axis=2).transpose(0, 2, 1)
+        for array in (cols, cells):
+            array.flags.writeable = False
+        return cols, cells
 
     def rank(self, rows: np.ndarray) -> np.ndarray:
         """The int64 index of every basis of an (N, d, n) stack of RREF bases."""
@@ -380,20 +433,23 @@ class SubspaceLayout:
     def pivots(self, indices) -> np.ndarray:
         """The (N, d) pivot columns of the subspaces at N indices."""
         block = np.searchsorted(self.offsets, indices, side="right") - 1
-        return np.take(np.array(self.combos, dtype=np.intp), block, axis=0)
+        return np.take(self.pivot_array, block, axis=0)
 
     def unrank(self, indices) -> np.ndarray:
-        """The RREF bases of increasing indices, filled one pivot block at a time."""
+        """The RREF bases of any indices, SCAN_CHUNK at a time: the base-p
+        digits of an index within its block fill the block's free cells
+        (digit_cells), and its pivots are set to 1."""
         indices = np.asarray(indices, dtype=np.int64)
         _, d, n = self.weights.shape
-        subs = np.zeros((len(indices), d, n), dtype=entry_dtype(self.p))
-        bounds = np.searchsorted(indices, self.offsets)
-        for c, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
-            block, index = subs[lo:hi], indices[lo:hi] - self.offsets[c]
-            block[:, np.arange(d), list(self.combos[c])] = 1
-            for i, j in zip(*np.nonzero(self.weights[c])):
-                block[:, i, j] = index // self.weights[c, i, j] % self.p
-        return subs
+        subs = np.zeros(len(indices) * d * n, dtype=entry_dtype(self.p))
+        powers = self.p ** np.arange(self.digit_cells.shape[1], dtype=np.int64)
+        for start in range(0, len(indices), SCAN_CHUNK):
+            at = indices[start : start + SCAN_CHUNK]
+            block = np.searchsorted(self.offsets, at, side="right") - 1
+            first = np.arange(start, start + len(at))[:, None] * (d * n)
+            subs[first + self.digit_cells[block]] = (at - self.offsets[block])[:, None] // powers % self.p
+            subs[first + self.pivot_array[block] + np.arange(0, d * n, n)] = 1
+        return subs.reshape(len(indices), d, n)
 
 
 subspace_layout = functools.lru_cache(maxsize=64)(SubspaceLayout)
@@ -465,44 +521,78 @@ def rref_batch(a: np.ndarray, p: int) -> np.ndarray:
     return a[every[:, None], order]
 
 
-def invariance_table(subs: np.ndarray, mats, p: int, rows=None) -> np.ndarray:
-    """Which subspaces of a subspace_array stack each matrix maps into itself.
+def invariant_indices(layout: SubspaceLayout, mat: Matrix, among=None) -> np.ndarray:
+    """The increasing indices of the layout's d-subspaces W with W @ mat <= W.
 
-    mats is a sequence of Matrix.  table[k, i] is True when the row space W
-    of subs[rows[i]] satisfies W @ mats[k] <= W; rows defaults to the whole
-    stack.  An RREF basis B is the identity on its pivot columns P
-    (SubspaceLayout.pivots), so a row v lies in W exactly when v = v[P] @ B:
-    a product per image row, and no row reduction.  Every matrix first maps
-    the first basis row of every subspace, in SCAN_CHUNK pieces.  Each
-    matrix then maps the other d - 1 rows, one product per piece, only of
-    the subspaces whose first row it kept inside, which a matrix that moves
-    most subspaces leaves few.
+    among, increasing indices, restricts the test to those subspaces: each is
+    unranked and every basis row mapped and tested (_inside).  Without it the
+    first basis row is solved for per pivot block.  For a first row v with
+    u = v @ mat and r = u - u[P_0] v, v @ mat lies in W exactly when
+    r = sum_(i >= 1) u[P_i] row_i.  That holds on the pivot columns by
+    construction; on any other column j it is one equation,
+    sum u[P_i] x_ij = r_j, in the free cells x_ij of the rows i >= 1 with
+    P_i < j (SubspaceLayout.columns).  So the subspaces whose first row
+    passes are, per first row, a product over the columns of nothing (every
+    coefficient 0 and r_j != 0), every value (every coefficient 0 and
+    r_j = 0) or a hyperplane, whose first cell with a nonzero coefficient is
+    solved for by a modular inverse.  One product maps the first rows of
+    every block (SubspaceLayout.heads), the passing subspaces are listed in
+    SCAN_CHUNK pieces without the rest being built, and only they have rows
+    1..d-1 mapped and tested.  A scalar matrix keeps every subspace with no
+    product.
     """
-    _, d, n = subs.shape
-    layout = subspace_layout(n, d, p)
-    stack = np.stack([g.a for g in mats])
-    rows = None if rows is None else np.asarray(rows, dtype=np.intp)
-    count = len(subs) if rows is None else len(rows)
-    table = np.empty((len(stack), count), dtype=bool)
+    p, a = layout.p, mat.a
+    _, d, n = layout.weights.shape
+    if not (a - a[0, 0] * np.eye(n, dtype=np.int64)).any():
+        return np.arange(layout.offsets[-1]) if among is None else np.asarray(among, np.int64)
+    if among is not None:
+        return _rows_inside(layout, a, np.asarray(among, dtype=np.int64), 0)
+    rows, index, block = layout.heads
+    pivots = layout.pivot_array[block]
+    image = mul_mod(rows, a, p)
+    rest = (image - np.take_along_axis(image, pivots[:, :1], axis=1) * rows % p) % p
+    if d == 1:
+        return index[~rest.any(axis=1)]
+    cols, cells = (part[block] for part in layout.columns)
+    target = np.take_along_axis(rest, cols, axis=1)
+    coef = np.where(cells != 0, np.take_along_axis(image, pivots[:, 1:], axis=1)[:, None], 0)
+    solvable = coef.any(axis=2)
+    alive = np.flatnonzero(~(target.astype(bool) & ~solvable).any(axis=1))
+    index, target, coef, cells, solvable = (x[alive] for x in (index, target, coef, cells, solvable))
+    solved = (np.arange(d - 1) == (coef != 0).argmax(axis=2)[..., None]) & solvable[..., None]
+    inverse = _inverse_mod((coef * solved).sum(axis=2), p)
+    solved_place = (cells * solved).sum(axis=2)
+    # a first row's survivors are numbered in mixed radix over its cells:
+    # p values for a free cell, 1 (no digit) for a solved or inactive one
+    radix = np.where((cells != 0) & ~solved, p, 1).reshape(len(alive), -1)
+    place, counts = np.cumprod(radix, axis=1) // radix, radix.prod(axis=1)
+    coef, cells = coef.reshape(len(alive), -1), cells.reshape(len(alive), -1)
+    ends = np.cumsum(counts)
+    found = [np.zeros(0, dtype=np.int64)]
+    for start in range(0, int(ends[-1]) if len(ends) else 0, SCAN_CHUNK):
+        at = np.arange(start, min(start + SCAN_CHUNK, int(ends[-1])))
+        k = np.searchsorted(ends, at, side="right")
+        x = (at - ends[k] + counts[k])[:, None] // place[k] % radix[k]
+        given = (coef[k] * x % p).reshape(len(at), n - d, d - 1).sum(axis=2)
+        x_solved = (target[k] - given) % p * inverse[k] % p
+        chunk = index[k] + (x * cells[k]).sum(axis=1) + (x_solved * solved_place[k]).sum(axis=1)
+        found.append(_rows_inside(layout, a, chunk, 1))
+    return np.sort(np.concatenate(found))
 
-    def bases(at):
-        """The int64 bases at table positions at, and their pivot columns."""
-        index = at if rows is None else rows[at]
-        return subs[index].astype(np.int64), layout.pivots(index)
 
-    for start in range(0, count, SCAN_CHUNK):
-        at = np.arange(start, min(start + SCAN_CHUNK, count))
-        basis, pivots = bases(at)
-        image = mul_mod(basis[:, 0], stack, p)
-        table[:, at] = _inside(image[:, :, None], basis, pivots, p)
-    for k in range(len(stack) if d > 1 else 0):
-        kept = np.flatnonzero(table[k])
-        for start in range(0, len(kept), SCAN_CHUNK):
-            at = kept[start : start + SCAN_CHUNK]
-            basis, pivots = bases(at)
-            image = mul_mod(basis[:, 1:].reshape(-1, n), stack[k], p)
-            table[k, at] = _inside(image.reshape(len(at), d - 1, n), basis, pivots, p)
-    return table
+def _rows_inside(layout: SubspaceLayout, a: np.ndarray, indices: np.ndarray,
+                 first: int) -> np.ndarray:
+    """The indices, in their order, whose subspaces a maps basis rows
+    first..d-1 of into themselves, unranked and tested SCAN_CHUNK at a time."""
+    _, d, n = layout.weights.shape
+    inside = np.empty(len(indices), dtype=bool)
+    for start in range(0, len(indices), SCAN_CHUNK):
+        at = indices[start : start + SCAN_CHUNK]
+        basis = layout.unrank(at).astype(np.int64)
+        image = mul_mod(basis[:, first:].reshape(-1, n), a, layout.p)
+        inside[start : start + len(at)] = _inside(image.reshape(len(at), d - first, n), basis,
+                                                  layout.pivots(at), layout.p)
+    return indices[inside]
 
 
 def _inside(image: np.ndarray, basis: np.ndarray, pivots: np.ndarray, p: int) -> np.ndarray:
@@ -521,12 +611,13 @@ def _inside(image: np.ndarray, basis: np.ndarray, pivots: np.ndarray, p: int) ->
 
 
 def subspace_tables(gens, subs: np.ndarray, p: int) -> np.ndarray:
-    """Permutation tables of invertible generators on a subspace_array stack.
+    """The generators' images of an (N, d, n) stack of RREF bases, as indices.
 
-    tables[k, i] is the index of the image of subs[i] under gens[k] in the
-    whole subspace_array stack of that (n, d, p), also for a part of it, an
-    int32 while every index fits: a chunk's images under all generators are
-    row-reduced in one batch and ranked by SubspaceLayout.rank.
+    tables[k, i] is the index in subspace_layout(n, d, p) of the image of
+    subs[i] under gens[k], for any stack of bases (every subspace, or the
+    unranked ones a scan keeps), an int32 while every index fits: a chunk's
+    images under all generators are row-reduced in one batch and ranked by
+    SubspaceLayout.rank.
     """
     _, d, n = subs.shape
     layout = subspace_layout(n, d, p)

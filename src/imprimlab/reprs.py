@@ -37,10 +37,11 @@ from .linalg import (
     Subspace,
     echelon_subspace,
     gaussian_binomial,
-    invariance_table,
+    invariant_indices,
     mul_mod,
     rref,
     subspace_array,
+    subspace_layout,
 )
 
 
@@ -292,11 +293,12 @@ def invariant_subspaces(gens, n: int, p: int, dims=None) -> list[Subspace]:
     """All proper nonzero invariant subspaces, by exhaustive scan.
 
     dims restricts the scan to some of the dimensions 1..n-1 (all by default).
-    Each dimension is scanned as one subspace_array stack by
-    linalg.invariance_table, one generator at a time: the first tests every
-    subspace, and each later one only the subspaces the earlier ones left
-    invariant.  A dimension with more subspaces than the subspace cap raises
-    PhaseCapExceeded ("subspace scan") before its stack is allocated.
+    Each dimension is scanned by linalg.invariant_indices, one generator at
+    a time: the first solves for the subspaces it keeps over the whole
+    layout, each later one tests only the subspaces the earlier ones left
+    invariant (among), and only the survivors of all are unranked.  A
+    dimension with more subspaces than the subspace cap raises
+    PhaseCapExceeded ("subspace scan") before anything is allocated.
     """
     gens = list(gens)
     dims = range(1, n) if dims is None else list(dims)
@@ -306,9 +308,9 @@ def invariant_subspaces(gens, n: int, p: int, dims=None) -> list[Subspace]:
     for d in dims:
         check_cap("subspace scan", gaussian_binomial(n, d, p), f"subspaces of dimension {d}",
                   current_limits().subspaces)
-        subs = subspace_array(n, d, p)
-        rows = np.arange(len(subs))
+        layout = subspace_layout(n, d, p)
+        kept = np.arange(layout.offsets[-1]) if not gens else None
         for g in gens:
-            rows = rows[invariance_table(subs, [g], p, rows)[0]]
-        found.extend(echelon_subspace(subs[i], p) for i in rows)
+            kept = invariant_indices(layout, g, kept)
+        found.extend(echelon_subspace(rows, p) for rows in layout.unrank(kept))
     return found

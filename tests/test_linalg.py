@@ -379,7 +379,11 @@ def test_subspace_layout_is_built_once_and_read_only():
     assert subspace_layout(4, 2, 3) is layout
     assert isinstance(layout.combos, tuple)
     assert layout.offsets.tolist() == [0, 81, 108, 117, 126, 129, 130]
-    for array in (layout.offsets, layout.weights, layout.place):
+    assert layout.pivot_array.tolist() == [list(c) for c in layout.combos]
+    assert layout.heads is layout.heads and layout.columns is layout.columns
+    assert len(layout.heads[0]) == 9 + 9 + 9 + 3 + 3 + 1  # first rows per block
+    for array in (layout.offsets, layout.weights, layout.place, layout.pivot_array,
+                  layout.digit_cells, *layout.heads, *layout.columns):
         with pytest.raises(ValueError):
             array[0] = 1
 
@@ -407,6 +411,7 @@ def test_rank_inverts_unrank(sample):
     assert indices[-1] == gaussian_binomial(n, d, p) - 1
     subs = layout.unrank(indices)
     assert subs.shape == (len(indices), d, n)  # the rows asked for, not the whole stack
+    assert np.array_equal(layout.unrank(indices[::-1]), subs[::-1])  # in any order
     assert np.array_equal(layout.rank(subs), indices)
     assert np.array_equal(layout.pivots(indices), (subs != 0).argmax(axis=2))
     for rows in subs:
@@ -450,6 +455,22 @@ def test_every_subspace_ranks_to_its_own_index(layout):
     assert len(np.unique(keys, axis=0)) == len(subs)
     tables = subspace_tables([Matrix.identity(n, p)], subs, p)
     assert np.array_equal(tables[0], np.arange(len(subs)))
+    # heads: every (pivot block, first row) pair once, in index order, at
+    # the subspace whose other rows have only zeros in their free cells
+    order = subspace_layout(n, d, p)
+    rows, index, block = order.heads
+    assert np.array_equal(subs[index, 0], rows)
+    assert not (subs[index, 1:] * order.weights[block, 1:]).any()
+    blocks = np.searchsorted(order.offsets, np.arange(len(subs)), side="right") - 1
+    every = np.unique(np.concatenate([blocks[:, None], subs[:, 0]], axis=1), axis=0)
+    assert np.array_equal(every, np.concatenate([block[:, None], rows], axis=1))
+    # columns: the non-pivot columns, where row i >= 1 is active (has a free
+    # cell) exactly when its pivot lies left of the column
+    cols, cells = order.columns
+    for c, pivots in enumerate(order.combos):
+        assert sorted([*cols[c], *pivots]) == list(range(n))
+        for s, j in enumerate(cols[c]):
+            assert (cells[c, s] != 0).tolist() == [pivots[i] < j for i in range(1, d)]
 
 
 @given(matrix_groups(max_n=4, primes=(2, 3, 5, 7, 13)), st.data())

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from imprimlab import imprim
+from imprimlab import imprim, linalg
 from imprimlab.errors import CapError, check_cap, current_limits, limits
 from imprimlab.groups import MatrixGroup, PermGroup, orbit_labels
 from imprimlab.imprim import (
@@ -35,7 +35,8 @@ from imprimlab.linalg import (
     divisors,
     echelon_subspace,
     gaussian_binomial,
-    invariance_table,
+    invariant_indices,
+    mul_mod,
     subspace_array,
     subspace_layout,
     subspace_tables,
@@ -225,8 +226,8 @@ def test_short_cycle_mask_matches_the_word_table(g):
     w = word(g.gens)
     for d in divisors(g.n)[:-1]:
         subs = subspace_array(g.n, d, g.p)
-        mask = imprim._short_cycles(w, subs, g.p, g.n // d)
-        assert np.array_equal(mask, short_cycle_oracle(w, subs, g.p, g.n // d))
+        kept = imprim._short_cycles(w, subspace_layout(g.n, d, g.p), g.n // d)
+        assert np.array_equal(kept, np.flatnonzero(short_cycle_oracle(w, subs, g.p, g.n // d)))
 
 
 def test_generators_rank_only_what_the_word_keeps(monkeypatch):
@@ -359,17 +360,43 @@ def kernel_cases(draw):
 # planes, the cycle 13 first rows and 2 planes
 @example((4, 2, 3, [Matrix.diagonal([2, 2, 2, 2], 3)], None))
 @example((4, 2, 3, [Matrix.diagonal([1, 2, 2, 2], 3), CYCLE_4], None))
+# eigenvector first rows, e.g. e_1 under diag(1, 1, 2, 2): every value of the
+# other row's free cells passes the first stage, and the second decides
+@example((4, 2, 3, [Matrix.diagonal([1, 1, 2, 2], 3)], None))
+# the 17 293 planes of GF(131)^3, whose columns solve through inverses mod 131
+@example((3, 2, 131, [Matrix([[1, 1, 0], [0, 1, 0], [0, 0, 2]], 131),
+                      Matrix([[3, 0, 5], [0, 7, 0], [0, 0, 3]], 131)], None))
 @given(kernel_cases())
-def test_invariance_table_matches_contains_rows(case):
-    n, d, p, mats, rows = case
-    subs = subspace_array(n, d, p)
-    table = invariance_table(subs, mats, p, rows)
-    rows = np.arange(len(subs)) if rows is None else rows
-    assert table.shape == (len(mats), len(rows)) and table.dtype == bool
-    for i, row in enumerate(rows):
-        w = echelon_subspace(subs[row], p)
-        for k, m in enumerate(mats):
-            assert table[k, i] == w.contains_rows(w.basis @ m.a % p)
+def test_invariant_indices_matches_contains_rows(case):
+    n, d, p, mats, among = case
+    layout = subspace_layout(n, d, p)
+    indices = np.arange(layout.offsets[-1]) if among is None else among
+    subs = layout.unrank(indices)
+    for m in mats:
+        found = invariant_indices(layout, m, among)
+        assert found.dtype == np.int64
+        expected = [i for i, rows in zip(indices, subs)
+                    if echelon_subspace(rows, p).contains_rows(rows @ m.a % p)]
+        assert found.tolist() == expected
+
+
+def test_scalar_matrices_keep_every_subspace_without_a_product(monkeypatch):
+    products = []
+
+    def counting_mul_mod(a, b, p):
+        products.append(len(a))
+        return mul_mod(a, b, p)
+
+    monkeypatch.setattr(linalg, "mul_mod", counting_mul_mod)
+    layout = subspace_layout(4, 2, 3)
+    assert invariant_indices(layout, Matrix.diagonal([2] * 4, 3)).tolist() == list(range(130))
+    assert invariant_indices(layout, Matrix.identity(4, 3), np.arange(5, 9)).tolist() == [5, 6, 7, 8]
+    assert products == []
+    # the cycle's third power is the identity: the first power costs one
+    # product of the 13 lines, the scalar one none and ends the union
+    lines = subspace_layout(3, 1, 3)
+    assert imprim._short_cycles(CYCLE, lines, 3).tolist() == list(range(13))
+    assert products == [13]
 
 
 @pytest.mark.parametrize("p,dtype", [(127, np.int8), (131, np.int16)])
@@ -392,9 +419,9 @@ def test_key_width_guard_fires_before_allocation(monkeypatch):
     cycle = MatrixGroup([Matrix([[0, 1, 0], [0, 0, 1], [1, 0, 0]], p)])
 
     def no_allocation(*args):
-        raise AssertionError("the scan allocated its subspace stack")
+        raise AssertionError("the scan built its subspace layout")
 
-    monkeypatch.setattr(imprim, "subspace_array", no_allocation)
+    monkeypatch.setattr(imprim, "subspace_layout", no_allocation)
     with limits(subspaces=10**13), pytest.raises(CapError) as err:
         all_systems(cycle)
     message = str(err.value)
