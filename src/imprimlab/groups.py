@@ -19,7 +19,8 @@ Solvability follows the derived series, each derived subgroup the normal
 closure of its group's generator commutators, with membership and orders
 read as above; only generators are multiplied as Matrix objects.  A
 group computes its derived series once, the first time it is asked for
-the series or its solvability.
+the series or its solvability.  A matrix group inverts its generators
+once, to validate them, and the chain and derived series read those inverses.
 
 The closure works on arrays.  A group's elements are one (|G|, n, n) stack
 of matrices (or (|G|, k) stack of permutation images) in the smallest
@@ -63,6 +64,7 @@ import numpy as np
 from .errors import (
     DEFAULT_CAP_PARTITIONS,
     OddDegree,
+    Singular,
     ValidationError,
     check_cap,
     current_limits,
@@ -159,9 +161,10 @@ class StabilizerChain:
     """A base and strong generating set, found by deterministic Schreier-Sims.
 
     gens is an (m, n, n) stack of invertible matrices over GF(p) acting on
-    row vectors from the right.  The base is e_0 ... e_(n-1): a matrix that
-    fixes every standard basis vector is the identity, so the base never
-    needs extending.  Level l holds generators fixing e_0 ... e_(l-1) and
+    row vectors from the right, and inverses their inverses, in the same
+    order (the chain inverts no matrix).  The base is e_0 ... e_(n-1): a
+    matrix that fixes every standard basis vector is the identity, so the
+    base never needs extending.  Level l holds generators fixing e_0 ... e_(l-1) and
     the orbit of e_l under them.  Each orbit point x = e_l u_x is stored as
     its transversal element u_x and u_x^-1, in the smallest dtype that
     holds p - 1, and is found in a dict by its byte key: the bytes of its
@@ -190,7 +193,7 @@ class StabilizerChain:
     double, so a long cycle costs a logarithmic number of array steps.
     """
 
-    def __init__(self, gens: np.ndarray, p: int):
+    def __init__(self, gens: np.ndarray, inverses: np.ndarray, p: int):
         gens = np.asarray(gens, dtype=np.int64) % p
         n = gens.shape[1]
         self.p, self.n = p, n
@@ -207,7 +210,7 @@ class StabilizerChain:
         keep = moved.any(axis=1)
         if keep.any():
             gens, moved = gens[keep], moved[keep]
-            inverses = np.stack([Matrix(g, p).inv().a for g in gens])
+            inverses = np.asarray(inverses, dtype=np.int64)[keep] % p
             depth = moved.argmax(axis=1)
             for level in range(n):
                 fixing = depth >= level
@@ -461,19 +464,24 @@ class _ElementArray:
 
 
 class MatrixGroup(_ElementArray):
-    """A subgroup of GL_n(p) given by invertible generators."""
+    """A subgroup of GL_n(p) given by invertible generators, checked by
+    inverting them; inverse_stack holds the inverses as one int64 stack."""
 
     def __init__(self, gens):
         gens = list(gens)
         if not gens:
             raise ValidationError("a matrix group needs at least one generator")
         p, n = gens[0].p, gens[0].rows
+        inverses = []
         for g in gens:
             if g.p != p or g.rows != n or g.cols != n:
                 raise ValidationError("generators must share modulus and degree")
-            if not g.is_invertible():
-                raise ValidationError("generators must be invertible")
+            try:
+                inverses.append(g.inv().a)
+            except Singular:
+                raise ValidationError("generators must be invertible") from None
         self.gens = tuple(gens)
+        self.inverse_stack = np.stack(inverses)
         self.p = p
         self.n = n
 
@@ -495,14 +503,9 @@ class MatrixGroup(_ElementArray):
         return math.prod(self.p**self.n - self.p**i for i in range(self.n))
 
     @cached_property
-    def inverse_stack(self) -> np.ndarray:
-        """The generators' inverses, as one (m, n, n) int64 stack."""
-        return np.stack([g.inv().a for g in self.gens])
-
-    @cached_property
     def chain(self) -> StabilizerChain:
         """The stabilizer chain of the generators."""
-        return StabilizerChain(self._generator_stack, self.p)
+        return StabilizerChain(self._generator_stack, self.inverse_stack, self.p)
 
     def _matrices(self, stack) -> np.ndarray:
         return np.asarray(stack, dtype=np.int64) % self.p
@@ -525,9 +528,10 @@ class MatrixGroup(_ElementArray):
         subgroup N.  Conjugates of N's generators by G's generators that
         fall outside N join its generators until none do; N is then
         normal, G/N is abelian because the generators commute mod N, and
-        N holds no element outside [G, G].
+        N holds no element outside [G, G].  Each generator is paired with
+        its stored inverse.
         """
-        pairs = [(g, g.inv()) for g in self.gens]
+        pairs = [(g, Matrix(a, self.p)) for g, a in zip(self.gens, self.inverse_stack)]
         gens = [
             x_inv * y_inv * x * y
             for (x, x_inv), (y, y_inv) in itertools.combinations(pairs, 2)
@@ -696,8 +700,10 @@ class PermGroup(_ElementArray):
     @cached_property
     def chain(self) -> StabilizerChain:
         """The chain of the permutation matrices, over GF(2) since their
-        entries are 0 and 1."""
-        return StabilizerChain(self._matrices(self._generator_stack), 2)
+        entries are 0 and 1; the inverse permutations (argsort of the
+        images) give the generators' inverses."""
+        stack = self._generator_stack
+        return StabilizerChain(self._matrices(stack), self._matrices(np.argsort(stack, axis=1)), 2)
 
     def _matrices(self, stack) -> np.ndarray:
         """Permutation matrices: row i is the basis vector of i's image."""

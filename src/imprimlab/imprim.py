@@ -55,6 +55,7 @@ from .errors import (
 from .groups import MatrixGroup, byte_keys, orbit_labels
 from .linalg import (
     Subspace,
+    _check_modulus,
     direct_sum_check,
     divisors,
     echelon_subspace,
@@ -305,8 +306,8 @@ def part_stabilizer_elements(g: MatrixGroup, parts) -> np.ndarray:
     """Generators of the stabilizer of parts[0] in g, as one (s, n, n) stack.
 
     parts is the whole orbit of parts[0], in any order; NotTransitiveOnParts
-    is raised when the generators map a part outside the list or the list
-    holds several orbits.  Not the stabilizer's elements: its Schreier
+    is raised when the list is empty, the generators map a part outside it
+    or it holds several orbits.  Not the stabilizer's elements: its Schreier
     generators, at most |parts| * |gens| of them whatever |G| is.  Each part
     x is reached along the part table by a transversal element u_x that maps
     parts[0] to it; the products u_x s u_(x s)^-1, over every part x and
@@ -314,6 +315,8 @@ def part_stabilizer_elements(g: MatrixGroup, parts) -> np.ndarray:
     in one batched product and kept once each, parts in breadth-first order
     and generators within a part, the identity only if nothing else is left.
     """
+    if not len(parts):
+        raise NotTransitiveOnParts("there are no parts to permute")
     table = part_table(g, parts)
     if (table < 0).any():
         raise NotTransitiveOnParts("the group does not permute the parts")
@@ -356,11 +359,9 @@ def is_primitive_linear(g: MatrixGroup) -> bool:
 
 
 def coordinate_system(n: int, d: int, p: int) -> ImprimitivitySystem:
-    """The standard decomposition into consecutive d-coordinate blocks."""
+    """The standard decomposition into consecutive d-coordinate blocks, each
+    identity block already the RREF basis of its part."""
     if n % d != 0 or n // d < 2:
         raise ValidationError(f"{d} does not split dimension {n} into blocks")
-    eye = np.eye(n, dtype=np.int64)
-    parts = [
-        Subspace.span(eye[i * d : (i + 1) * d], n, p) for i in range(n // d)
-    ]
-    return ImprimitivitySystem(parts)
+    eye, p = np.eye(n, dtype=np.int64), _check_modulus(p)
+    return ImprimitivitySystem(echelon_subspace(eye[i : i + d], p) for i in range(0, n, d))

@@ -525,8 +525,8 @@ def invariant_indices(layout: SubspaceLayout, mat: Matrix, among=None) -> np.nda
     """The increasing indices of the layout's d-subspaces W with W @ mat <= W.
 
     among, increasing indices, restricts the test to those subspaces: each is
-    unranked and every basis row mapped and tested (_inside).  Without it the
-    first basis row is solved for per pivot block.  For a first row v with
+    unranked and every basis row mapped and tested (_rows_inside).  Without it
+    the first basis row is solved for per pivot block.  For a first row v with
     u = v @ mat and r = u - u[P_0] v, v @ mat lies in W exactly when
     r = sum_(i >= 1) u[P_i] row_i.  That holds on the pivot columns by
     construction; on any other column j it is one equation,
@@ -583,31 +583,21 @@ def invariant_indices(layout: SubspaceLayout, mat: Matrix, among=None) -> np.nda
 def _rows_inside(layout: SubspaceLayout, a: np.ndarray, indices: np.ndarray,
                  first: int) -> np.ndarray:
     """The indices, in their order, whose subspaces a maps basis rows
-    first..d-1 of into themselves, unranked and tested SCAN_CHUNK at a time."""
-    _, d, n = layout.weights.shape
+    first..d-1 of into themselves, unranked and tested SCAN_CHUNK at a time:
+    an image row lies in a subspace iff it is its pivot-column entries times
+    the RREF basis."""
+    p, (_, d, n) = layout.p, layout.weights.shape
+    r = d - first
     inside = np.empty(len(indices), dtype=bool)
     for start in range(0, len(indices), SCAN_CHUNK):
         at = indices[start : start + SCAN_CHUNK]
         basis = layout.unrank(at).astype(np.int64)
-        image = mul_mod(basis[:, first:].reshape(-1, n), a, layout.p)
-        inside[start : start + len(at)] = _inside(image.reshape(len(at), d - first, n), basis,
-                                                  layout.pivots(at), layout.p)
+        image = mul_mod(basis[:, first:].reshape(-1, n), a, p).reshape(len(at), r, n)
+        cells = (np.arange(len(at) * r) * n).reshape(len(at), r, 1) + layout.pivots(at)[:, None]
+        outside = mul_mod(np.take(image, cells), basis, p) != image
+        # a bool product with ones is any() over a short last axis, and faster
+        inside[start : start + len(at)] = ~(outside.reshape(len(at), r * n) @ np.ones(r * n, bool))
     return indices[inside]
-
-
-def _inside(image: np.ndarray, basis: np.ndarray, pivots: np.ndarray, p: int) -> np.ndarray:
-    """Whether every image row lies in the row space of its basis.
-
-    image is a (..., N, r, n) stack of rows, basis the (N, d, n) stack of
-    RREF bases and pivots their (N, d) pivot columns; the answer is a
-    (..., N) mask.
-    """
-    *lead, count, r, n = image.shape
-    cells = (np.arange(count * r) * n).reshape(count, r, 1) + pivots[:, None, :]
-    at_pivots = np.take(image.reshape(*lead, -1), cells, axis=len(lead))
-    outside = mul_mod(at_pivots, basis, p) != image
-    # a bool product with ones is any() over a short last axis, and faster
-    return ~(outside.reshape(*lead, count, r * n) @ np.ones(r * n, dtype=bool))
 
 
 def subspace_tables(gens, subs: np.ndarray, p: int) -> np.ndarray:

@@ -46,12 +46,13 @@ from .linalg import (
 
 
 def spin(g: MatrixGroup, v) -> Subspace:
-    """Smallest g-invariant subspace containing the vector v."""
+    """Smallest g-invariant subspace containing the vector v; its spanning
+    rows, sorted by leading column, are its RREF basis."""
     v = np.asarray(v, dtype=np.int64) % g.p
     if not v.any():
         raise ZeroVector("cannot spin the zero vector")
     rows = _invariant_span(v[None], g._generator_stack, g.p)
-    return Subspace.span(rows, g.n, g.p)
+    return echelon_subspace(rows[np.argsort((rows != 0).argmax(axis=1))], g.p)
 
 
 def _invariant_span(start: np.ndarray, gens: np.ndarray, p: int) -> np.ndarray:
@@ -63,8 +64,9 @@ def _invariant_span(start: np.ndarray, gens: np.ndarray, p: int) -> np.ndarray:
     Each round multiplies the rows the last round added by every generator
     at once and keeps what the images add beyond the span, until they add
     nothing.  The rows are kept reduced (each has a pivot column where it
-    is 1 and every other row is 0), so an image's remainder modulo the span
-    is the image minus its pivot-column entries times the rows.
+    has its leading 1 and every other row is 0), so an image's remainder
+    modulo the span is the image minus its pivot-column entries times the
+    rows, and the rows sorted by pivot are the span's RREF basis.
     """
     n, width = gens.shape[1], start.shape[1]
     rows, _, pivots = rref(start, p)

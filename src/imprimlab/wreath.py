@@ -30,7 +30,7 @@ from .groups import (
     primitive_root,
 )
 from .imprim import ImprimitivitySystem, all_systems, coordinate_system
-from .linalg import Matrix, Subspace
+from .linalg import Matrix, echelon_subspace
 from .reprs import is_irreducible
 
 
@@ -124,7 +124,8 @@ def _census(spec: WreathSpec, pair_systems: list[BlockSystem]) -> ExceptionalCen
     For a pair partition {{a,b}, ...} and a scalar s with s^2 = +-1 the
     system has parts <e_a + s e_b> and <e_a - s e_b> for every pair; s and
     -s give the same system, so one representative per class is used and
-    the result is deduplicated defensively.
+    the result is deduplicated defensively.  Blocks are sorted, so a < b and
+    each spanning row is already in reduced echelon form.
     """
     n, p = spec.degree, spec.p
     lambdas = _lambda_classes(p)
@@ -134,13 +135,9 @@ def _census(spec: WreathSpec, pair_systems: list[BlockSystem]) -> ExceptionalCen
     found[standard.key] = standard
     for partition in pair_systems:
         for lam in lambdas:
-            parts = []
-            for a, b in partition.blocks:
-                plus = (eye[a] + lam * eye[b]) % p
-                minus = (eye[a] - lam * eye[b]) % p
-                parts.append(Subspace.span([plus], n, p))
-                parts.append(Subspace.span([minus], n, p))
-            system = ImprimitivitySystem(parts)
+            system = ImprimitivitySystem(
+                echelon_subspace((eye[a : a + 1] + sign * lam * eye[b]) % p, p)
+                for a, b in partition.blocks for sign in (1, -1))
             found.setdefault(system.key, system)
     return ExceptionalCensus(
         p=p,

@@ -124,18 +124,27 @@ def test_perm_chain_matches_the_closure(gens, data):
 
 
 @given(st.one_of(matrix_groups(), reducible_matrix_groups()))
+def test_matrix_groups_store_their_generator_inverses(gens):
+    group = MatrixGroup(gens)
+    eye = np.eye(group.n, dtype=np.int64)
+    assert group.inverse_stack.shape == (len(gens), group.n, group.n)
+    for g, inverse in zip(gens, group.inverse_stack):
+        assert (inverse @ g.a % group.p == eye).all()
+
+
+@given(st.one_of(matrix_groups(), reducible_matrix_groups()))
 def test_chain_points_are_counted_against_the_cap(gens):
     # the chain of a group that the closure can list always fits its cap
     p = gens[0].p
-    stack = np.stack([g.a for g in gens])
-    chain = StabilizerChain(stack, p)
+    stack, inverses = np.stack([g.a for g in gens]), np.stack([g.inv().a for g in gens])
+    chain = StabilizerChain(stack, inverses, p)
     assert chain.points <= chain.order - 1
     with limits(elements=chain.points):
-        assert StabilizerChain(stack, p).order == chain.order
+        assert StabilizerChain(stack, inverses, p).order == chain.order
     if chain.points:
         with (limits(elements=chain.points - 1),
               pytest.raises(PhaseCapExceeded, match="^stabilizer chain: ")):
-            StabilizerChain(stack, p)
+            StabilizerChain(stack, inverses, p)
 
 
 def test_long_cycle_orders_in_a_few_steps():

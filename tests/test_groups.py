@@ -98,6 +98,17 @@ def test_group_contains():
     assert not d12.contains(Matrix([[1, 0], [1, 1]], 3))
 
 
+@pytest.mark.parametrize("gens, message", [
+    ([], "at least one generator"),
+    ([Matrix([[1, 2], [2, 4]], 5)], "invertible"),  # singular
+    ([Matrix.identity(2, 3), Matrix.identity(2, 5)], "share modulus and degree"),
+    ([Matrix.identity(2, 3), Matrix.identity(3, 3)], "share modulus and degree"),
+])
+def test_matrix_group_rejects_bad_generator_lists(gens, message):
+    with pytest.raises(ValidationError, match=message):
+        MatrixGroup(gens)
+
+
 def test_is_subgroup():
     gl23 = general_linear_group(2, 3)
     monomial = MatrixGroup(

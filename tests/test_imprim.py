@@ -272,6 +272,11 @@ def test_criteria_agreement():
             )
 
 
+def test_part_stabilizer_rejects_an_empty_part_list():
+    with pytest.raises(NotTransitiveOnParts, match="no parts"):
+        part_stabilizer_elements(general_linear_group(2, 3), [])
+
+
 def test_part_stabilizer_is_a_subgroup_slice():
     g = sign_wreath(cyclic_group(4), 3)
     w = coordinate_system(4, 1, 3).parts[0]
@@ -336,6 +341,13 @@ def test_permuted_decomposition_bound_is_attained():
     group, dims, offsets = block_diagonal_product([sign_group(5), sign_group(5)])
     systems = all_systems(group)
     assert systems and {s.component_count for s in systems} == {2}
+
+
+def test_coordinate_system_rejects_a_bad_modulus():
+    # the blocks are built as echelon bases, with no row reduction to check p
+    for p in (1, 4):
+        with pytest.raises(ValidationError, match="modulus"):
+            coordinate_system(4, 2, p)
 
 
 def test_coordinate_system_validation():
