@@ -17,10 +17,14 @@ its elements (phase "group closure"), the chain its orbit points beyond
 the base points, which never exceed |G| - 1 (phase "stabilizer chain").
 Solvability follows the derived series, each derived subgroup the normal
 closure of its group's generator commutators, with membership and orders
-read as above; only generators are multiplied as Matrix objects.  A
-group computes its derived series once, the first time it is asked for
-the series or its solvability.  A matrix group inverts its generators
-once, to validate them, and the chain and derived series read those inverses.
+read as above; only the generator commutators are multiplied as Matrix
+objects, and the conjugates of a subgroup's generators are one stack
+product.  A group computes its derived series once, the first time it is
+asked for the series or its solvability.  A matrix group inverts its
+generators once, to validate them, and the chain and derived series read
+those inverses.  Membership takes stacks of group-shaped arrays only, and
+a permutation row with a point outside [0, k) is no element on either
+route.
 
 The closure works on arrays.  A group's elements are one (|G|, n, n) stack
 of matrices (or (|G|, k) stack of permutation images) in the smallest
@@ -31,15 +35,22 @@ generator at once, CLOSE_PRODUCTS products in all (1024 frontier elements
 for eight generators).  The chunk bounds the int64 product block
 (CLOSE_PRODUCTS x n^2 entries, 2.4 MB at degree 6), and so the closure's
 peak memory, whatever the number of generators; larger chunks were no
-faster.  Every product is identified by its byte key: its entries in the
-stored dtype viewed as one np.void scalar.  Byte keys need no packing, so
-no modulus or degree is too wide for them.  A chunk's new elements are its
-first occurrences (np.unique) that a searchsorted lookup does not find
-among the sorted keys seen so far; the cap is checked before they are
-appended.  Once listed, the elements' keys are sorted once, and lookups
-among them are searchsorted.  No Matrix or Permutation object is built per
-element.  Orbits of points are min-label propagation over permutation
-tables (orbit_labels), the routine the subspace scan uses as well.
+faster.  Every product is identified by its packed key (packed_keys): its
+entries read as digits in [0, p) for a matrix, or in [0, k) for a
+permutation of degree k, packed into int64 words.  One word holds every
+element of GL_n(p) with p^(n^2) <= 2^63 (6 x 6 over GF(3), 4 x 4 over
+GF(7)) and of S_k for k <= 15, and its keys are a plain int64 array, which
+numpy sorts and searches several times faster than raw bytes; wider
+elements take several words, viewed as one np.void scalar, so no modulus
+or degree is too wide.  The same keys index the chain's orbit points, part
+tables and every dedupe of a stack.  A chunk's new elements are its first
+occurrences (np.unique) that a searchsorted lookup does not find among the
+sorted keys seen so far, merged in by one scatter; the cap is checked
+before they are appended.  Once listed, the elements' keys are sorted
+once, and lookups among them are searchsorted.  No Matrix or Permutation
+object is built per element.  Orbits of points are min-label propagation
+over permutation tables (orbit_labels), the routine the subspace scan uses
+as well.
 
 Block systems of a permutation group, transitive or not, come from one
 backtracking search (block_systems): each node is a generator-invariant
@@ -57,13 +68,14 @@ from __future__ import annotations
 
 import itertools
 import math
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .errors import (
     DEFAULT_CAP_PARTITIONS,
     OddDegree,
+    ShapeMismatch,
     Singular,
     ValidationError,
     check_cap,
@@ -83,22 +95,57 @@ CLOSE_PRODUCTS = 8192
 LIST_AMBIENT = 720
 
 
-def byte_keys(stack: np.ndarray) -> np.ndarray:
-    """One np.void key per entry of a stack: the entry's raw bytes."""
-    flat = np.ascontiguousarray(stack).reshape(len(stack), math.prod(stack.shape[1:]))
-    return flat.view(np.dtype((np.void, flat.shape[1] * flat.itemsize))).ravel()
+@lru_cache(maxsize=64)
+def _place_values(base: int, width: int) -> np.ndarray:
+    """The place value of every digit of a row of width digits in [0, base).
+
+    Each int64 word packs as many digits as base^digits <= 2^63 allows, so
+    no word overflows.  Returns a (width,) vector when one word holds the
+    row, and a (width, words) matrix otherwise, read-only since it is shared.
+    """
+    digits = 1
+    while base ** (digits + 1) <= 2**63:
+        digits += 1
+    words = -(-width // digits)
+    places = np.zeros((width, words), dtype=np.int64)
+    for i in range(width):
+        places[i, i // digits] = base ** (i % digits)
+    places = places[:, 0] if words == 1 else places
+    places.flags.writeable = False
+    return places
+
+
+def packed_keys(stack: np.ndarray, base: int) -> np.ndarray:
+    """One key per entry of a stack whose entries are digits in [0, base).
+
+    The digits are packed into int64 words (at least base 2, so that a
+    degree-1 permutation packs too).  Equal keys mean equal entries.  One
+    word gives a plain int64 key; several are viewed as one np.void scalar.
+    """
+    flat = stack.reshape(len(stack), math.prod(stack.shape[1:]))
+    keys = flat @ _place_values(max(int(base), 2), flat.shape[1])
+    if keys.ndim == 1:
+        return keys
+    return np.ascontiguousarray(keys).view(np.dtype((np.void, 8 * keys.shape[1]))).ravel()
 
 
 def first_new(keys: np.ndarray, seen: np.ndarray):
     """The keys absent from the sorted array seen, once each.
 
     Returns (indices, seen'): the index in keys of the first occurrence of
-    every such key, in increasing order, and seen with those keys merged in.
+    every such key, in increasing order, and seen with those keys merged in
+    by one scatter.
     """
     uniq, first = np.unique(keys, return_index=True)
     pos = np.searchsorted(seen, uniq)
-    found = seen[np.minimum(pos, len(seen) - 1)] == uniq
-    return np.sort(first[~found]), np.insert(seen, pos[~found], uniq[~found])
+    new = seen[np.minimum(pos, len(seen) - 1)] != uniq
+    at = pos[new] + np.arange(np.count_nonzero(new))  # increasing: uniq is sorted
+    merged = np.empty(len(seen) + len(at), dtype=seen.dtype)
+    kept = np.ones(len(merged), dtype=bool)
+    kept[at] = False
+    merged[at] = uniq[new]
+    merged[kept] = seen
+    return np.sort(first[new]), merged
 
 
 def orbit_labels(tables: np.ndarray) -> np.ndarray:
@@ -130,28 +177,30 @@ def mulclose(gens: np.ndarray, p: int | None = None) -> np.ndarray:
     """
     if p is None:
         identity = np.arange(gens.shape[1], dtype=gens.dtype)
+        base = gens.shape[1]
 
         def products(frontier):
             return frontier[:, gens]
     else:
         identity = np.eye(gens.shape[1], dtype=gens.dtype)
+        base = p
         wide = gens.astype(np.int64)
 
         def products(frontier):
-            return (wide @ frontier[:, None].astype(np.int64) % p).astype(gens.dtype)
+            return wide @ frontier[:, None].astype(np.int64) % p
 
     step = max(1, CLOSE_PRODUCTS // len(gens))
     frontier = identity[None]
     levels = [frontier]
-    seen = byte_keys(frontier)
+    seen = packed_keys(frontier, base)
     while len(frontier):
         found = []
         for start in range(0, len(frontier), step):
             block = products(frontier[start : start + step])
             block = block.reshape(-1, *identity.shape)
-            fresh, seen = first_new(byte_keys(block), seen)
+            fresh, seen = first_new(packed_keys(block, base), seen)
             check_cap("group closure", len(seen), "elements", current_limits().elements)
-            found.append(block[fresh])
+            found.append(block[fresh].astype(gens.dtype, copy=False))
         frontier = np.concatenate(found)
         levels.append(frontier)
     return np.concatenate(levels)
@@ -167,8 +216,8 @@ class StabilizerChain:
     base never needs extending.  Level l holds generators fixing e_0 ... e_(l-1) and
     the orbit of e_l under them.  Each orbit point x = e_l u_x is stored as
     its transversal element u_x and u_x^-1, in the smallest dtype that
-    holds p - 1, and is found in a dict by its byte key: the bytes of its
-    entries in that dtype, as the closure keys elements.
+    holds p - 1, and is found in a dict by its packed key (its entries as
+    digits in [0, p)), as the closure keys elements.
 
     Sims' algorithm (Sims 1970; Seress, Permutation Group Algorithms,
     ch. 4) works up from the last level.  Every Schreier generator
@@ -230,7 +279,7 @@ class StabilizerChain:
              for i in range(0, len(stack), CLOSE_PRODUCTS)] or [np.zeros(0, dtype=bool)])
 
     def _key(self, vectors: np.ndarray) -> np.ndarray:
-        return byte_keys(vectors.astype(self._dtype))
+        return packed_keys(vectors, self.p)
 
     def _lookup(self, level: int, vectors: np.ndarray) -> np.ndarray:
         """Orbit index of every vector at the level, -1 if absent."""
@@ -426,20 +475,45 @@ class _ElementArray:
     def _listed(self) -> bool:
         return "element_array" in self.__dict__ or self._ambient_order <= LIST_AMBIENT
 
+    @property
+    def _key_base(self) -> int:
+        """Every entry of an element is a digit below this: p, or the degree."""
+        return self._modulus or self._generator_stack.shape[1]
+
     @cached_property
     def _key_index(self):
-        keys = byte_keys(self.element_array)
+        keys = packed_keys(self.element_array, self._key_base)
         order = np.argsort(keys)
         return keys[order], order
 
     @property
     def sorted_keys(self) -> np.ndarray:
-        """The byte keys of the elements, sorted: one per element."""
+        """The packed keys of the elements, sorted: one per element."""
         return self._key_index[0]
 
     @property
     def order(self) -> int:
         return len(self.element_array) if self._listed else self.chain.order
+
+    def _rows(self, stack):
+        """A stack of group-shaped arrays with its leading axes flattened,
+        as digits in [0, _key_base), and which of its rows can be elements.
+
+        Matrices are reduced mod p.  A permutation row with a point outside
+        [0, k) is no element, and is zeroed so that its digits stay in
+        range.  Raises ShapeMismatch when the trailing axes do not have an
+        element's shape.
+        """
+        stack = np.asarray(stack)
+        shape = self._generator_stack.shape[1:]
+        if stack.shape[max(0, stack.ndim - len(shape)):] != shape:
+            raise ShapeMismatch(f"a stack of shape {stack.shape} does not hold "
+                                f"elements of shape {shape}")
+        stack = stack.reshape(-1, *shape)
+        if self._modulus is not None:
+            return stack % self._modulus, np.ones(len(stack), dtype=bool)
+        valid = ((stack >= 0) & (stack < shape[0])).all(axis=1)
+        return np.where(valid[:, None], stack, 0), valid
 
     def positions(self, stack) -> np.ndarray:
         """Index in element_array of every entry of a stack, -1 if absent.
@@ -447,20 +521,19 @@ class _ElementArray:
         Leading axes are flattened, as the chain's sift flattens them: an
         (s, t, n, n) stack gives s * t positions.
         """
-        stack = np.asarray(stack).reshape(-1, *self.element_array.shape[1:])
-        if self._modulus is not None:
-            stack = stack % self._modulus
-        keys = byte_keys(stack.astype(self.element_array.dtype))
+        rows, valid = self._rows(stack)
+        keys = packed_keys(rows, self._key_base)
         sorted_keys, order = self._key_index
         pos = np.minimum(np.searchsorted(sorted_keys, keys), len(order) - 1)
-        return np.where(sorted_keys[pos] == keys, order[pos], -1)
+        return np.where(valid & (sorted_keys[pos] == keys), order[pos], -1)
 
     def member_mask(self, stack) -> np.ndarray:
         """Which entries of a stack of group-shaped arrays lie in the group,
         as one flat mask: leading axes are flattened on either route."""
         if self._listed:
             return self.positions(stack) >= 0
-        return self.chain.sifts(self._matrices(stack))
+        rows, valid = self._rows(stack)
+        return valid & self.chain.sifts(self._matrices(rows))
 
 
 class MatrixGroup(_ElementArray):
@@ -508,7 +581,8 @@ class MatrixGroup(_ElementArray):
         return StabilizerChain(self._generator_stack, self.inverse_stack, self.p)
 
     def _matrices(self, stack) -> np.ndarray:
-        return np.asarray(stack, dtype=np.int64) % self.p
+        """The chain acts with the matrices themselves."""
+        return stack
 
     def contains(self, m: Matrix) -> bool:
         if m.p != self.p or m.rows != self.n or m.cols != self.n:
@@ -529,9 +603,11 @@ class MatrixGroup(_ElementArray):
         fall outside N join its generators until none do; N is then
         normal, G/N is abelian because the generators commute mod N, and
         N holds no element outside [G, G].  Each generator is paired with
-        its stored inverse.
+        its stored inverse.  The conjugates are one stack product, g-major
+        and x-minor; only those outside N become Matrix objects.
         """
-        pairs = [(g, Matrix(a, self.p)) for g, a in zip(self.gens, self.inverse_stack)]
+        p = self.p
+        pairs = [(g, Matrix(a, p)) for g, a in zip(self.gens, self.inverse_stack)]
         gens = [
             x_inv * y_inv * x * y
             for (x, x_inv), (y, y_inv) in itertools.combinations(pairs, 2)
@@ -539,11 +615,12 @@ class MatrixGroup(_ElementArray):
         while True:
             gens = _dedupe(g for g in gens if not g.is_identity())
             subgroup = MatrixGroup(gens or [self.identity])
-            conjugates = [x_inv * g * x for g in subgroup.gens for x, x_inv in pairs]
-            outside = ~subgroup.member_mask(np.stack([c.a for c in conjugates]))
+            conjugates = (self.inverse_stack @ subgroup._generator_stack[:, None] % p
+                          @ self._generator_stack % p).reshape(-1, self.n, self.n)
+            outside = ~subgroup.member_mask(conjugates)
             if not outside.any():
                 return subgroup
-            gens += itertools.compress(conjugates, outside)
+            gens += [Matrix(c, p) for c in conjugates[outside]]
 
     @cached_property
     def _derived_series_orders(self) -> tuple[int, ...]:
@@ -751,7 +828,7 @@ class PermGroup(_ElementArray):
         """
         points = np.array(sorted(set(block)), dtype=np.intp)
         local = np.searchsorted(points, self.setwise_stabilizer(block)[:, points])
-        _, first = np.unique(byte_keys(local), return_index=True)
+        _, first = np.unique(packed_keys(local, len(points)), return_index=True)
         return PermGroup([Permutation(a) for a in local[np.sort(first)]])
 
     def __repr__(self):

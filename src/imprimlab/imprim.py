@@ -52,7 +52,7 @@ from .errors import (
     check_cap,
     current_limits,
 )
-from .groups import MatrixGroup, byte_keys, orbit_labels
+from .groups import MatrixGroup, orbit_labels, packed_keys
 from .linalg import (
     Subspace,
     _check_modulus,
@@ -157,13 +157,14 @@ def part_table(g: MatrixGroup, parts) -> np.ndarray:
     """The generators' action on distinct nonzero parts, as an (m, k) table.
 
     Entry [s, i] is the index in parts of the image of parts[i] under the
-    s-th generator, or -1 if no part is that image; parts match by RREF bytes.
+    s-th generator, or -1 if no part is that image; parts match by the
+    packed keys of their RREF bases.
     """
     subs = np.zeros((len(parts), g.n, g.n), dtype=np.int64)  # bases, zero rows last
     for w, rows in zip(parts, subs):
         rows[: w.rank] = w.basis
     images = rref_batch((subs @ g._generator_stack[:, None] % g.p).reshape(-1, g.n, g.n), g.p)
-    return _lookup(byte_keys(subs), byte_keys(images), -1).reshape(len(g.gens), -1)
+    return _lookup(packed_keys(subs, g.p), packed_keys(images, g.p), -1).reshape(len(g.gens), -1)
 
 
 def is_system(g: MatrixGroup, parts) -> bool:
@@ -336,7 +337,7 @@ def part_stabilizer_elements(g: MatrixGroup, parts) -> np.ndarray:
     stack = products.reshape(-1, n, n)
     moving = (stack != eye).any(axis=(1, 2))
     stack = stack[moving] if moving.any() else stack[:1]
-    _, first = np.unique(byte_keys(stack), return_index=True)
+    _, first = np.unique(packed_keys(stack, p), return_index=True)
     return stack[np.sort(first)]
 
 

@@ -31,7 +31,7 @@ from .errors import (
     check_cap,
     current_limits,
 )
-from .groups import MatrixGroup, byte_keys
+from .groups import MatrixGroup, packed_keys
 from .linalg import (
     Matrix,
     Subspace,
@@ -287,7 +287,7 @@ def restrict_to_block(stab_gens, w: Subspace) -> MatrixGroup:
     if not w.contains_rows(images):
         raise NotStabilized("a matrix moves the subspace")
     coords = images[:, :, list(w.pivots)]
-    _, first = np.unique(byte_keys(coords), return_index=True)
+    _, first = np.unique(packed_keys(coords, w.p), return_index=True)
     return MatrixGroup([Matrix(c, w.p) for c in coords[np.sort(first)]])
 
 

@@ -19,7 +19,7 @@ from hypothesis import event, given
 from hypothesis import strategies as st
 
 from imprimlab import groups
-from imprimlab.errors import DEFAULT_CAP_ELEMENTS, PhaseCapExceeded, limits
+from imprimlab.errors import DEFAULT_CAP_ELEMENTS, PhaseCapExceeded, ShapeMismatch, limits
 from imprimlab.groups import (
     MatrixGroup,
     PermGroup,
@@ -237,3 +237,33 @@ def test_stacks_with_leading_axes_get_one_flat_answer_on_both_routes(kind):
     assert np.array_equal(positions, twin.positions(flat))
     assert np.array_equal(twin.element_array[positions[expected]], flat[expected])
     assert (positions[~expected] == -1).all()
+
+
+@pytest.mark.parametrize("route", ["listed", "chain"])
+def test_rows_of_the_wrong_shape_are_refused_on_both_routes(route):
+    # <[2]> over GF(3) and S_4 are listed; under chains_only they sift
+    matrices = MatrixGroup([Matrix([[2]], 3)])
+    perms = symmetric_group(4)
+    with chains_only() if route == "chain" else contextlib.nullcontext():
+        for group, stack in [(matrices, np.full((2, 2, 2), 2)), (matrices, [2]),
+                             (perms, [[0, 1, 2]]), (perms, [[[0], [1], [2], [3]]])]:
+            with pytest.raises(ShapeMismatch):
+                group.member_mask(stack)
+        assert matrices.member_mask(np.full((2, 3, 1, 1), 2)).tolist() == [True] * 6
+    assert ("chain" in matrices.__dict__) == (route == "chain")
+    for group, stack in [(matrices, np.full((2, 2, 2), 2)), (perms, [[0, 1, 2]])]:
+        with pytest.raises(ShapeMismatch):
+            group.positions(stack)
+
+
+@pytest.mark.parametrize("degree", [4, 9])
+def test_points_outside_the_degree_are_no_members(degree):
+    # S_4 is listed and S_9 sifted: a point outside [0, k) must neither
+    # wrap (-1 is not the last point) nor index past the points
+    group = symmetric_group(degree)
+    top = list(range(degree - 1))
+    rows = np.array([top + [-1], top + [degree], top + [degree - 1], [degree] * degree])
+    assert group.member_mask(rows).tolist() == [False, False, True, False]
+    assert ("chain" in group.__dict__) == (degree == 9)
+    if degree == 4:
+        assert group.positions(rows).tolist()[:2] == [-1, -1]

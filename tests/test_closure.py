@@ -8,9 +8,12 @@ generators, the part stabilizer and the character table.  They are kept
 here, and only here, as the references the library is checked against.
 """
 
+import itertools
+import math
+
 import numpy as np
 import pytest
-from hypothesis import event, given
+from hypothesis import event, example, given
 from hypothesis import strategies as st
 
 from imprimlab.errors import InconsistentCharacter, PhaseCapExceeded, limits
@@ -19,10 +22,11 @@ from imprimlab.groups import (
     PermGroup,
     Permutation,
     general_linear_group,
+    packed_keys,
     primitive_root,
 )
 from imprimlab.imprim import part_stabilizer_elements, subspace_orbit
-from imprimlab.linalg import Matrix, echelon_subspace, subspace_array
+from imprimlab.linalg import Matrix, echelon_subspace, entry_dtype, subspace_array
 from imprimlab.reprs import Character, restrict_matrix, restrict_to_block
 
 from conftest import element_keys, elements, general_linear_order, matrix_groups
@@ -145,9 +149,72 @@ def test_perm_closure_matches_oracle(gens, data):
             assert capped.order == len(oracle)
 
 
+@st.composite
+def digit_stacks(draw):
+    """A stack of rows of digits in [0, base) and its base, with repeated
+    rows, rows one digit apart and rows with two digits swapped.  The
+    shapes cover one-word keys, keys of several words (8 x 8 over GF(3),
+    2 x 2 over GF(2^31 - 1)), degree-1 permutations (base 1) and empty
+    stacks."""
+    base, shape = draw(st.sampled_from([
+        (1, (1,)), (2, (5,)), (6, (6,)), (16, (16,)), (5, (2, 2)), (3, (6, 6)),
+        (7, (4, 4)), (131, (3, 3)), (3, (8, 8)), (2**31 - 1, (2, 2)),
+    ]))
+    width = math.prod(shape)
+    digit = st.integers(0, max(base, 1) - 1)
+    rows = [draw(st.lists(digit, min_size=width, max_size=width))]
+    for _ in range(draw(st.integers(0, 5))):
+        row = list(draw(st.sampled_from(rows)))
+        i, j = draw(st.integers(0, width - 1)), draw(st.integers(0, width - 1))
+        change = draw(st.sampled_from(["digit", "swap", "fresh"]))
+        if change == "digit":
+            row[i] = draw(digit)
+        elif change == "swap":
+            row[i], row[j] = row[j], row[i]
+        else:
+            row = draw(st.lists(digit, min_size=width, max_size=width))
+        rows.append(row)
+    picks = draw(st.lists(st.sampled_from(rows), max_size=12))
+    if picks:
+        picks += rows
+    stack = np.array(picks, dtype=entry_dtype(max(base, 2))).reshape(len(picks), *shape)
+    return stack, base
+
+
+def _units(width, base, at):
+    """The zero row and every nonzero multiple of each unit row e_i, i in at."""
+    rows = np.zeros((1 + len(at) * (base - 1), width), dtype=np.int8)
+    for k, (i, c) in enumerate(itertools.product(at, range(1, base))):
+        rows[1 + k, i] = c
+    return rows
+
+
+@given(digit_stacks())
+# every 2 x 2 matrix over GF(3); units on both sides of the first word's
+# end for 8 x 8 over GF(3), whose words hold 39 and 25 digits; rows of the
+# largest digits in two words
+@example((np.array(list(itertools.product(range(3), repeat=4)), np.int8).reshape(-1, 2, 2), 3))
+@example((_units(64, 3, [0, 1, 37, 38, 39, 40, 63]).reshape(-1, 8, 8), 3))
+@example((np.full((2, 8, 8), 2, dtype=np.int8), 3))
+@example((np.full((2, 2, 2), 2**31 - 2, dtype=np.int32), 2**31 - 1))
+def test_packed_keys_are_injective(drawn):
+    stack, base = drawn
+    keys = packed_keys(stack, base)
+    event("one word" if keys.dtype == np.int64 else "several words")
+    assert keys.shape == (len(stack),)
+    # no word wraps, not even for a row of the largest digits
+    assert (np.frombuffer(keys.tobytes(), dtype=np.int64) >= 0).all()
+    raw = [row.tobytes() for row in stack]
+    for i, j in itertools.product(range(len(stack)), repeat=2):
+        assert (keys[i] == keys[j]) == (raw[i] == raw[j])
+    # np.unique groups the keys exactly as the raw bytes group the rows
+    _, first = np.unique(keys, return_index=True)
+    assert sorted(first) == sorted({row: i for i, row in reversed(list(enumerate(raw)))}.values())
+
+
 def test_wide_entries_close_like_the_oracle():
-    # p = 131: entries need int16 and p^(n^2) >= 2^63, so no packed
-    # integer key could hold an element; byte keys do
+    # p = 131: entries need int16 and p^(n^2) >= 2^63, so an element's
+    # packed key takes two int64 words, viewed as one np.void scalar
     p, n = 131, 3
     assert p ** (n * n) >= 2**63
     x = pow(primitive_root(p), 26, p)  # order 5
