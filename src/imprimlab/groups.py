@@ -42,15 +42,16 @@ element of GL_n(p) with p^(n^2) <= 2^63 (6 x 6 over GF(3), 4 x 4 over
 GF(7)) and of S_k for k <= 15, and its keys are a plain int64 array, which
 numpy sorts and searches several times faster than raw bytes; wider
 elements take several words, viewed as one np.void scalar, so no modulus
-or degree is too wide.  The same keys index the chain's orbit points, part
-tables and every dedupe of a stack.  A chunk's new elements are its first
-occurrences (np.unique) that a searchsorted lookup does not find among the
-sorted keys seen so far, merged in by one scatter; the cap is checked
-before they are appended.  Once listed, the elements' keys are sorted
-once, and lookups among them are searchsorted.  No Matrix or Permutation
-object is built per element.  Orbits of points are min-label propagation
-over permutation tables (orbit_labels), the routine the subspace scan uses
-as well.
+or degree is too wide.  The same keys index the chain's orbit points and
+every dedupe of a stack, and match subspace images by their RREF bases
+(imprim.image_table).  A chunk's new elements are its first occurrences
+(np.unique) that a searchsorted lookup does not find among the sorted keys
+seen so far, merged in by one scatter; the cap is checked before they are
+appended.  Once listed, the elements' keys are sorted once, and lookups
+among them are searchsorted (key_positions, which image_table shares).
+No Matrix or Permutation object is built per element.  Orbits of points
+are min-label propagation over permutation tables (orbit_labels), the
+routine the subspace scan uses as well.
 
 Block systems of a permutation group, transitive or not, come from one
 backtracking search (block_systems): each node is a generator-invariant
@@ -127,6 +128,13 @@ def packed_keys(stack: np.ndarray, base: int) -> np.ndarray:
     if keys.ndim == 1:
         return keys
     return np.ascontiguousarray(keys).view(np.dtype((np.void, 8 * keys.shape[1]))).ravel()
+
+
+def key_positions(sorted_keys: np.ndarray, order: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """order[k] for every key found at sorted_keys[k], -1 for every other key:
+    sorted_keys is nonempty and sorted, and order the argsort that sorted it."""
+    pos = np.minimum(np.searchsorted(sorted_keys, keys), len(order) - 1)
+    return np.where(sorted_keys[pos] == keys, order[pos], -1)
 
 
 def first_new(keys: np.ndarray, seen: np.ndarray):
@@ -522,10 +530,8 @@ class _ElementArray:
         (s, t, n, n) stack gives s * t positions.
         """
         rows, valid = self._rows(stack)
-        keys = packed_keys(rows, self._key_base)
-        sorted_keys, order = self._key_index
-        pos = np.minimum(np.searchsorted(sorted_keys, keys), len(order) - 1)
-        return np.where(valid & (sorted_keys[pos] == keys), order[pos], -1)
+        found = key_positions(*self._key_index, packed_keys(rows, self._key_base))
+        return np.where(valid, found, -1)
 
     def member_mask(self, stack) -> np.ndarray:
         """Which entries of a stack of group-shaped arrays lie in the group,

@@ -2,38 +2,39 @@
 
 all_systems is the exhaustive scan of the package.  For every proper
 divisor d of n it considers every d-dimensional subspace once, named by its
-index in the order linalg.subspace_layout defines.  A subspace on a cycle of
-more than n/d members under the word w = g_1 * ... * g_m of the generators
-lies in no system, since a w-cycle lies inside an orbit.  Which subspaces
-lie on short w-cycles is decided by invariance under a few powers of w
-(linalg.invariant_indices), solved per first basis row, with no row
+index in the order linalg.subspace_layout defines.  A subspace on a cycle
+of more than n/d members under the word w = g_1 * ... * g_m of the
+generators lies in no system, since a w-cycle lies inside an orbit.  Which
+subspaces lie on short w-cycles is decided by invariance under a few powers
+of w (linalg.invariant_indices), solved per first basis row, with no row
 reduction and no stack of every subspace.  Only those subspaces are
-unranked, and the generators are turned into permutation tables
-(linalg.subspace_tables) on them alone: their images are row-reduced in
-batch (linalg.rref_batch) and ranked, and a remaining subspace with a
-generator image outside the rest is dropped until none is left, which
-drains every orbit kept in part.  Orbits come from min-label propagation
-over the tables (groups.orbit_labels), and the orbits of size n/d that
-decompose the space into a direct sum are the systems.  Orbits of a
-transitive part action are exactly the systems, so every system is found
-once.
+unranked, and the generators are turned into permutation tables on them
+alone (image_table): their images are row-reduced in batch
+(linalg.rref_batch) and matched to the kept subspaces by packed keys, and a
+remaining subspace with a generator image outside the rest is dropped until
+none is left, which drains every orbit kept in part.  Orbits come from
+min-label propagation over the tables (groups.orbit_labels), and the orbits
+of size n/d that decompose the space into a direct sum are the systems.
+Orbits of a transitive part action are exactly the systems, so every system
+is found once.
 
-Memory: no scan holds every subspace.  A dimension costs its layout's
-first basis rows (linalg.SubspaceLayout.heads, one per row-0 choice of each
-pivot block: 3 478 for the 75 913 222 4-subspaces of GF(3)^8), chunks of
+Memory: no scan holds every subspace.  A dimension costs its layout's first
+basis rows (linalg.SubspaceLayout.heads, one per row-0 choice of each pivot
+block: 3 478 for the 75 913 222 4-subspaces of GF(3)^8), chunks of
 linalg.SCAN_CHUNK subspaces that pass the first-row test, and the kept
-subspaces with their int32 tables.  Before anything is allocated, the count
-of each dimension is checked against the subspace cap of errors.limits
-(phase "subspace scan") and against int32, which the tables' indices must
-fit.  The tests check the scan against one subspace_orbit (a plain
-breadth-first search, with no caller here) per unvisited subspace.
+subspaces with their int32 tables of positions among them.  Before anything
+is allocated, the count of each dimension is checked against the subspace
+cap of errors.limits (phase "subspace scan") and against int32, which those
+positions must fit.  The tests check the scan against one subspace_orbit (a
+plain breadth-first search, with no caller here) per unvisited subspace.
 
 ImprimitivitySystem alone validates a list of parts, and one part table
-(part_table: each part's image under each generator, as a part index or
--1) acts on it; is_system and the stabilizer criterion's transversal read
-it.  Nonrefinability is decided by brute force (no other enumerated system
-properly refines it) and by the stabilizer criterion (a part's setwise
-stabilizer acts irreducibly and primitively on it).
+(part_table: each part's image under each generator, as a part index or -1,
+from the same image_table) acts on it; is_system and the stabilizer
+criterion's transversal read it, and it refuses parts outside the group's
+space.  Nonrefinability is decided by brute force (no other enumerated
+system properly refines it) and by the stabilizer criterion (a part's
+setwise stabilizer acts irreducibly and primitively on it).
 """
 
 from __future__ import annotations
@@ -52,8 +53,9 @@ from .errors import (
     check_cap,
     current_limits,
 )
-from .groups import MatrixGroup, orbit_labels, packed_keys
+from .groups import MatrixGroup, key_positions, orbit_labels, packed_keys
 from .linalg import (
+    SCAN_CHUNK,
     Subspace,
     _check_modulus,
     direct_sum_check,
@@ -63,7 +65,6 @@ from .linalg import (
     invariant_indices,
     rref_batch,
     subspace_layout,
-    subspace_tables,
 )
 from .reprs import is_irreducible, restrict_to_block
 
@@ -146,37 +147,54 @@ def subspace_orbit(g: MatrixGroup, w: Subspace) -> list[Subspace]:
     return list(seen.values())
 
 
-def _lookup(keys: np.ndarray, queries: np.ndarray, missing: int) -> np.ndarray:
-    """The index in keys of each query, or missing where it is absent."""
+def image_table(stack: np.ndarray, bases: np.ndarray, p: int) -> np.ndarray:
+    """The action of an (m, n, n) stack of matrices on N distinct RREF bases.
+
+    bases is any (N, r, n) stack of distinct RREF bases, zero rows last.
+    Entry [s, i] of the (m, N) intp table is the position in bases of the
+    image of bases[i] under stack[s], or -1 if no basis is that image.  The
+    images are row-reduced SCAN_CHUNK bases at a time (rref_batch) and
+    matched by their packed keys against the bases' keys, sorted once.
+    """
+    count, r, n = bases.shape
+    keys = packed_keys(bases, p)
     order = np.argsort(keys)
-    pos = order[np.minimum(np.searchsorted(keys, queries, sorter=order), len(keys) - 1)]
-    return np.where(keys[pos] == queries, pos, missing)
+    keys = keys[order]
+    table = np.empty((len(stack), count), dtype=np.intp)
+    for start in range(0, count, SCAN_CHUNK):
+        chunk = bases[start : start + SCAN_CHUNK].astype(np.int64)
+        images = rref_batch((chunk.reshape(-1, n) @ stack % p).reshape(-1, r, n), p)
+        found = key_positions(keys, order, packed_keys(images, p))
+        table[:, start : start + len(chunk)] = found.reshape(len(stack), -1)
+    return table
 
 
 def part_table(g: MatrixGroup, parts) -> np.ndarray:
-    """The generators' action on distinct nonzero parts, as an (m, k) table.
+    """The generators' action on distinct parts, as an (m, k) table.
 
     Entry [s, i] is the index in parts of the image of parts[i] under the
-    s-th generator, or -1 if no part is that image; parts match by the
-    packed keys of their RREF bases.
+    s-th generator, or -1 if no part is that image: image_table on the
+    parts' bases, padded with zero rows to n x n.  Raises AmbientMismatch
+    when a part does not live in the group's space.
     """
-    subs = np.zeros((len(parts), g.n, g.n), dtype=np.int64)  # bases, zero rows last
+    if any(w.ambient != g.n or w.p != g.p for w in parts):
+        raise AmbientMismatch("parts do not match the group's space")
+    subs = np.zeros((len(parts), g.n, g.n), dtype=np.int64)
     for w, rows in zip(parts, subs):
         rows[: w.rank] = w.basis
-    images = rref_batch((subs @ g._generator_stack[:, None] % g.p).reshape(-1, g.n, g.n), g.p)
-    return _lookup(packed_keys(subs, g.p), packed_keys(images, g.p), -1).reshape(len(g.gens), -1)
+    return image_table(g._generator_stack, subs, g.p)
 
 
 def is_system(g: MatrixGroup, parts) -> bool:
-    """True iff the parts form an ImprimitivitySystem that every generator permutes."""
+    """True iff the parts form an ImprimitivitySystem that every generator
+    permutes; part_table refuses parts outside the group's space, system or not."""
     parts = list(parts)
-    if any(w.ambient != g.n or w.p != g.p for w in parts):
-        raise AmbientMismatch("parts do not match the group's space")
+    table = part_table(g, parts)
     try:
-        system = ImprimitivitySystem(parts)
+        ImprimitivitySystem(parts)
     except ValidationError:
         return False
-    return bool((part_table(g, system.parts) >= 0).all())
+    return bool((table >= 0).all())
 
 
 def _short_cycles(word, layout, target: int) -> np.ndarray:
@@ -201,27 +219,26 @@ def _short_cycles(word, layout, target: int) -> np.ndarray:
     return kept[np.diff(kept, prepend=-1) != 0]
 
 
-def _short_orbit_tables(gens, layout, target: int):
+def _short_orbit_tables(g: MatrixGroup, layout, target: int):
     """Whole orbits of the layout's subspaces that hold every orbit of at
     most target members.
 
     Returns (subs, tables): subs holds the RREF bases, in index order, of a
     union of whole orbits that contains every orbit of at most target
     members, and tables[k, i] is the position in subs of the image of
-    subs[i] under gens[k].  A cycle of the word w = gens[0] * ... * gens[-1]
-    lies inside an orbit, so only subspaces on w-cycles of at most target
-    members are kept (_short_cycles), and only they are unranked.  The
-    generators rank only those, and a kept subspace with an image outside
-    the kept ones is dropped until none is left: an orbit is connected under
-    the generators, so an orbit kept in part always has such a member and
-    drains away whole.
+    subs[i] under the k-th generator.  A cycle of the word
+    w = g_1 * ... * g_m lies inside an orbit, so only subspaces on w-cycles
+    of at most target members are kept (_short_cycles), and only they are
+    unranked.  The generators map only those (image_table), and a kept
+    subspace with an image outside the kept ones (-1) is dropped until none
+    is left: an orbit is connected under the generators, so an orbit kept in
+    part always has such a member and drains away whole.
     """
-    word = functools.reduce(operator.mul, gens)
-    keep = _short_cycles(word, layout, target)
-    subs = layout.unrank(keep)
-    pos = _lookup(keep, subspace_tables(gens, subs, layout.p), len(keep))
-    alive = np.ones(len(keep) + 1, dtype=bool)
-    alive[-1] = False
+    word = functools.reduce(operator.mul, g.gens)
+    subs = layout.unrank(_short_cycles(word, layout, target))
+    pos = image_table(g._generator_stack, subs, layout.p)
+    alive = np.ones(len(subs) + 1, dtype=bool)
+    alive[-1] = False  # where pos is -1
     while True:
         closed = alive[pos].all(axis=0)
         if np.array_equal(closed, alive[:-1]):
@@ -237,14 +254,14 @@ def all_systems(g: MatrixGroup, *, stats: dict | None = None) -> list[Imprimitiv
 
     For irreducible g the part action of any system is transitive, so this
     is the complete list.  Each candidate dimension solves for the subspaces
-    on a short cycle of one word of the generators, and unranks and ranks
-    the generators' images only of those (_short_orbit_tables).  Each orbit
+    on a short cycle of one word of the generators, and unranks and maps
+    under the generators only those (_short_orbit_tables).  Each orbit
     of n/d members is one candidate system, built once; one that is not a
     direct sum fails ImprimitivitySystem's check and is skipped.  Fails
     fast, before anything is allocated, with PhaseCapExceeded ("subspace
     scan") when some candidate dimension has more subspaces than the
-    subspace cap, and with a CapError when it has too many to index in int32
-    tables.
+    subspace cap, and with a CapError when it has too many for the int32
+    positions of the tables.
     """
     n = g.n
     candidate_dims = [d for d in divisors(n) if d < n]
@@ -261,7 +278,7 @@ def all_systems(g: MatrixGroup, *, stats: dict | None = None) -> list[Imprimitiv
         target = n // d
         layout = subspace_layout(n, d, g.p)
         scanned += int(layout.offsets[-1])
-        subs, tables = _short_orbit_tables(g.gens, layout, target)
+        subs, tables = _short_orbit_tables(g, layout, target)
         labels = orbit_labels(tables)
         members = np.flatnonzero(np.bincount(labels)[labels] == target)
         for orbit in members[np.argsort(labels[members], kind="stable")].reshape(-1, target):
@@ -362,7 +379,7 @@ def is_primitive_linear(g: MatrixGroup) -> bool:
 def coordinate_system(n: int, d: int, p: int) -> ImprimitivitySystem:
     """The standard decomposition into consecutive d-coordinate blocks, each
     identity block already the RREF basis of its part."""
-    if n % d != 0 or n // d < 2:
+    if d < 1 or n % d != 0 or n // d < 2:
         raise ValidationError(f"{d} does not split dimension {n} into blocks")
     eye, p = np.eye(n, dtype=np.int64), _check_modulus(p)
     return ImprimitivitySystem(echelon_subspace(eye[i : i + d], p) for i in range(0, n, d))

@@ -11,25 +11,24 @@ Matrices are small dense numpy int64 arrays.  Intermediate products must fit
 in 64 bits, so construction rejects moduli where n * (p-1)^2 would overflow;
 in practice every instance here has p < 100.  Subspaces take any p < 2^31,
 so their containment tests use the overflow-safe mul_mod.  A d-subspace is
-named by its index in the order subspace_layout(n, d, p) defines (its rank
-and unrank convert), and a scan works on indices, unranking only the
-subspaces it keeps.  invariant_indices lists the subspaces a matrix maps
+named by its index in the order subspace_layout(n, d, p) defines (unrank
+turns indices into RREF bases), and a scan works on indices, unranking only
+the subspaces it keeps.  invariant_indices lists the subspaces a matrix maps
 into themselves without building the others: within one pivot block the
 test on the first basis row is linear in the free cells of the other rows,
 so it is solved per first row, and only the subspaces that pass are
 unranked and have their other rows tested, with products and no row
-reduction.  subspace_tables ranks the images of a stack instead: rref_batch
-row-reduces them all at once by a sweep over their rows, so a d-subspace
-costs d steps however large the ambient dimension n is; its products of
-earlier rows go through mul_mod, since several of them can overflow int64
-for p near 2^31.
+reduction.  Where a scan needs the images themselves (imprim.image_table),
+rref_batch row-reduces them all at once by a sweep over their rows, so a
+d-subspace costs d steps however large the ambient dimension n is; its
+products of earlier rows go through mul_mod, since several of them can
+overflow int64 for p near 2^31.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import math
 
 import numpy as np
 
@@ -345,17 +344,17 @@ def entry_dtype(m: int):
 
 
 class SubspaceLayout:
-    """The order of the d-subspaces of GF(p)^n: rank names them by index, unrank back.
+    """The order of the d-subspaces of GF(p)^n, which names each by an index;
+    unrank turns indices into RREF bases.
 
     combos are the pivot combinations in lexicographic order; subspaces
     offsets[c] to offsets[c + 1] - 1 have pivots combos[c], and weights[c]
     holds the base-p place values of their free cells (right of each pivot,
-    outside pivot columns, row by row, the last cell 1), 0 elsewhere.  RREF
-    rows with pivots combos[c] are subspace offsets[c] + sum(rows * weights[c]),
-    and c = C(n, d) - 1 - sum_i place[i * n + combos[c][i]].  combos is a
-    tuple, pivot_array the same combinations as a (C(n, d), d) array,
-    digit_cells[c, k] the flat cell (i * n + j) of block c's base-p digit k,
-    and offsets, weights, place, pivot_array and digit_cells are read-only
+    outside pivot columns, row by row, the last cell 1), 0 elsewhere: RREF
+    rows with pivots combos[c] are subspace offsets[c] + sum(rows * weights[c]).
+    combos is a tuple, pivot_array the same combinations as a (C(n, d), d)
+    array, digit_cells[c, k] the flat cell (i * n + j) of block c's base-p
+    digit k, and offsets, weights, pivot_array and digit_cells are read-only
     int64 arrays.  heads and columns, which invariant_indices reads, are
     built on first use.
     """
@@ -371,8 +370,6 @@ class SubspaceLayout:
             for k, (i, j) in enumerate(reversed(free_cells)):
                 self.weights[c, i, j] = p**k
         self.offsets = np.cumsum([0] + [p ** np.count_nonzero(w) for w in self.weights])
-        self.place = np.array([math.comb(n - 1 - j, d - i) for i in range(d) for j in range(n)],
-                              np.int64)
         self.pivot_array = np.array(self.combos, dtype=np.int64).reshape(len(self.combos), d)
         # digit k (place p^k) of a block's free cells, in the flat d * n cell
         # order; past the block's last free cell, row 0's pivot, set to 1 later
@@ -381,7 +378,7 @@ class SubspaceLayout:
         digit = np.arange(max(d * (n - d), 0))
         self.digit_cells = np.where(digit < np.count_nonzero(flat, axis=1)[:, None],
                                     order[:, : len(digit)], self.pivot_array[:, :1])
-        for array in (self.offsets, self.weights, self.place, self.pivot_array, self.digit_cells):
+        for array in (self.offsets, self.weights, self.pivot_array, self.digit_cells):
             array.flags.writeable = False
 
     @functools.cached_property
@@ -420,15 +417,6 @@ class SubspaceLayout:
         for array in (cols, cells):
             array.flags.writeable = False
         return cols, cells
-
-    def rank(self, rows: np.ndarray) -> np.ndarray:
-        """The int64 index of every basis of an (N, d, n) stack of RREF bases."""
-        _, d, n = rows.shape
-        cells = (rows != 0).argmax(axis=2) + np.arange(0, d * n, n)
-        # a product with ones sums a short last axis faster than sum() does
-        combo = len(self.combos) - 1 - np.take(self.place, cells) @ np.ones(d, dtype=np.int64)
-        weights = np.take(self.weights.reshape(len(self.combos), -1), combo, axis=0)
-        return self.offsets[combo] + np.einsum("kj,kj->k", rows.reshape(len(rows), -1), weights)
 
     def pivots(self, indices) -> np.ndarray:
         """The (N, d) pivot columns of the subspaces at N indices."""
@@ -598,29 +586,6 @@ def _rows_inside(layout: SubspaceLayout, a: np.ndarray, indices: np.ndarray,
         # a bool product with ones is any() over a short last axis, and faster
         inside[start : start + len(at)] = ~(outside.reshape(len(at), r * n) @ np.ones(r * n, bool))
     return indices[inside]
-
-
-def subspace_tables(gens, subs: np.ndarray, p: int) -> np.ndarray:
-    """The generators' images of an (N, d, n) stack of RREF bases, as indices.
-
-    tables[k, i] is the index in subspace_layout(n, d, p) of the image of
-    subs[i] under gens[k], for any stack of bases (every subspace, or the
-    unranked ones a scan keeps), an int32 while every index fits: a chunk's
-    images under all generators are row-reduced in one batch and ranked by
-    SubspaceLayout.rank.
-    """
-    _, d, n = subs.shape
-    layout = subspace_layout(n, d, p)
-    stack = np.stack([g.a for g in gens])
-    dtype = np.int32 if layout.offsets[-1] <= 2**31 else np.int64
-    tables = np.empty((len(gens), len(subs)), dtype=dtype)
-    for start in range(0, len(subs), SCAN_CHUNK):
-        chunk = subs[start : start + SCAN_CHUNK].astype(np.int64)
-        reduced = rref_batch((chunk.reshape(-1, n) @ stack % p).reshape(-1, d, n), p)
-        if not (reduced[:, -1] @ np.ones(n, dtype=np.int64)).all():  # a zero last row
-            raise Singular("a generator maps a subspace to a smaller one")
-        tables[:, start : start + len(chunk)] = layout.rank(reduced).reshape(len(gens), -1)
-    return tables
 
 
 def divisors(n: int) -> list[int]:

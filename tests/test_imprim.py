@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from imprimlab.errors import (
+    AmbientMismatch,
     NotTransitiveOnParts,
     PhaseCapExceeded,
     ValidationError,
@@ -85,6 +86,35 @@ def test_zero_parts_are_rejected():
         ImprimitivitySystem([full, zero])
     assert not is_system(swap, [full, zero])
     assert not is_system(swap, [])
+
+
+# the swap and diag(2, 1) over GF(3)
+SWAP_AND_SCALE = [Matrix([[0, 1], [1, 0]], 3), Matrix.diagonal([2, 1], 3)]
+
+
+def test_part_table_refuses_parts_over_another_field():
+    g = MatrixGroup(SWAP_AND_SCALE)
+    parts = [line([1, 4], 2, 5), line([1, 1], 2, 5)]
+    for check in (part_table, part_stabilizer_elements, is_system):
+        with pytest.raises(AmbientMismatch):
+            check(g, parts)
+    # refused before the parts are validated: one line is no system
+    with pytest.raises(AmbientMismatch):
+        is_system(g, parts[:1])
+
+
+def test_stabilizer_criterion_refuses_a_system_over_another_field():
+    g = MatrixGroup(SWAP_AND_SCALE)
+    with pytest.raises(AmbientMismatch):
+        nonrefinable_via_stabilizer(g, coordinate_system(2, 1, 5))
+
+
+def test_part_table_refuses_parts_of_another_dimension():
+    g = MatrixGroup(SWAP_AND_SCALE)
+    parts = coordinate_system(3, 1, 3).parts
+    for check in (part_table, part_stabilizer_elements, is_system):
+        with pytest.raises(AmbientMismatch):
+            check(g, parts)
 
 
 @pytest.mark.parametrize("n, p", [(8, 5), (16, 2)])
@@ -355,5 +385,8 @@ def test_coordinate_system_validation():
         coordinate_system(4, 3, 3)
     with pytest.raises(ValidationError):
         coordinate_system(4, 4, 3)
+    for d in (0, -1, -2):  # no block dimension below 1, not even 0
+        with pytest.raises(ValidationError, match="does not split"):
+            coordinate_system(4, d, 3)
     sys2 = coordinate_system(4, 2, 3)
     assert sys2.component_count == 2 and sys2.component_dim == 2

@@ -28,15 +28,14 @@ from imprimlab.linalg import (
     rref_batch,
     subspace_array,
     subspace_layout,
-    subspace_tables,
 )
+from imprimlab.imprim import image_table
 
 from conftest import (
     basis_row,
     fixed_by,
     fixed_space,
     intersect,
-    matrix_groups,
     subspace_sum,
 )
 
@@ -349,31 +348,6 @@ def test_subspace_array_order_and_all_subspaces_agree(n, d, p):
     assert all(w == Subspace.span(w.basis, n, p) for w in yielded)
 
 
-def test_subspace_tables_are_the_generator_actions():
-    p = 3
-    gens = [Matrix([[0, 1, 0], [0, 0, 1], [1, 0, 0]], p), Matrix.diagonal([2, 1, 1], p)]
-    subs = subspace_array(3, 2, p)
-    tables = subspace_tables(gens, subs, p)
-    assert tables.dtype == np.int32 and tables.shape == (2, len(subs))
-    for table, g in zip(tables, gens):
-        assert sorted(table) == list(range(len(subs)))
-        for i, j in enumerate(table):
-            image = Subspace.span(subs[i].astype(np.int64) @ g.a, 3, p)
-            assert np.array_equal(subs[j], image.basis)
-    with pytest.raises(Singular):
-        subspace_tables([Matrix.diagonal([1, 1, 0], p)], subs, p)
-
-
-def test_subspace_tables_widen_past_int32():
-    # the last of the 2.0e11 4-subspaces of GF(5)^8, as a one-row part of the stack
-    layout = subspace_layout(8, 4, 5)
-    last = int(layout.offsets[-1]) - 1
-    swap = Matrix(np.roll(np.eye(8, dtype=np.int64), 4, axis=0), 5)
-    tables = subspace_tables([Matrix.identity(8, 5), swap], layout.unrank([last]), 5)
-    # the block swap sends span(e5..e8) to span(e1..e4), the first subspace
-    assert tables.dtype == np.int64 and tables.tolist() == [[last], [0]]
-
-
 def test_subspace_layout_is_built_once_and_read_only():
     layout = subspace_layout(4, 2, 3)
     assert subspace_layout(4, 2, 3) is layout
@@ -382,10 +356,20 @@ def test_subspace_layout_is_built_once_and_read_only():
     assert layout.pivot_array.tolist() == [list(c) for c in layout.combos]
     assert layout.heads is layout.heads and layout.columns is layout.columns
     assert len(layout.heads[0]) == 9 + 9 + 9 + 3 + 3 + 1  # first rows per block
-    for array in (layout.offsets, layout.weights, layout.place, layout.pivot_array,
+    for array in (layout.offsets, layout.weights, layout.pivot_array,
                   layout.digit_cells, *layout.heads, *layout.columns):
         with pytest.raises(ValueError):
             array[0] = 1
+
+
+def index_formula(layout, rows):
+    """The index of every basis of an (N, d, n) stack of RREF bases, by the
+    order SubspaceLayout documents: the offset of its pivot block plus its
+    free cells read as base-p digits (weights)."""
+    pivots = (rows != 0).argmax(axis=2)
+    block = np.array([layout.combos.index(tuple(c)) for c in pivots.tolist()], dtype=np.intp)
+    free = (rows.astype(np.int64) * layout.weights[block]).reshape(len(rows), -1).sum(axis=1)
+    return layout.offsets[block] + free
 
 
 @st.composite
@@ -412,7 +396,7 @@ def test_rank_inverts_unrank(sample):
     subs = layout.unrank(indices)
     assert subs.shape == (len(indices), d, n)  # the rows asked for, not the whole stack
     assert np.array_equal(layout.unrank(indices[::-1]), subs[::-1])  # in any order
-    assert np.array_equal(layout.rank(subs), indices)
+    assert np.array_equal(index_formula(layout, subs), indices)
     assert np.array_equal(layout.pivots(indices), (subs != 0).argmax(axis=2))
     for rows in subs:
         reduced, rank, _ = rref(rows, p)
@@ -426,7 +410,7 @@ def test_subspace_layout_refuses_indices_past_int64():
     assert last == gaussian_binomial(40, 1, 3) - 1
     rows = layout.unrank([0, last])
     assert rows.reshape(2, -1).tolist() == [[1] + [0] * 39, [0] * 39 + [1]]
-    assert layout.rank(rows).tolist() == [0, last]
+    assert index_formula(layout, rows).tolist() == [0, last]
     with pytest.raises(CapError, match="too many to index in int64"):
         subspace_layout(41, 1, 3)
 
@@ -453,7 +437,8 @@ def test_every_subspace_ranks_to_its_own_index(layout):
     keys = np.concatenate([(subs != 0).argmax(axis=2), subs.reshape(len(subs), -1)], axis=1)
     assert np.array_equal(np.lexsort(keys.T[::-1]), np.arange(len(subs)))
     assert len(np.unique(keys, axis=0)) == len(subs)
-    tables = subspace_tables([Matrix.identity(n, p)], subs, p)
+    # every basis is distinct: the identity maps each to its own position
+    tables = image_table(np.eye(n, dtype=np.int64)[None], subs, p)
     assert np.array_equal(tables[0], np.arange(len(subs)))
     # heads: every (pivot block, first row) pair once, in index order, at
     # the subspace whose other rows have only zeros in their free cells
@@ -471,36 +456,6 @@ def test_every_subspace_ranks_to_its_own_index(layout):
         assert sorted([*cols[c], *pivots]) == list(range(n))
         for s, j in enumerate(cols[c]):
             assert (cells[c, s] != 0).tolist() == [pivots[i] < j for i in range(1, d)]
-
-
-@given(matrix_groups(max_n=4, primes=(2, 3, 5, 7, 13)), st.data())
-def test_subspace_tables_match_the_span_oracle(gens, data):
-    n, p = gens[0].rows, gens[0].p
-    d = data.draw(st.integers(1, n))
-    assume(gaussian_binomial(n, d, p) <= 3000)
-    subs = subspace_array(n, d, p)
-    index = {tuple(rows.ravel().tolist()): i for i, rows in enumerate(subs)}
-    tables = subspace_tables(gens, subs, p)
-    for table, g in zip(tables, gens):
-        oracle = [
-            index[tuple(Subspace.span(rows.astype(np.int64) @ g.a, n, p).basis.ravel().tolist())]
-            for rows in subs
-        ]
-        assert table.tolist() == oracle
-
-
-@given(matrix_groups(max_n=4, primes=(2, 3, 5, 7, 13)), st.data())
-def test_rank_deficient_generator_raises_singular(gens, data):
-    n, p = gens[0].rows, gens[0].p
-    d = data.draw(st.integers(1, n))
-    assume(gaussian_binomial(n, d, p) <= 3000)
-    # dropping one row of an invertible matrix leaves rank n - 1, so some
-    # d-subspace meets the kernel and maps onto a smaller one
-    keep = np.ones(n, dtype=np.int64)
-    keep[data.draw(st.integers(0, n - 1))] = 0
-    singular = Matrix(keep[:, None] * gens[-1].a, p)
-    with pytest.raises(Singular):
-        subspace_tables([*gens[:-1], singular], subspace_array(n, d, p), p)
 
 
 def test_containment_does_not_overflow_for_large_moduli():

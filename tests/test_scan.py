@@ -5,8 +5,9 @@ and invariant_subspaces ran before the scan became table-based: one
 subspace_orbit (or one containment test) per enumerated subspace.  They are
 kept here, and only here, as the reference the library is checked against.
 The invariance kernel both scans share is checked against
-Subspace.contains_rows, and the short-cycle mask against the word's full
-permutation table.
+Subspace.contains_rows, the short-cycle mask against the word's full
+permutation table, and image_table, the one map of subspaces under
+generators, against Subspace.span.
 """
 
 import functools
@@ -14,15 +15,16 @@ import operator
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from imprimlab import imprim, linalg
 from imprimlab.errors import CapError, check_cap, current_limits, limits
-from imprimlab.groups import MatrixGroup, PermGroup, orbit_labels
+from imprimlab.groups import MatrixGroup, PermGroup, orbit_labels, packed_keys
 from imprimlab.imprim import (
     ImprimitivitySystem,
     all_systems,
+    image_table,
     part_stabilizer_elements,
     part_table,
     subspace_orbit,
@@ -30,6 +32,7 @@ from imprimlab.imprim import (
 from imprimlab.linalg import (
     SCAN_CHUNK,
     Matrix,
+    Subspace,
     all_subspaces,
     direct_sum_check,
     divisors,
@@ -39,12 +42,11 @@ from imprimlab.linalg import (
     mul_mod,
     subspace_array,
     subspace_layout,
-    subspace_tables,
 )
 from imprimlab.reprs import invariant_subspaces
 from imprimlab.wreath import WreathSpec, wreath_product
 
-from conftest import block_diagonal_product, perm, sign_group
+from conftest import block_diagonal_product, matrix_groups, perm, sign_group
 
 
 def scan_oracle(g, stats=None):
@@ -129,14 +131,14 @@ def generator_lists(n, p):
 
 
 def word(gens):
-    """The product gens[0] * ... * gens[-1] all_systems ranks first."""
+    """The product gens[0] * ... * gens[-1] whose short cycles all_systems keeps."""
     return functools.reduce(operator.mul, gens)
 
 
 @st.composite
 def small_groups(draw):
     """Groups of n <= 4; in half the draws the last generator is the inverse
-    of the product of the others, so the word all_systems ranks first is the
+    of the product of the others, so the word all_systems tests first is the
     identity and drops nothing."""
     p = draw(st.sampled_from([2, 3, 5, 7]))
     n = draw(st.integers(1, 4))
@@ -191,9 +193,9 @@ def word_keeps_part_of_an_orbit_past_one_drop(g):
     image outside once is not enough."""
     for d in divisors(g.n)[:-1]:
         subs = subspace_array(g.n, d, g.p)
-        cycles = orbit_labels(subspace_tables([word(g.gens)], subs, g.p))
+        cycles = orbit_labels(image_table(word(g.gens).a[None], subs, g.p))
         kept = np.bincount(cycles)[cycles] <= g.n // d
-        images = subspace_tables(g.gens, subs, g.p)
+        images = image_table(g._generator_stack, subs, g.p)
         orbits = orbit_labels(images)
         kept_count = np.bincount(orbits, weights=kept)
         partly = ((kept_count > 0) & (kept_count < np.bincount(orbits)))[orbits]
@@ -214,7 +216,7 @@ def test_orbits_the_word_keeps_in_part_drain_away():
 def short_cycle_oracle(w, subs, p, target):
     """The subspaces on w-cycles of at most target members, read off w's
     full permutation table of subs."""
-    cycles = orbit_labels(subspace_tables([w], subs, p))
+    cycles = orbit_labels(image_table(w.a[None], subs, p))
     return np.bincount(cycles)[cycles] <= target
 
 
@@ -230,25 +232,73 @@ def test_short_cycle_mask_matches_the_word_table(g):
         assert np.array_equal(kept, np.flatnonzero(short_cycle_oracle(w, subs, g.p, g.n // d)))
 
 
-def test_generators_rank_only_what_the_word_keeps(monkeypatch):
+def test_generators_map_only_what_the_word_keeps(monkeypatch):
     g = sign_wreath(3, perm(2, 1, 3, 4, 5, 6), perm(2, 3, 4, 5, 6, 1))
     survivors = sum(
         int(short_cycle_oracle(word(g.gens), subspace_array(6, d, 3), 3, 6 // d).sum())
         for d in (1, 2, 3)
     )
-    ranked = []
+    mapped = []
 
-    def counting_tables(gens, subs, p):
-        ranked.append(len(gens) * len(subs))
-        return subspace_tables(gens, subs, p)
+    def counting_table(stack, bases, p):
+        mapped.append(len(stack) * len(bases))
+        return image_table(stack, bases, p)
 
-    monkeypatch.setattr(imprim, "subspace_tables", counting_tables)
+    monkeypatch.setattr(imprim, "image_table", counting_table)
     stats = {}
     all_systems(g, stats=stats)
-    # the word is never ranked: its short cycles come from the invariance
-    # kernel, and only the generators rank, each on the survivors alone
-    assert sum(ranked) == len(g.gens) * survivors < 1000
+    # the word is never mapped: its short cycles come from the invariance
+    # kernel, and only the generators map, each on the survivors alone
+    assert sum(mapped) == len(g.gens) * survivors < 1000
     assert stats["subspaces_scanned"] == 45255
+
+
+def test_image_table_is_the_generator_action():
+    p = 3
+    stack = np.array([CYCLE.a, np.diag([2, 1, 1])])
+    subs = subspace_array(3, 2, p)
+    table = image_table(stack, subs, p)
+    assert table.dtype == np.intp and table.shape == (2, len(subs))
+    for row, a in zip(table, stack):
+        assert sorted(row) == list(range(len(subs)))
+        for i, j in enumerate(row):
+            image = Subspace.span(subs[i].astype(np.int64) @ a, 3, p)
+            assert np.array_equal(subs[j], image.basis)
+    # on every other basis, an image outside them is -1 and one inside is
+    # its position among them
+    half = image_table(stack, subs[::2], p)
+    assert np.array_equal(half, np.where(table[:, ::2] % 2 == 0, table[:, ::2] // 2, -1))
+    assert (half == -1).any() and (half >= 0).any()
+
+
+def test_image_table_matches_multiword_keys():
+    # the first and last of the 2.0e11 4-subspaces of GF(5)^8: 32 digits in
+    # base 5 take two int64 words, so their keys are np.void scalars
+    layout = subspace_layout(8, 4, 5)
+    bases = layout.unrank([0, int(layout.offsets[-1]) - 1])
+    assert packed_keys(bases, 5).dtype.kind == "V"
+    swap = np.roll(np.eye(8, dtype=np.int64), 4, axis=0)
+    table = image_table(np.stack([np.eye(8, dtype=np.int64), swap]), bases, 5)
+    # the block swap sends span(e5..e8), the last subspace, to span(e1..e4), index 0
+    assert table.tolist() == [[0, 1], [1, 0]]
+    assert image_table(swap[None], bases[1:], 5).tolist() == [[-1]]
+
+
+@given(matrix_groups(max_n=4, primes=(2, 3, 5, 7, 13)), st.data())
+def test_image_table_matches_the_span_oracle(gens, data):
+    n, p = gens[0].rows, gens[0].p
+    d = data.draw(st.integers(1, n))
+    assume(gaussian_binomial(n, d, p) <= 3000)
+    subs = subspace_array(n, d, p)
+    # positions in the full subspace_array are the layout's indices
+    index = {tuple(rows.ravel().tolist()): i for i, rows in enumerate(subs)}
+    table = image_table(np.stack([g.a for g in gens]), subs, p)
+    for row, g in zip(table, gens):
+        oracle = [
+            index[tuple(Subspace.span(rows.astype(np.int64) @ g.a, n, p).basis.ravel().tolist())]
+            for rows in subs
+        ]
+        assert row.tolist() == oracle
 
 
 def part_table_oracle(g, parts):
