@@ -210,5 +210,5 @@ def _build(doc: dict):
 def matrix_group_description(g: MatrixGroup) -> GroupDescription:
     """Describe a matrix group by its generators (for report certificates)."""
     return GroupDescription(
-        {"kind": "matrix", "p": g.p, "n": g.n, "generators": [m.a.tolist() for m in g.gens]}
+        {"kind": "matrix", "p": g.p, "n": g.n, "generators": g._generator_stack.tolist()}
     )

@@ -17,14 +17,17 @@ its elements (phase "group closure"), the chain its orbit points beyond
 the base points, which never exceed |G| - 1 (phase "stabilizer chain").
 Solvability follows the derived series, each derived subgroup the normal
 closure of its group's generator commutators, with membership and orders
-read as above; only the generator commutators are multiplied as Matrix
-objects, and the conjugates of a subgroup's generators are one stack
-product.  A group computes its derived series once, the first time it is
-asked for the series or its solvability.  A matrix group inverts its
-generators once, to validate them, and the chain and derived series read
-those inverses.  Membership takes stacks of group-shaped arrays only, and
-a permutation row with a point outside [0, k) is no element on either
-route.
+read as above.  A matrix group is its generator stack and the stack of
+their inverses.  Given Matrix generators, it inverts each once, to
+validate it; a group built from stacks (MatrixGroup.from_stacks) is given
+the inverses and checks them with one batched product.  The commutators,
+the conjugates of a subgroup's generators and the inverses of both are
+stack products of stored generators and inverses, so the derived series
+inverts and multiplies no Matrix, and the chain reads the same inverses.
+A group computes its derived series once, the first time it is asked for
+the series or its solvability.  Membership takes stacks of group-shaped
+arrays only, and a permutation row with a point outside [0, k) is no
+element on either route.
 
 The closure works on arrays.  A group's elements are one (|G|, n, n) stack
 of matrices (or (|G|, k) stack of permutation images) in the smallest
@@ -67,7 +70,6 @@ row i is the basis vector of the image of i.
 
 from __future__ import annotations
 
-import itertools
 import math
 from functools import cached_property, lru_cache
 
@@ -82,7 +84,7 @@ from .errors import (
     check_cap,
     current_limits,
 )
-from .linalg import Matrix, entry_dtype, is_prime
+from .linalg import Matrix, check_product_modulus, entry_dtype, is_prime, mul_mod
 
 # Products formed in one step of a closure (a chunk of the frontier times
 # every generator), and the most images, Schreier generators or sifted
@@ -107,7 +109,7 @@ def _place_values(base: int, width: int) -> np.ndarray:
     digits = 1
     while base ** (digits + 1) <= 2**63:
         digits += 1
-    words = -(-width // digits)
+    words = max(1, -(-width // digits))  # a row of no digits still has a key, 0
     places = np.zeros((width, words), dtype=np.int64)
     for i in range(width):
         places[i, i // digits] = base ** (i % digits)
@@ -543,8 +545,15 @@ class _ElementArray:
 
 
 class MatrixGroup(_ElementArray):
-    """A subgroup of GL_n(p) given by invertible generators, checked by
-    inverting them; inverse_stack holds the inverses as one int64 stack."""
+    """A subgroup of GL_n(p) given by invertible generators.
+
+    The group is its two (m, n, n) stacks: _generator_stack, in the dtype of
+    p - 1, and inverse_stack, the generators' inverses in the same order as
+    int64.  MatrixGroup(matrices) checks user-given generators by inverting
+    them; from_stacks takes inverses already known and checks them with one
+    batched product.  gens, the generators as Matrix objects, is built from
+    the stack the first time it is read.
+    """
 
     def __init__(self, gens):
         gens = list(gens)
@@ -559,10 +568,40 @@ class MatrixGroup(_ElementArray):
                 inverses.append(g.inv().a)
             except Singular:
                 raise ValidationError("generators must be invertible") from None
-        self.gens = tuple(gens)
-        self.inverse_stack = np.stack(inverses)
+        self._set_stacks(np.stack([g.a for g in gens]), np.stack(inverses), p)
+
+    @classmethod
+    def from_stacks(cls, gens, inverses, p: int) -> "MatrixGroup":
+        """The group of an (m, n, n) generator stack whose inverses, stacked
+        in the same order, are known: gens @ inverses = I mod p, checked by
+        one batched product, proves every generator invertible.  Raises
+        ValidationError when the stacks are empty or differ in shape, or
+        when an inverse is wrong."""
+        gens = np.asarray(gens, dtype=np.int64)
+        inverses = np.asarray(inverses, dtype=np.int64)
+        if gens.ndim != 3 or gens.shape[1] != gens.shape[2] or gens.shape != inverses.shape:
+            raise ShapeMismatch(f"stacks of shape {gens.shape} and {inverses.shape} "
+                                "are no square generators and their inverses")
+        if not len(gens):
+            raise ValidationError("a matrix group needs at least one generator")
+        p = check_product_modulus(p, gens.shape[2])
+        gens, inverses = gens % p, inverses % p
+        if not (mul_mod(gens, inverses, p) == np.eye(gens.shape[1], dtype=np.int64)).all():
+            raise ValidationError("the inverses given are not the generators' inverses")
+        group = cls.__new__(cls)
+        group._set_stacks(gens, inverses, p)
+        return group
+
+    def _set_stacks(self, gens: np.ndarray, inverses: np.ndarray, p: int) -> None:
+        """Store checked generators and inverses, entries in [0, p)."""
+        self._generator_stack = gens.astype(entry_dtype(p))
+        self.inverse_stack = inverses.astype(np.int64)
         self.p = p
-        self.n = n
+        self.n = gens.shape[1]
+
+    @cached_property
+    def gens(self) -> tuple[Matrix, ...]:
+        return tuple(Matrix(a, self.p) for a in self._generator_stack)
 
     @property
     def identity(self) -> Matrix:
@@ -571,11 +610,6 @@ class MatrixGroup(_ElementArray):
     @property
     def _modulus(self):
         return self.p
-
-    @cached_property
-    def _generator_stack(self) -> np.ndarray:
-        """The generators as one (m, n, n) stack, in the dtype of p - 1."""
-        return np.stack([g.a for g in self.gens]).astype(entry_dtype(self.p))
 
     @property
     def _ambient_order(self) -> int:
@@ -608,25 +642,31 @@ class MatrixGroup(_ElementArray):
         subgroup N.  Conjugates of N's generators by G's generators that
         fall outside N join its generators until none do; N is then
         normal, G/N is abelian because the generators commute mod N, and
-        N holds no element outside [G, G].  Each generator is paired with
-        its stored inverse.  The conjugates are one stack product, g-major
-        and x-minor; only those outside N become Matrix objects.
+        N holds no element outside [G, G].  Every element is formed with
+        its inverse, as stack products of stored generators and inverses:
+        a commutator's inverse is y^-1 x^-1 y x, and the inverse of a
+        conjugate x^-1 c x is x^-1 c^-1 x.  The conjugates are ordered by N's
+        generator c, then by x.  Identities and repeats are dropped by packed
+        key, first occurrences kept in order.  No matrix is inverted.
         """
-        p = self.p
-        pairs = [(g, Matrix(a, p)) for g, a in zip(self.gens, self.inverse_stack)]
-        gens = [
-            x_inv * y_inv * x * y
-            for (x, x_inv), (y, y_inv) in itertools.combinations(pairs, 2)
-        ]
+        p, n = self.p, self.n
+        x, x_inv = self._generator_stack.astype(np.int64), self.inverse_stack
+        i, j = np.triu_indices(len(x), 1)  # every pair i < j, by i and then j
+        gens = x_inv[i] @ x_inv[j] % p @ x[i] % p @ x[j] % p
+        inverses = x_inv[j] @ x_inv[i] % p @ x[j] % p @ x[i] % p
         while True:
-            gens = _dedupe(g for g in gens if not g.is_identity())
-            subgroup = MatrixGroup(gens or [self.identity])
-            conjugates = (self.inverse_stack @ subgroup._generator_stack[:, None] % p
-                          @ self._generator_stack % p).reshape(-1, self.n, self.n)
+            keep = _distinct_nonidentity(gens, p)
+            gens, inverses = gens[keep], inverses[keep]
+            if not len(gens):
+                gens = inverses = np.eye(n, dtype=np.int64)[None]
+            subgroup = MatrixGroup.from_stacks(gens, inverses, p)
+            conjugates = (x_inv @ subgroup._generator_stack[:, None] % p @ x % p).reshape(-1, n, n)
             outside = ~subgroup.member_mask(conjugates)
             if not outside.any():
                 return subgroup
-            gens += [Matrix(c, p) for c in conjugates[outside]]
+            c, g = np.divmod(np.flatnonzero(outside), len(x))
+            gens = np.concatenate([gens, conjugates[outside]])
+            inverses = np.concatenate([inverses, x_inv[g] @ subgroup.inverse_stack[c] % p @ x[g] % p])
 
     @cached_property
     def _derived_series_orders(self) -> tuple[int, ...]:
@@ -841,8 +881,16 @@ class PermGroup(_ElementArray):
         return f"PermGroup(degree={self.degree}, gens={len(self.gens)})"
 
 
+def _distinct_nonidentity(stack: np.ndarray, p: int) -> np.ndarray:
+    """The index of the first occurrence of every non-identity matrix of an
+    (s, n, n) stack over GF(p), in increasing order."""
+    _, first = np.unique(packed_keys(stack, p), return_index=True)
+    first = np.sort(first)
+    return first[(stack[first] != np.eye(stack.shape[1], dtype=stack.dtype)).any(axis=(1, 2))]
+
+
 def _dedupe(elements):
-    """The elements in order, each key once."""
+    """The permutations in order, each key once."""
     seen = {}
     for g in elements:
         seen.setdefault(g.key, g)

@@ -163,7 +163,8 @@ def image_table(stack: np.ndarray, bases: np.ndarray, p: int) -> np.ndarray:
     table = np.empty((len(stack), count), dtype=np.intp)
     for start in range(0, count, SCAN_CHUNK):
         chunk = bases[start : start + SCAN_CHUNK].astype(np.int64)
-        images = rref_batch((chunk.reshape(-1, n) @ stack % p).reshape(-1, r, n), p)
+        images = chunk.reshape(len(chunk) * r, n) @ stack % p
+        images = rref_batch(images.reshape(len(stack) * len(chunk), r, n), p)
         found = key_positions(keys, order, packed_keys(images, p))
         table[:, start : start + len(chunk)] = found.reshape(len(stack), -1)
     return table
@@ -174,12 +175,14 @@ def part_table(g: MatrixGroup, parts) -> np.ndarray:
 
     Entry [s, i] is the index in parts of the image of parts[i] under the
     s-th generator, or -1 if no part is that image: image_table on the
-    parts' bases, padded with zero rows to n x n.  Raises AmbientMismatch
-    when a part does not live in the group's space.
+    parts' bases, padded with zero rows to the largest part's rank (0 for
+    no parts).  Raises AmbientMismatch when a part does not live in the
+    group's space.
     """
     if any(w.ambient != g.n or w.p != g.p for w in parts):
         raise AmbientMismatch("parts do not match the group's space")
-    subs = np.zeros((len(parts), g.n, g.n), dtype=np.int64)
+    rank = max((w.rank for w in parts), default=0)
+    subs = np.zeros((len(parts), rank, g.n), dtype=np.int64)
     for w, rows in zip(parts, subs):
         rows[: w.rank] = w.basis
     return image_table(g._generator_stack, subs, g.p)

@@ -85,6 +85,16 @@ def _check_modulus(p: int) -> int:
     return p
 
 
+def check_product_modulus(p: int, cols: int) -> int:
+    """p as an int, checked as the modulus of matrices with cols columns:
+    a prime below 2^31 for which a row times a column, entries in [0, p),
+    fits in int64."""
+    p = _check_modulus(p)
+    if cols * (p - 1) ** 2 >= 2**62:
+        raise ValidationError("modulus too large for 64-bit products")
+    return p
+
+
 def rref(a: np.ndarray, p: int) -> tuple[np.ndarray, int, tuple[int, ...]]:
     """Reduced row echelon form over GF(p).
 
@@ -137,12 +147,10 @@ class Matrix:
     __slots__ = ("p", "a", "_key", "_hash")
 
     def __init__(self, entries, p: int):
-        p = _check_modulus(p)
         a = np.array(entries, dtype=np.int64)
         if a.ndim != 2:
             raise ShapeMismatch("matrix entries must be two-dimensional")
-        if a.shape[1] * (p - 1) ** 2 >= 2**62:
-            raise ValidationError("modulus too large for 64-bit products")
+        p = check_product_modulus(p, a.shape[1])
         self.p = p
         self.a = a % p
         self.a.flags.writeable = False

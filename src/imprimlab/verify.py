@@ -382,7 +382,8 @@ def maximal_solvable_witness(q: int) -> VerificationReport:
     For q = 3 the ambient group is itself solvable so the first element
     outside the monomial group already yields a witness; for q = 5 the
     ambient group is not solvable and the scan must find a proper solvable
-    overgroup.
+    overgroup.  A candidate's generators are M's with a appended, their
+    inverses M's stored ones with a^-1: a is the one matrix inverted.
     """
     t0 = time.perf_counter()
     if q not in (3, 5):
@@ -404,7 +405,9 @@ def maximal_solvable_witness(q: int) -> VerificationReport:
     while not tried.all():
         a = elements[tried.argmin()]
         tried[ambient.positions((monomials[:, None] @ a % q) @ monomials % q)] = True
-        candidate = MatrixGroup(monomial_gens + [Matrix(a, q)])
+        candidate = MatrixGroup.from_stacks(
+            np.concatenate([base._generator_stack, a[None]]),
+            np.concatenate([base.inverse_stack, Matrix(a, q).inv().a[None]]), q)
         if candidate.order == ambient.order:  # the ambient group itself
             solvable = ambient_solvable
         else:

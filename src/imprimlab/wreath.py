@@ -70,29 +70,30 @@ def block_permutation_matrix(perm: Permutation, d: int, p: int) -> Matrix:
     return Matrix(out, p)
 
 
-def embed_at_block(m: Matrix, block: int, count: int) -> Matrix:
-    n = m.rows * count
-    out = np.eye(n, dtype=np.int64)
-    lo = block * m.rows
-    hi = lo + m.rows
-    out[lo:hi, lo:hi] = m.a
-    return Matrix(out, m.p)
+def embed_at_block(stack: np.ndarray, block: int, count: int) -> np.ndarray:
+    """An (m, d, d) stack of matrices, each put on the given one of count
+    d-dimensional blocks, with the identity on the other blocks."""
+    d = stack.shape[1]
+    out = np.tile(np.eye(d * count, dtype=np.int64), (len(stack), 1, 1))
+    out[:, block * d : (block + 1) * d, block * d : (block + 1) * d] = stack
+    return out
 
 
 def wreath_product(spec: WreathSpec) -> MatrixGroup:
     """H wr K as a matrix group of degree d*k over GF(p).
 
-    H's generators sit at the smallest block of each K-orbit; K's
-    generators become block permutation matrices.
+    H's generators sit at the smallest block of each K-orbit, with H's
+    stored inverses at the same block; K's generators become block
+    permutation matrices, whose inverses are their transposes, so no matrix
+    is inverted by elimination.
     """
-    d, k = spec.block_dim, spec.block_count
-    gens = []
-    for i in spec.k.orbit_representatives():
-        for a in spec.h.gens:
-            gens.append(embed_at_block(a, i, k))
-    for perm in spec.k.gens:
-        gens.append(block_permutation_matrix(perm, d, spec.p))
-    return MatrixGroup(gens)
+    d, k, h = spec.block_dim, spec.block_count, spec.h
+    blocks = spec.k.orbit_representatives()
+    perms = np.stack([block_permutation_matrix(g, d, spec.p).a for g in spec.k.gens])
+    gens = [embed_at_block(h._generator_stack, i, k) for i in blocks]
+    inverses = [embed_at_block(h.inverse_stack, i, k) for i in blocks]
+    return MatrixGroup.from_stacks(np.concatenate([*gens, perms]),
+                                   np.concatenate([*inverses, perms.transpose(0, 2, 1)]), spec.p)
 
 
 @dataclass

@@ -17,9 +17,9 @@ DATA = Path(__file__).resolve().parent / "data"
 
 # The host's speed can change twofold from one moment to the next, so no
 # example may fail for running long; max_examples bounds the suite's time.
-# CI runs the scan oracle, chain, closure, group, verify and wreath tests
-# again under imprimlab-ci (--hypothesis-profile=imprimlab-ci), with many
-# more draws.
+# CI runs the scan oracle, chain, closure, group, reprs, verify and wreath
+# tests again under imprimlab-ci (--hypothesis-profile=imprimlab-ci), with
+# many more draws.
 settings.register_profile("imprimlab", deadline=None, max_examples=40)
 settings.register_profile("imprimlab-ci", deadline=None, max_examples=200)
 settings.load_profile("imprimlab")
@@ -269,14 +269,19 @@ def perm_group_gens(draw, max_degree=8):
 
 
 def count_calls(monkeypatch, original):
-    """Wrap a library function in every imprimlab module that holds it and
-    return the list the wrapper appends each call's arguments to."""
+    """Wrap a library function in every imprimlab module that holds it, or
+    a method (Matrix.inv) on its class, and return the list the wrapper
+    appends each call's arguments to."""
     calls = []
 
     def wrapper(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
+    owner, _, name = original.__qualname__.rpartition(".")
+    if owner:
+        monkeypatch.setattr(getattr(sys.modules[original.__module__], owner), name, wrapper)
+        return calls
     for name, module in list(sys.modules.items()):
         if name.partition(".")[0] != "imprimlab":
             continue

@@ -19,7 +19,13 @@ from hypothesis import event, given
 from hypothesis import strategies as st
 
 from imprimlab import groups
-from imprimlab.errors import DEFAULT_CAP_ELEMENTS, PhaseCapExceeded, ShapeMismatch, limits
+from imprimlab.errors import (
+    DEFAULT_CAP_ELEMENTS,
+    PhaseCapExceeded,
+    ShapeMismatch,
+    ValidationError,
+    limits,
+)
 from imprimlab.groups import (
     MatrixGroup,
     PermGroup,
@@ -130,6 +136,60 @@ def test_matrix_groups_store_their_generator_inverses(gens):
     assert group.inverse_stack.shape == (len(gens), group.n, group.n)
     for g, inverse in zip(gens, group.inverse_stack):
         assert (inverse @ g.a % group.p == eye).all()
+
+
+def stores_true_inverses(group):
+    """_generator_stack @ inverse_stack = I mod p, generator by generator."""
+    products = group._generator_stack.astype(np.int64) @ group.inverse_stack % group.p
+    return bool((products == np.eye(group.n, dtype=np.int64)).all())
+
+
+def test_from_stacks_checks_the_inverses_it_is_given():
+    gl = general_linear_group(2, 5)
+    stack, inverses = gl._generator_stack, gl.inverse_stack
+    group = MatrixGroup.from_stacks(stack, inverses, 5)
+    assert group.gens == gl.gens and group.order == 480
+    assert stores_true_inverses(group)
+    wrong = inverses.copy()
+    wrong[[0, 1]] = wrong[[1, 0]]
+    with pytest.raises(ValidationError, match="not the generators' inverses"):
+        MatrixGroup.from_stacks(stack, wrong, 5)
+    with pytest.raises(ValidationError, match="not the generators' inverses"):
+        MatrixGroup.from_stacks(stack, inverses, 7)  # inverses mod 5 only
+    with pytest.raises(ValidationError, match="at least one generator"):
+        MatrixGroup.from_stacks(stack[:0], inverses[:0], 5)
+    for bad_stack, bad_inverses in [
+        (stack, inverses[:2]),  # fewer inverses than generators
+        (stack, inverses[:, :1]),  # not square
+        (stack[:, :1], inverses[:, :1]),
+        (stack[0], inverses[0]),  # one matrix, not a stack
+        (np.eye(3, dtype=np.int64)[None], inverses[:1]),
+    ]:
+        with pytest.raises(ShapeMismatch):
+            MatrixGroup.from_stacks(bad_stack, bad_inverses, 5)
+    with pytest.raises(ValidationError, match="not prime"):
+        MatrixGroup.from_stacks(stack, inverses, 4)
+
+
+@given(matrix_groups(max_n=2), perm_group_gens(max_degree=4))
+def test_derived_series_and_wreath_products_store_true_inverses(gens, k_gens):
+    group = MatrixGroup(gens)
+    try:
+        with limits(elements=CAP):
+            group.element_array
+    except PhaseCapExceeded:
+        return
+    orders = [group.order]
+    while True:
+        assert stores_true_inverses(group)
+        derived = group.derived_subgroup()
+        if derived.order == group.order:
+            break
+        orders.append(derived.order)
+        group = derived
+    assert orders == MatrixGroup(gens).derived_series_orders()
+    spec = WreathSpec(MatrixGroup(gens), PermGroup(k_gens))
+    assert stores_true_inverses(wreath_product(spec))
 
 
 @given(st.one_of(matrix_groups(), reducible_matrix_groups()))

@@ -34,7 +34,7 @@ from imprimlab.groups import (
 )
 from imprimlab.linalg import Matrix, gaussian_binomial, is_prime
 
-from conftest import element_keys, elements, general_linear_order, perm
+from conftest import count_calls, element_keys, elements, general_linear_order, perm
 
 
 def dihedral12():
@@ -154,6 +154,16 @@ def test_derived_series_is_computed_once(monkeypatch):
     assert gl25.derived_series_orders() == [480, 120]
     assert not gl25.is_solvable()
     assert len(derived) == calls
+
+
+def test_derived_series_inverts_and_multiplies_no_matrix(monkeypatch):
+    # commutators and conjugates are stack products of stored generators
+    # and stored inverses
+    gl25 = general_linear_group(2, 5)
+    inversions = count_calls(monkeypatch, Matrix.inv)
+    products = count_calls(monkeypatch, Matrix.__mul__)
+    assert gl25.derived_series_orders() == [480, 120]
+    assert inversions == [] and products == []
 
 
 def test_derived_subgroup_of_abelian_group_is_trivial():

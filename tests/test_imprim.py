@@ -21,6 +21,7 @@ from imprimlab.imprim import (
     ImprimitivitySystem,
     all_systems,
     coordinate_system,
+    image_table,
     is_refinement,
     is_system,
     nonrefinable,
@@ -37,6 +38,7 @@ from imprimlab.wreath import WreathSpec, wreath_product
 from conftest import (
     basis_row,
     block_diagonal_product,
+    count_calls,
     fixed_by,
     perm,
     sign_group,
@@ -85,11 +87,23 @@ def test_zero_parts_are_rejected():
     with pytest.raises(ValidationError, match="nonzero"):
         ImprimitivitySystem([full, zero])
     assert not is_system(swap, [full, zero])
+    assert not is_system(swap, [zero])
     assert not is_system(swap, [])
 
 
 # the swap and diag(2, 1) over GF(3)
 SWAP_AND_SCALE = [Matrix([[0, 1], [1, 0]], 3), Matrix.diagonal([2, 1], 3)]
+
+
+def test_part_table_pads_parts_to_their_rank(monkeypatch):
+    # a line system of GF(3)^4 maps 1-row bases, not 4 x 4 ones with 3 zero rows
+    tables = count_calls(monkeypatch, image_table)
+    group = sign_wreath(symmetric_group(4), 3)
+    system = coordinate_system(4, 1, 3)
+    assert is_system(group, system.parts)
+    assert [args[1].shape for args in tables] == [(4, 1, 4)]
+    assert not is_system(group, [])
+    assert tables[-1][1].shape == (0, 0, 4)
 
 
 def test_part_table_refuses_parts_over_another_field():

@@ -131,6 +131,17 @@ def test_maxsolv_q5_closes_one_candidate_per_double_coset(monkeypatch, capsys):
     assert len(closures) <= 11
 
 
+def test_maxsolv_q5_inverts_one_matrix_per_candidate(monkeypatch, capsys):
+    # the three generators of GL_2(5) and of M, then a alone for each of the
+    # 3 candidates: their derived series invert and multiply no Matrix
+    inversions = count_calls(monkeypatch, Matrix.inv)
+    products = count_calls(monkeypatch, Matrix.__mul__)
+    assert main(["maxsolv", "--q", "5", "--json-only"]) == 0
+    assert json.loads(capsys.readouterr().out)["pass"] is True
+    assert len(inversions) <= 3 + 3 + 3
+    assert products == []
+
+
 def test_maximal_solvable_witness_rejects_other_fields():
     with pytest.raises(BadModulus):
         maximal_solvable_witness(7)

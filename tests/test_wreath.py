@@ -55,7 +55,8 @@ ORACLE_ORDER = 2**13
 def wreath_product_oracle(spec):
     """H wr K with every generator of H embedded at every block."""
     d, k = spec.block_dim, spec.block_count
-    gens = [embed_at_block(a, i, k) for i in range(k) for a in spec.h.gens]
+    gens = [Matrix(a, spec.p) for i in range(k)
+            for a in embed_at_block(spec.h._generator_stack, i, k)]
     gens += [block_permutation_matrix(g, d, spec.p) for g in spec.k.gens]
     return MatrixGroup(gens)
 
