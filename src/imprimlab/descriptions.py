@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from .errors import ParseError, ValidationError
-from .groups import MatrixGroup, PermGroup, Permutation
+from .groups import MatrixGroup, PermGroup
 from .linalg import Matrix, is_prime
 from .reprs import Character, InducedRep, induced_module
 from .wreath import WreathSpec, wreath_product
@@ -198,7 +198,7 @@ def _build(doc: dict):
     if kind == "matrix":
         return MatrixGroup([Matrix(g, doc["p"]) for g in doc["generators"]])
     if kind == "perm":
-        return PermGroup([Permutation.from_one_based(g) for g in doc["generators"]])
+        return PermGroup.from_stack([[i - 1 for i in g] for g in doc["generators"]])
     if kind == "wreath":
         return WreathSpec(h=_build(doc["h"]), k=_build(doc["k"]))
     source = _build(doc["ambient"])

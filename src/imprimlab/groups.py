@@ -17,17 +17,18 @@ its elements (phase "group closure"), the chain its orbit points beyond
 the base points, which never exceed |G| - 1 (phase "stabilizer chain").
 Solvability follows the derived series, each derived subgroup the normal
 closure of its group's generator commutators, with membership and orders
-read as above.  A matrix group is its generator stack and the stack of
-their inverses.  Given Matrix generators, it inverts each once, to
-validate it; a group built from stacks (MatrixGroup.from_stacks) is given
-the inverses and checks them with one batched product.  The commutators,
-the conjugates of a subgroup's generators and the inverses of both are
-stack products of stored generators and inverses, so the derived series
-inverts and multiplies no Matrix, and the chain reads the same inverses.
-A group computes its derived series once, the first time it is asked for
-the series or its solvability.  Membership takes stacks of group-shaped
-arrays only, and a permutation row with a point outside [0, k) is no
-element on either route.
+read as above.  A group is its generator stack, which the library
+computes on: (m, n, n) matrices with their inverses, or (m, k) images of
+permutations; gens, as Matrix or Permutation objects, is built when read.
+Given Matrix generators, a matrix group inverts each once, to validate it;
+one built from stacks (MatrixGroup.from_stacks) is given the inverses and
+checks them with one batched product.  The commutators, the conjugates of
+a subgroup's generators and the inverses of both are stack products of
+stored generators and inverses, so the derived series inverts and
+multiplies no Matrix, and the chain reads the same inverses.  A group
+computes its derived series once, when its series or solvability is first
+asked for.  Membership takes stacks of group-shaped arrays only, and a
+permutation row with a point outside [0, k) is no element on either route.
 
 The closure works on arrays.  A group's elements are one (|G|, n, n) stack
 of matrices (or (|G|, k) stack of permutation images) in the smallest
@@ -45,8 +46,8 @@ element of GL_n(p) with p^(n^2) <= 2^63 (6 x 6 over GF(3), 4 x 4 over
 GF(7)) and of S_k for k <= 15, and its keys are a plain int64 array, which
 numpy sorts and searches several times faster than raw bytes; wider
 elements take several words, viewed as one np.void scalar, so no modulus
-or degree is too wide.  The same keys index the chain's orbit points and
-every dedupe of a stack, and match subspace images by their RREF bases
+or degree is too wide.  The same keys index the chain's orbit points,
+dedupe stacks (first_occurrences) and match subspace images by RREF bases
 (imprim.image_table).  A chunk's new elements are its first occurrences
 (np.unique) that a searchsorted lookup does not find among the sorted keys
 seen so far, merged in by one scatter; the cap is checked before they are
@@ -156,6 +157,13 @@ def first_new(keys: np.ndarray, seen: np.ndarray):
     merged[at] = uniq[new]
     merged[kept] = seen
     return np.sort(first[new]), merged
+
+
+def first_occurrences(stack: np.ndarray, base: int) -> np.ndarray:
+    """The increasing indices of the first occurrence of every distinct
+    entry of a stack of digits in [0, base), matched by packed key."""
+    _, first = np.unique(packed_keys(stack, base), return_index=True)
+    return np.sort(first)
 
 
 def orbit_labels(tables: np.ndarray) -> np.ndarray:
@@ -655,7 +663,8 @@ class MatrixGroup(_ElementArray):
         gens = x_inv[i] @ x_inv[j] % p @ x[i] % p @ x[j] % p
         inverses = x_inv[j] @ x_inv[i] % p @ x[j] % p @ x[i] % p
         while True:
-            keep = _distinct_nonidentity(gens, p)
+            keep = first_occurrences(gens, p)
+            keep = keep[(gens[keep] != np.eye(n, dtype=np.int64)).any(axis=(1, 2))]
             gens, inverses = gens[keep], inverses[keep]
             if not len(gens):
                 gens = inverses = np.eye(n, dtype=np.int64)[None]
@@ -693,7 +702,7 @@ class MatrixGroup(_ElementArray):
         return self.derived_series_orders()[-1] == 1
 
     def __repr__(self):
-        return f"MatrixGroup(degree={self.n}, p={self.p}, gens={len(self.gens)})"
+        return f"MatrixGroup(degree={self.n}, p={self.p}, gens={len(self._generator_stack)})"
 
 
 def primitive_root(p: int) -> int:
@@ -721,6 +730,8 @@ def primitive_root(p: int) -> int:
 
 def general_linear_group(n: int, p: int) -> MatrixGroup:
     """GL_n(p) from a diagonal unit, a coordinate cycle, and a transvection."""
+    if n < 1:
+        raise ValidationError(f"degree {n} must be positive")
     zeta = primitive_root(p)
     diag = np.eye(n, dtype=np.int64)
     diag[0, 0] = zeta
@@ -750,10 +761,6 @@ class Permutation:
     def identity(cls, degree: int) -> "Permutation":
         return cls(range(degree))
 
-    @classmethod
-    def from_one_based(cls, images) -> "Permutation":
-        return cls([i - 1 for i in images])
-
     @property
     def degree(self) -> int:
         return len(self.images)
@@ -776,16 +783,6 @@ class Permutation:
             out[j] = i
         return Permutation(out)
 
-    def relabel(self, sigma: "Permutation") -> "Permutation":
-        """Conjugate by a point relabeling: new(sigma(i)) = sigma(self(i))."""
-        out = [0] * self.degree
-        for i in range(self.degree):
-            out[sigma.images[i]] = sigma.images[self.images[i]]
-        return Permutation(out)
-
-    def one_based(self) -> list[int]:
-        return [i + 1 for i in self.images]
-
     def __hash__(self):
         return hash(self.images)
 
@@ -797,24 +794,43 @@ class Permutation:
 
 
 class PermGroup(_ElementArray):
-    """A permutation group on {0..k-1} given by generators."""
+    """A permutation group on {0..k-1}: its (m, k) _generator_stack of images,
+    in the dtype of k; gens, as Permutation objects, is built when first read."""
 
     def __init__(self, gens):
         gens = list(gens)
         if not gens:
             raise ValidationError("a permutation group needs at least one generator")
-        degree = gens[0].degree
-        if any(g.degree != degree for g in gens):
+        if any(g.degree != gens[0].degree for g in gens):
             raise ValidationError("generators must share degree")
-        self.gens = tuple(gens)
-        self.degree = degree
+        self._set_stack(np.array([g.images for g in gens], dtype=np.int64))
+
+    @classmethod
+    def from_stack(cls, images) -> "PermGroup":
+        """The group of an (m, k) stack of images, every row proved a
+        permutation at once (sorted, it is 0..k-1).  ValidationError for an
+        empty stack, a stack that is not 2-D, or a row that is no permutation."""
+        images = np.asarray(images)
+        if images.ndim != 2:
+            raise ShapeMismatch(f"a stack of shape {images.shape} is no (m, k) stack of images")
+        if not (np.sort(images, axis=1) == np.arange(images.shape[1])).all():
+            raise ValidationError(f"a stack row is not a permutation of 0..{images.shape[1] - 1}")
+        group = cls.__new__(cls)
+        group._set_stack(images)
+        return group
+
+    def _set_stack(self, images: np.ndarray) -> None:
+        """Store checked images, of at least one generator and one point."""
+        if not images.size:
+            raise ValidationError("a permutation group needs at least one generator and one point")
+        self.degree = images.shape[1]
+        self._generator_stack = images.astype(entry_dtype(self.degree))
 
     _modulus = None
 
     @cached_property
-    def _generator_stack(self) -> np.ndarray:
-        """The generators' images as one (m, k) stack."""
-        return np.array([g.images for g in self.gens], dtype=entry_dtype(self.degree))
+    def gens(self) -> tuple[Permutation, ...]:
+        return tuple(Permutation(row) for row in self._generator_stack)
 
     @property
     def _ambient_order(self) -> int:
@@ -850,19 +866,24 @@ class PermGroup(_ElementArray):
 
     def setwise_stabilizer(self, block) -> np.ndarray:
         """The elements mapping the block to itself as a set, as one (s, k)
-        stack in discovery order."""
+        stack in discovery order; ValidationError names a point outside 0..k-1."""
         points = np.array(sorted(set(block)), dtype=np.intp)
+        outside = points[(points < 0) | (points >= self.degree)]
+        if len(outside):
+            raise ValidationError(f"point {outside[0]} is not in 0..{self.degree - 1}")
         images = np.sort(self.element_array[:, points], axis=1)
         return self.element_array[(images == points).all(axis=1)]
 
     def block_action(self, partition: "BlockSystem") -> "PermGroup":
         """Induced action of the generators on the sorted blocks: each
-        block goes to the block of its first point's image."""
+        block goes to the block of its first point's image, repeats dropped."""
+        if partition.degree != self.degree:
+            raise ValidationError(f"the partition has degree {partition.degree}, not {self.degree}")
         blocks = np.array(partition.blocks)
         block_of = np.empty(self.degree, dtype=np.intp)
         block_of[blocks] = np.arange(len(blocks))[:, None]
         images = block_of[self._generator_stack[:, blocks[:, 0]]]
-        return PermGroup(_dedupe(Permutation(row) for row in images))
+        return PermGroup.from_stack(images[first_occurrences(images, len(blocks))])
 
     def stabilizer_block_action(self, block) -> "PermGroup":
         """Action of the setwise stabilizer of a block on that block.
@@ -872,29 +893,13 @@ class PermGroup(_ElementArray):
         each, in first-occurrence order.  The identity comes first, so the
         generator list is never empty.
         """
+        stabilizer = self.setwise_stabilizer(block)
         points = np.array(sorted(set(block)), dtype=np.intp)
-        local = np.searchsorted(points, self.setwise_stabilizer(block)[:, points])
-        _, first = np.unique(packed_keys(local, len(points)), return_index=True)
-        return PermGroup([Permutation(a) for a in local[np.sort(first)]])
+        local = np.searchsorted(points, stabilizer[:, points])
+        return PermGroup.from_stack(local[first_occurrences(local, len(points))])
 
     def __repr__(self):
-        return f"PermGroup(degree={self.degree}, gens={len(self.gens)})"
-
-
-def _distinct_nonidentity(stack: np.ndarray, p: int) -> np.ndarray:
-    """The index of the first occurrence of every non-identity matrix of an
-    (s, n, n) stack over GF(p), in increasing order."""
-    _, first = np.unique(packed_keys(stack, p), return_index=True)
-    first = np.sort(first)
-    return first[(stack[first] != np.eye(stack.shape[1], dtype=stack.dtype)).any(axis=(1, 2))]
-
-
-def _dedupe(elements):
-    """The permutations in order, each key once."""
-    seen = {}
-    for g in elements:
-        seen.setdefault(g.key, g)
-    return list(seen.values())
+        return f"PermGroup(degree={self.degree}, gens={len(self._generator_stack)})"
 
 
 class BlockSystem:
@@ -1017,16 +1022,18 @@ def has_pair_partition(group: PermGroup) -> bool:
 
 
 def cyclic_group(k: int) -> PermGroup:
-    return PermGroup([Permutation([(i + 1) % k for i in range(k)])])
+    """C_k, generated by the k-cycle i -> i + 1 mod k."""
+    return PermGroup.from_stack(np.roll(np.arange(k), -1)[None])
 
 
 def symmetric_group(k: int) -> PermGroup:
-    if k == 1:
-        return PermGroup([Permutation.identity(1)])
-    swap = list(range(k))
-    swap[0], swap[1] = 1, 0
-    cycle = [(i + 1) % k for i in range(k)]
-    return PermGroup([Permutation(swap), Permutation(cycle)])
+    """S_k from the swap of 0 and 1 and the k-cycle (the identity for k = 1)."""
+    cycle = np.roll(np.arange(k), -1)[None]
+    if k < 2:
+        return PermGroup.from_stack(cycle)
+    swap = np.arange(k)
+    swap[:2] = 1, 0
+    return PermGroup.from_stack(np.concatenate([swap[None], cycle]))
 
 
 def perm_wreath(x: PermGroup, y: PermGroup) -> PermGroup:
@@ -1036,19 +1043,14 @@ def perm_wreath(x: PermGroup, y: PermGroup) -> PermGroup:
     generators permute the blocks, and the x generators act inside the
     smallest block of each y-orbit only.  Conjugating a block's copy of x
     by the block permutations moves it to every block of that orbit, so
-    these generators still give the whole base group x^y.degree.
+    these generators still give the whole base group x^y.degree.  Both
+    kinds come from the generator stacks by array indexing, repeats dropped.
     """
     s, ell = x.degree, y.degree
-    degree = s * ell
-    blocks = y.orbit_representatives()
-    gens = []
-    for g in x.gens:
-        for j in blocks:
-            images = list(range(degree))
-            for t in range(s):
-                images[j * s + t] = j * s + g(t)
-            gens.append(Permutation(images))
-    for g in y.gens:
-        images = [g(i // s) * s + (i % s) for i in range(degree)]
-        gens.append(Permutation(images))
-    return PermGroup(_dedupe(gens))
+    blocks = np.array(y.orbit_representatives())
+    points = np.arange(s * ell).reshape(ell, s)
+    inner = np.tile(points, (len(x._generator_stack), len(blocks), 1, 1))
+    inner[:, np.arange(len(blocks)), blocks] = blocks[:, None] * s + x._generator_stack[:, None]
+    outer = y._generator_stack.astype(np.intp)[:, :, None] * s + np.arange(s)
+    gens = np.concatenate([inner.reshape(-1, s * ell), outer.reshape(-1, s * ell)])
+    return PermGroup.from_stack(gens[first_occurrences(gens, s * ell)])

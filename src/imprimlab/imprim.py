@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import operator
 
 import numpy as np
 
@@ -53,7 +52,7 @@ from .errors import (
     check_cap,
     current_limits,
 )
-from .groups import MatrixGroup, key_positions, orbit_labels, packed_keys
+from .groups import MatrixGroup, first_occurrences, key_positions, orbit_labels, packed_keys
 from .linalg import (
     SCAN_CHUNK,
     Subspace,
@@ -63,6 +62,7 @@ from .linalg import (
     echelon_subspace,
     gaussian_binomial,
     invariant_indices,
+    mul_mod,
     rref_batch,
     subspace_layout,
 )
@@ -202,7 +202,7 @@ def is_system(g: MatrixGroup, parts) -> bool:
 
 def _short_cycles(word, layout, target: int) -> np.ndarray:
     """The increasing indices of the layout's subspaces on a word-cycle of at
-    most target members.
+    most target members, for an (n, n) int64 word with entries in [0, p).
 
     W lies on such a cycle exactly when W @ word^c <= W for some c with
     target / 2 < c <= target: a cycle of l <= target members has a multiple
@@ -211,7 +211,7 @@ def _short_cycles(word, layout, target: int) -> np.ndarray:
     (linalg.invariant_indices), not a row reduction and a rank per subspace;
     a power that keeps every subspace, such as a scalar one, ends it.
     """
-    powers = list(itertools.accumulate([word] * target, operator.mul))
+    powers = list(itertools.accumulate([word] * target, lambda a, b: mul_mod(a, b, layout.p)))
     found = []
     for power in powers[target // 2 :]:
         found.append(invariant_indices(layout, power))
@@ -237,7 +237,7 @@ def _short_orbit_tables(g: MatrixGroup, layout, target: int):
     is left: an orbit is connected under the generators, so an orbit kept in
     part always has such a member and drains away whole.
     """
-    word = functools.reduce(operator.mul, g.gens)
+    word = functools.reduce(lambda a, b: mul_mod(a, b, g.p), g._generator_stack.astype(np.int64))
     subs = layout.unrank(_short_cycles(word, layout, target))
     pos = image_table(g._generator_stack, subs, layout.p)
     alive = np.ones(len(subs) + 1, dtype=bool)
@@ -357,8 +357,7 @@ def part_stabilizer_elements(g: MatrixGroup, parts) -> np.ndarray:
     stack = products.reshape(-1, n, n)
     moving = (stack != eye).any(axis=(1, 2))
     stack = stack[moving] if moving.any() else stack[:1]
-    _, first = np.unique(packed_keys(stack, p), return_index=True)
-    return stack[np.sort(first)]
+    return stack[first_occurrences(stack, p)]
 
 
 def nonrefinable_via_stabilizer(g: MatrixGroup, gamma: ImprimitivitySystem) -> bool:

@@ -517,13 +517,14 @@ def rref_batch(a: np.ndarray, p: int) -> np.ndarray:
     return a[every[:, None], order]
 
 
-def invariant_indices(layout: SubspaceLayout, mat: Matrix, among=None) -> np.ndarray:
-    """The increasing indices of the layout's d-subspaces W with W @ mat <= W.
+def invariant_indices(layout: SubspaceLayout, a: np.ndarray, among=None) -> np.ndarray:
+    """The increasing indices of the layout's d-subspaces W with W @ a <= W,
+    for an (n, n) array a with entries in [0, p).
 
     among, increasing indices, restricts the test to those subspaces: each is
     unranked and every basis row mapped and tested (_rows_inside).  Without it
     the first basis row is solved for per pivot block.  For a first row v with
-    u = v @ mat and r = u - u[P_0] v, v @ mat lies in W exactly when
+    u = v @ a and r = u - u[P_0] v, v @ a lies in W exactly when
     r = sum_(i >= 1) u[P_i] row_i.  That holds on the pivot columns by
     construction; on any other column j it is one equation,
     sum u[P_i] x_ij = r_j, in the free cells x_ij of the rows i >= 1 with
@@ -537,7 +538,7 @@ def invariant_indices(layout: SubspaceLayout, mat: Matrix, among=None) -> np.nda
     1..d-1 mapped and tested.  A scalar matrix keeps every subspace with no
     product.
     """
-    p, a = layout.p, mat.a
+    p, a = layout.p, np.asarray(a, dtype=np.int64)
     _, d, n = layout.weights.shape
     if not (a - a[0, 0] * np.eye(n, dtype=np.int64)).any():
         return np.arange(layout.offsets[-1]) if among is None else np.asarray(among, np.int64)

@@ -12,26 +12,27 @@ and it suffices to spin one representative per 1-dimensional subspace.
 That spin counts against the subspace cap (errors.limits, phase
 "irreducibility spin").  Induced modules are built from
 a linear character of a subgroup via an explicit coset table; the images
-are monomial matrices over the (possibly different) target field.
+are monomial matrices over the (possibly different) target field, formed
+for whole stacks of ambient elements at once.
 """
 
 from __future__ import annotations
-
-import itertools
 
 import numpy as np
 
 from .errors import (
     InconsistentCharacter,
     LengthMismatch,
+    ModulusMismatch,
     NotASubgroup,
     NotStabilized,
+    ShapeMismatch,
     ValidationError,
     ZeroVector,
     check_cap,
     current_limits,
 )
-from .groups import MatrixGroup, packed_keys
+from .groups import MatrixGroup, first_occurrences
 from .linalg import (
     Matrix,
     Subspace,
@@ -49,6 +50,8 @@ def spin(g: MatrixGroup, v) -> Subspace:
     """Smallest g-invariant subspace containing the vector v; its spanning
     rows, sorted by leading column, are its RREF basis."""
     v = np.asarray(v, dtype=np.int64) % g.p
+    if v.shape != (g.n,):
+        raise ShapeMismatch(f"a vector of shape {v.shape} is not in GF({g.p})^{g.n}")
     if not v.any():
         raise ZeroVector("cannot spin the zero vector")
     rows = _invariant_span(v[None], g._generator_stack, g.p)
@@ -112,26 +115,35 @@ def is_irreducible(g: MatrixGroup) -> bool:
     return True
 
 
+def _matrix_stack(gens, n: int, p: int) -> np.ndarray:
+    """Matrix generators over GF(p) as an (m, n, n) int64 stack; ModulusMismatch
+    or ShapeMismatch for one over another field or not n x n."""
+    gens = list(gens)
+    for g in gens:
+        if g.p != p:
+            raise ModulusMismatch(f"a generator over GF({g.p}) is not over GF({p})")
+        if g.a.shape != (n, n):
+            raise ShapeMismatch(f"a {g.rows} x {g.cols} generator is not {n} x {n}")
+    return np.array([g.a for g in gens], dtype=np.int64).reshape(len(gens), n, n)
+
+
 def hom_dimension(gens_a, gens_b, p: int) -> int:
     """Dimension of the space of matrices intertwining two matched actions.
 
     The generator lists describe the same abstract generators in two
-    representations; counts X with a_i @ X = X @ b_i for every i, via the
-    kernel of the stacked row-major linear system.
+    representations over GF(p); counts X with a_i @ X = X @ b_i for every
+    i, via the kernel of the stacked row-major linear system.  Raises
+    LengthMismatch unless the lists are nonempty and matched.
     """
     gens_a, gens_b = list(gens_a), list(gens_b)
-    if len(gens_a) != len(gens_b):
-        raise LengthMismatch("generator lists must be matched")
-    na = gens_a[0].rows
-    nb = gens_b[0].rows
-    blocks = []
-    for a, b in zip(gens_a, gens_b):
-        # row-major vec: vec(A X) = (A kron I) x, vec(X B) = (I kron B^T) x
-        left = np.kron(a.a, np.eye(nb, dtype=np.int64))
-        right = np.kron(np.eye(na, dtype=np.int64), b.a.T)
-        blocks.append((left - right) % p)
-    stacked = np.concatenate(blocks)
-    rank = rref(stacked, p)[1]
+    if len(gens_a) != len(gens_b) or not gens_a:
+        raise LengthMismatch("generator lists must be nonempty and matched")
+    na, nb = gens_a[0].rows, gens_b[0].rows
+    a, b = _matrix_stack(gens_a, na, p), _matrix_stack(gens_b, nb, p)
+    # row-major vec: vec(A X) = (A kron I) x, vec(X B) = (I kron B^T) x
+    left = np.kron(a, np.eye(nb, dtype=np.int64))
+    right = np.kron(np.eye(na, dtype=np.int64), b.transpose(0, 2, 1))
+    rank = rref(((left - right) % p).reshape(-1, na * nb), p)[1]
     return na * nb - rank
 
 
@@ -145,7 +157,7 @@ class Character:
 
     def __init__(self, group: MatrixGroup, values, modulus: int):
         values = [int(v) % modulus for v in values]
-        if len(values) != len(group.gens):
+        if len(values) != len(group._generator_stack):
             raise LengthMismatch("one value per generator required")
         if any(v == 0 for v in values):
             raise ValidationError("character values must be nonzero units")
@@ -163,7 +175,7 @@ class Character:
         """
         group, q = self.group, self.modulus
         elements = group.element_array
-        tables = [group.positions(g.a @ elements) for g in group.gens]
+        tables = [group.positions(a @ elements) for a in group._generator_stack.astype(np.int64)]
         table = np.zeros(group.order, dtype=np.int64)
         table[0] = 1
         known = np.zeros(group.order, dtype=bool)
@@ -203,8 +215,8 @@ class InducedRep:
     Every ambient element u is recorded with its coset j and the index in
     H's element array of the h with u = h t_j, so the entry of image(x) in
     row i is the character's value at the h of t_i x.  image(x) is defined
-    for every element of the ambient group, and the generator images are
-    packaged as a MatrixGroup over the target field.
+    for every element of the ambient group.  The images of the generator and
+    inverse stacks form a MatrixGroup.from_stacks, so no image is inverted.
     """
 
     def __init__(self, source: MatrixGroup, subgroup: MatrixGroup, character: Character):
@@ -221,9 +233,9 @@ class InducedRep:
         self.modulus = character.modulus
         self._reps, self._coset, self._inner = self._coset_table()
         self.degree = len(self._reps)
-        images = [self.image(g) for g in source.gens]
-        self.group = MatrixGroup(images)
-        self._check_homomorphism()
+        images = self._images(source._generator_stack)
+        self._check_homomorphism(images)
+        self.group = MatrixGroup.from_stacks(images, self._images(source.inverse_stack), self.modulus)
 
     def _coset_table(self):
         """(reps, coset, inner): the representatives as an (m, n, n) stack,
@@ -247,17 +259,28 @@ class InducedRep:
         source = self.source
         if x.p != source.p or x.a.shape != (source.n, source.n):
             raise ValidationError("element is not in the ambient group")
-        u = source.positions(self._reps @ x.a)
+        return Matrix(self._images(x.a[None])[0], self.modulus)
+
+    def _images(self, stack: np.ndarray) -> np.ndarray:
+        """The monomial images of an (s, n, n) stack of ambient elements,
+        as an (s, degree, degree) int64 stack over the target field."""
+        u = self.source.positions(self._reps @ stack[:, None].astype(np.int64))
         if (u < 0).any():
             raise ValidationError("element is not in the ambient group")
-        out = np.zeros((self.degree, self.degree), dtype=np.int64)
-        out[np.arange(self.degree), self._coset[u]] = self.character._table[self._inner[u]]
-        return Matrix(out, self.modulus)
+        u = u.reshape(len(stack), self.degree)
+        out = np.zeros((len(stack), self.degree, self.degree), dtype=np.int64)
+        element = np.arange(len(stack))[:, None]
+        out[element, np.arange(self.degree), self._coset[u]] = self.character._table[self._inner[u]]
+        return out
 
-    def _check_homomorphism(self):
-        for a, b in itertools.product(self.source.gens, repeat=2):
-            if self.image(a) * self.image(b) != self.image(a * b):
-                raise InconsistentCharacter("induced map is not a homomorphism")
+    def _check_homomorphism(self, images: np.ndarray):
+        """image(a) image(b) = image(a b) for every pair of generators, all
+        pairs in one batched product."""
+        gens, p = self.source._generator_stack.astype(np.int64), self.source.p
+        expected = self._images((gens[:, None] @ gens % p).reshape(-1, *gens.shape[1:]))
+        found = mul_mod(images[:, None], images, self.modulus).reshape(expected.shape)
+        if not np.array_equal(found, expected):
+            raise InconsistentCharacter("induced map is not a homomorphism")
 
 
 def induced_module(source: MatrixGroup, subgroup: MatrixGroup,
@@ -266,8 +289,8 @@ def induced_module(source: MatrixGroup, subgroup: MatrixGroup,
 
 
 def restrict_matrix(g: Matrix, w: Subspace) -> Matrix:
-    """The action of one stabilizing matrix on w, in w's echelon coordinates."""
-    images = (w.basis @ g.a) % w.p
+    """The action of one stabilizing matrix over w's space on w, in w's echelon coordinates."""
+    images = w.basis @ _matrix_stack([g], w.ambient, w.p)[0] % w.p
     if not w.contains_rows(images):
         raise NotStabilized("the matrix moves the subspace")
     # RREF coordinates of a member are its pivot-column entries
@@ -277,22 +300,24 @@ def restrict_matrix(g: Matrix, w: Subspace) -> Matrix:
 def restrict_to_block(stab_gens, w: Subspace) -> MatrixGroup:
     """Action of stabilizing matrices on w, as a rank(w)-degree group.
 
-    stab_gens is an (s, n, n) stack or a list of Matrix.  The restrictions
-    are the pivot-column coordinates of the images of w's basis, taken for
-    all matrices at once and kept once each, in first-occurrence order.
+    stab_gens is an (s, n, n) stack or a list of Matrix over w's space.  The
+    restrictions are the pivot-column coordinates of the images of w's basis,
+    taken for all matrices at once and kept once each, in first-occurrence order.
     """
     if not isinstance(stab_gens, np.ndarray):
-        stab_gens = np.array([g.a for g in stab_gens]).reshape(-1, w.ambient, w.ambient)
+        stab_gens = _matrix_stack(stab_gens, w.ambient, w.p)
+    elif stab_gens.shape[1:] != (w.ambient, w.ambient):
+        raise ShapeMismatch(f"a stack of shape {stab_gens.shape} does not act on GF(p)^{w.ambient}")
     images = mul_mod(w.basis, stab_gens, w.p)
     if not w.contains_rows(images):
         raise NotStabilized("a matrix moves the subspace")
     coords = images[:, :, list(w.pivots)]
-    _, first = np.unique(packed_keys(coords, w.p), return_index=True)
-    return MatrixGroup([Matrix(c, w.p) for c in coords[np.sort(first)]])
+    return MatrixGroup([Matrix(c, w.p) for c in coords[first_occurrences(coords, w.p)]])
 
 
 def invariant_subspaces(gens, n: int, p: int, dims=None) -> list[Subspace]:
-    """All proper nonzero invariant subspaces, by exhaustive scan.
+    """All proper nonzero invariant subspaces of n x n Matrix generators
+    over GF(p), by exhaustive scan.
 
     dims restricts the scan to some of the dimensions 1..n-1 (all by default).
     Each dimension is scanned by linalg.invariant_indices, one generator at
@@ -302,7 +327,7 @@ def invariant_subspaces(gens, n: int, p: int, dims=None) -> list[Subspace]:
     dimension with more subspaces than the subspace cap raises
     PhaseCapExceeded ("subspace scan") before anything is allocated.
     """
-    gens = list(gens)
+    gens = _matrix_stack(gens, n, p)
     dims = range(1, n) if dims is None else list(dims)
     if not all(0 < d < n for d in dims):
         raise ValidationError(f"dims {list(dims)} are not all in 1..{n - 1}")
@@ -311,8 +336,8 @@ def invariant_subspaces(gens, n: int, p: int, dims=None) -> list[Subspace]:
         check_cap("subspace scan", gaussian_binomial(n, d, p), f"subspaces of dimension {d}",
                   current_limits().subspaces)
         layout = subspace_layout(n, d, p)
-        kept = np.arange(layout.offsets[-1]) if not gens else None
-        for g in gens:
-            kept = invariant_indices(layout, g, kept)
+        kept = np.arange(layout.offsets[-1]) if not len(gens) else None
+        for a in gens:
+            kept = invariant_indices(layout, a, kept)
         found.extend(echelon_subspace(rows, p) for rows in layout.unrank(kept))
     return found

@@ -23,7 +23,6 @@ from .errors import BadModulus, ExceptionalInstance, ValidationError
 from .groups import (
     MatrixGroup,
     PermGroup,
-    Permutation,
     block_systems,
     general_linear_group,
     perm_wreath,
@@ -278,20 +277,11 @@ def induced_example_report(q: int) -> VerificationReport:
     return report
 
 
-def _block_relabeling(partition) -> Permutation:
-    """Point relabeling sending the sorted blocks to consecutive positions."""
-    images = [0] * partition.degree
-    new = 0
-    for block in partition.blocks:
-        for x in block:
-            images[x] = new
-            new += 1
-    return Permutation(images)
-
-
 def _structural_conditions(spec1: WreathSpec, h2: MatrixGroup, k2: PermGroup):
     """Search the block systems of the point group for a witness to the
-    structural containment conditions; returns (holds, witness_blocks)."""
+    structural containment conditions; returns (holds, witness_blocks).
+    sigma, the argsort of the blocks' concatenation, relabels the point
+    group's generator stack so that each block's points are consecutive."""
     k = spec1.block_count
     n = spec1.degree
     e, ell = h2.n, k2.degree
@@ -303,11 +293,11 @@ def _structural_conditions(spec1: WreathSpec, h2: MatrixGroup, k2: PermGroup):
         point_action = spec1.k.block_action(partition)
         if not point_action.is_subgroup_of(k2):
             continue
-        sigma = _block_relabeling(partition)
-        wreath_perm = perm_wreath(stab_action, point_action)
-        if not all(
-            wreath_perm.contains(g.relabel(sigma)) for g in spec1.k.gens
-        ):
+        sigma = np.argsort(np.concatenate(partition.blocks))
+        stack = spec1.k._generator_stack
+        relabeled = np.empty_like(stack)
+        relabeled[:, sigma] = sigma[stack]
+        if not perm_wreath(stab_action, point_action).member_mask(relabeled).all():
             continue
         if block_size == 1:
             inner = spec1.h

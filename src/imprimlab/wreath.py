@@ -21,16 +21,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import HypothesisViolation, NotExceptional
-from .groups import (
-    BlockSystem,
-    MatrixGroup,
-    PermGroup,
-    Permutation,
-    block_systems,
-    primitive_root,
-)
+from .groups import BlockSystem, MatrixGroup, PermGroup, block_systems, primitive_root
 from .imprim import ImprimitivitySystem, all_systems, coordinate_system
-from .linalg import Matrix, echelon_subspace
+from .linalg import echelon_subspace
 from .reprs import is_irreducible
 
 
@@ -58,18 +51,6 @@ class WreathSpec:
         return self.h.p
 
 
-def block_permutation_matrix(perm: Permutation, d: int, p: int) -> Matrix:
-    """Matrix sending block-coordinate slot i to slot perm(i), row action."""
-    k = perm.degree
-    n = d * k
-    out = np.zeros((n, n), dtype=np.int64)
-    for i in range(k):
-        j = perm(i)
-        for s in range(d):
-            out[i * d + s, j * d + s] = 1
-    return Matrix(out, p)
-
-
 def embed_at_block(stack: np.ndarray, block: int, count: int) -> np.ndarray:
     """An (m, d, d) stack of matrices, each put on the given one of count
     d-dimensional blocks, with the identity on the other blocks."""
@@ -83,13 +64,15 @@ def wreath_product(spec: WreathSpec) -> MatrixGroup:
     """H wr K as a matrix group of degree d*k over GF(p).
 
     H's generators sit at the smallest block of each K-orbit, with H's
-    stored inverses at the same block; K's generators become block
-    permutation matrices, whose inverses are their transposes, so no matrix
-    is inverted by elimination.
+    stored inverses at the same block.  K's generator stack becomes its
+    block permutation matrices in one product, kron(P, I_d) for the
+    permutation matrices P (row i the basis vector of i's image), which
+    send the coordinates of block i to block g(i); their inverses are their
+    transposes, so no matrix is inverted by elimination.
     """
     d, k, h = spec.block_dim, spec.block_count, spec.h
     blocks = spec.k.orbit_representatives()
-    perms = np.stack([block_permutation_matrix(g, d, spec.p).a for g in spec.k.gens])
+    perms = np.kron(np.eye(k, dtype=np.int64)[spec.k._generator_stack], np.eye(d, dtype=np.int64))
     gens = [embed_at_block(h._generator_stack, i, k) for i in blocks]
     inverses = [embed_at_block(h.inverse_stack, i, k) for i in blocks]
     return MatrixGroup.from_stacks(np.concatenate([*gens, perms]),

@@ -17,9 +17,7 @@ DATA = Path(__file__).resolve().parent / "data"
 
 # The host's speed can change twofold from one moment to the next, so no
 # example may fail for running long; max_examples bounds the suite's time.
-# CI runs the scan oracle, chain, closure, group, reprs, verify and wreath
-# tests again under imprimlab-ci (--hypothesis-profile=imprimlab-ci), with
-# many more draws.
+# CI runs every test again under imprimlab-ci, with many more draws.
 settings.register_profile("imprimlab", deadline=None, max_examples=40)
 settings.register_profile("imprimlab-ci", deadline=None, max_examples=200)
 settings.load_profile("imprimlab")
@@ -187,7 +185,7 @@ def summand_subspaces(dims, offsets, n, p):
 
 
 def perm(*one_based):
-    return Permutation.from_one_based(one_based)
+    return Permutation([i - 1 for i in one_based])
 
 
 @pytest.fixture

@@ -17,7 +17,14 @@ import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from imprimlab.errors import CapError, OddDegree, PhaseCapExceeded, ValidationError, limits
+from imprimlab.errors import (
+    CapError,
+    OddDegree,
+    PhaseCapExceeded,
+    ShapeMismatch,
+    ValidationError,
+    limits,
+)
 from imprimlab.groups import (
     BlockSystem,
     MatrixGroup,
@@ -209,17 +216,69 @@ def test_permutation_composition_left_to_right():
     assert (s * s.inv()) == Permutation.identity(3)
 
 
-def test_permutation_relabel():
-    g = perm(2, 3, 4, 1)
-    sigma = perm(1, 3, 2, 4)
-    relabeled = g.relabel(sigma)
-    for i in range(4):
-        assert relabeled(sigma(i)) == sigma(g(i))
-
-
 def test_permutation_validation():
     with pytest.raises(ValidationError):
         Permutation([0, 0, 1])
+
+
+@pytest.mark.parametrize("images, error, message", [
+    (np.empty((0, 3), dtype=np.int64), ValidationError, "at least one generator"),
+    (np.arange(3), ShapeMismatch, r"shape \(3,\)"),
+    (np.arange(6).reshape(1, 2, 3), ShapeMismatch, r"shape \(1, 2, 3\)"),
+    ([[0, 1, 2], [1, 1, 0]], ValidationError, r"not a permutation of 0\.\.2"),
+    ([[0, 1, 3]], ValidationError, r"not a permutation of 0\.\.2"),
+    (np.empty((2, 0), dtype=np.int64), ValidationError, "one point"),
+])
+def test_perm_group_from_stack_refuses_what_is_no_permutation_stack(images, error, message):
+    with pytest.raises(error, match=message):
+        PermGroup.from_stack(images)
+
+
+def test_perm_group_from_stack_keeps_the_rows_as_generators():
+    group = PermGroup.from_stack([[1, 2, 0], [1, 0, 2]])
+    assert group.degree == 3 and group.order == 6
+    assert group.gens == (Permutation([1, 2, 0]), Permutation([1, 0, 2]))
+    assert group._generator_stack.dtype == np.int8
+
+
+def test_library_permutation_groups_construct_no_permutation(monkeypatch, dihedral8_group):
+    # block actions, stabilizer actions and wreath products are built from
+    # generator stacks; Permutation objects appear only when gens is read
+    system = block_systems(dihedral8_group, 2)[0]
+    created = count_calls(monkeypatch, Permutation.__init__)
+    s3, c2 = symmetric_group(3), cyclic_group(2)
+    wreath = perm_wreath(s3, c2)
+    assert wreath.order == 6**2 * 2
+    assert dihedral8_group.block_action(system).order == 2
+    assert dihedral8_group.stabilizer_block_action(system.blocks[0]).order == 2
+    assert wreath.stabilizer_block_action([0, 1, 2]).degree == 3
+    assert created == []
+    assert len(wreath.gens) == len(wreath._generator_stack) and created
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: symmetric_group(3).setwise_stabilizer([5]), r"point 5 is not in 0\.\.2"),
+    (lambda: symmetric_group(3).stabilizer_block_action([-1]), r"point -1 is not in 0\.\.2"),
+    (lambda: symmetric_group(2).block_action(BlockSystem([[0, 1], [2, 3]], 4)),
+     "partition has degree 4, not 2"),
+])
+def test_perm_group_methods_refuse_points_of_another_degree(call, message):
+    # they raised a numpy IndexError, or wrapped -1 to the last point
+    with pytest.raises(ValidationError, match=message):
+        call()
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: general_linear_group(0, 3), "degree 0 must be positive"),
+    (lambda: general_linear_group(-1, 3), "degree -1 must be positive"),
+    (lambda: symmetric_group(0), "at least one generator and one point"),
+    (lambda: cyclic_group(0), "at least one generator and one point"),
+    (lambda: cyclic_group(-2), "at least one generator and one point"),
+])
+def test_constructors_refuse_degrees_below_one(build, message):
+    # an IndexError, or for cyclic_group(0) a group of no points
+    with pytest.raises(ValidationError, match=message):
+        build()
 
 
 def test_transitivity():

@@ -106,6 +106,14 @@ def test_part_table_pads_parts_to_their_rank(monkeypatch):
     assert tables[-1][1].shape == (0, 0, 4)
 
 
+def test_the_scan_multiplies_no_matrix(monkeypatch):
+    # the word of the generators and its powers are products of the stack
+    group = sign_wreath(symmetric_group(4), 3)
+    products = count_calls(monkeypatch, Matrix.__mul__)
+    assert all_systems(group) == [coordinate_system(4, 1, 3)]
+    assert products == []
+
+
 def test_part_table_refuses_parts_over_another_field():
     g = MatrixGroup(SWAP_AND_SCALE)
     parts = [line([1, 4], 2, 5), line([1, 1], 2, 5)]

@@ -9,9 +9,11 @@ from imprimlab import reprs
 from imprimlab.errors import (
     InconsistentCharacter,
     LengthMismatch,
+    ModulusMismatch,
     NotASubgroup,
     NotStabilized,
     PhaseCapExceeded,
+    ShapeMismatch,
     ValidationError,
     ZeroVector,
     limits,
@@ -393,6 +395,41 @@ def test_restricted_group_lists_under_the_element_cap():
         same = restrict_to_block(list(gl.gens), Subspace.full(2, 3))
         with pytest.raises(PhaseCapExceeded, match="^group closure: .* the cap of 10$"):
             same.element_array
+
+
+@pytest.mark.parametrize("call, error", [
+    # two GF(3) lines were found for a GF(5) generator
+    (lambda: invariant_subspaces([Matrix([[0, 1], [4, 0]], 5)], 2, 3), ModulusMismatch),
+    (lambda: invariant_subspaces([Matrix.identity(3, 3)], 2, 3), ShapeMismatch),
+    # a GF(3) group came back
+    (lambda: restrict_to_block([Matrix.diagonal([1, 4], 5)],
+                               Subspace.span([[1, 0]], 2, 3)), ModulusMismatch),
+    (lambda: restrict_to_block([Matrix.identity(3, 3)], Subspace.span([[1, 0]], 2, 3)),
+     ShapeMismatch),
+    (lambda: restrict_to_block(np.eye(4, dtype=np.int64)[None],
+                               Subspace.span([[1, 0]], 2, 3)), ShapeMismatch),
+    # a GF(3) matrix came back
+    (lambda: restrict_matrix(Matrix.diagonal([1, 4], 5), Subspace.span([[1, 0]], 2, 3)),
+     ModulusMismatch),
+    # 1, where over GF(5) the answer is 0
+    (lambda: hom_dimension([Matrix([[3]], 5)], [Matrix([[0]], 5)], 3), ModulusMismatch),
+    (lambda: hom_dimension([Matrix.identity(2, 3)], [Matrix.identity(2, 3), Matrix.identity(1, 3)],
+                           3), LengthMismatch),
+    (lambda: hom_dimension([Matrix.identity(2, 3), Matrix.identity(1, 3)],
+                           [Matrix.identity(2, 3)] * 2, 3), ShapeMismatch),
+    (lambda: hom_dimension([], [], 3), LengthMismatch),
+    # a subspace of GF(3)^1, and a numpy ValueError
+    (lambda: spin(general_linear_group(2, 3), [1]), ShapeMismatch),
+    (lambda: spin(general_linear_group(2, 3), [1, 0, 0]), ShapeMismatch),
+])
+def test_representation_functions_refuse_another_field_or_shape(call, error):
+    with pytest.raises(error):
+        call()
+    assert issubclass(error, ValidationError)
+
+
+def test_hom_dimension_over_the_generators_field():
+    assert hom_dimension([Matrix([[3]], 5)], [Matrix([[0]], 5)], 5) == 0
 
 
 def test_invariant_subspaces_of_diagonal_group():

@@ -228,7 +228,7 @@ def test_short_cycle_mask_matches_the_word_table(g):
     w = word(g.gens)
     for d in divisors(g.n)[:-1]:
         subs = subspace_array(g.n, d, g.p)
-        kept = imprim._short_cycles(w, subspace_layout(g.n, d, g.p), g.n // d)
+        kept = imprim._short_cycles(w.a, subspace_layout(g.n, d, g.p), g.n // d)
         assert np.array_equal(kept, np.flatnonzero(short_cycle_oracle(w, subs, g.p, g.n // d)))
 
 
@@ -423,7 +423,7 @@ def test_invariant_indices_matches_contains_rows(case):
     indices = np.arange(layout.offsets[-1]) if among is None else among
     subs = layout.unrank(indices)
     for m in mats:
-        found = invariant_indices(layout, m, among)
+        found = invariant_indices(layout, m.a, among)
         assert found.dtype == np.int64
         expected = [i for i, rows in zip(indices, subs)
                     if echelon_subspace(rows, p).contains_rows(rows @ m.a % p)]
@@ -439,13 +439,13 @@ def test_scalar_matrices_keep_every_subspace_without_a_product(monkeypatch):
 
     monkeypatch.setattr(linalg, "mul_mod", counting_mul_mod)
     layout = subspace_layout(4, 2, 3)
-    assert invariant_indices(layout, Matrix.diagonal([2] * 4, 3)).tolist() == list(range(130))
-    assert invariant_indices(layout, Matrix.identity(4, 3), np.arange(5, 9)).tolist() == [5, 6, 7, 8]
+    assert invariant_indices(layout, Matrix.diagonal([2] * 4, 3).a).tolist() == list(range(130))
+    assert invariant_indices(layout, Matrix.identity(4, 3).a, np.arange(5, 9)).tolist() == [5, 6, 7, 8]
     assert products == []
     # the cycle's third power is the identity: the first power costs one
     # product of the 13 lines, the scalar one none and ends the union
     lines = subspace_layout(3, 1, 3)
-    assert imprim._short_cycles(CYCLE, lines, 3).tolist() == list(range(13))
+    assert imprim._short_cycles(CYCLE.a, lines, 3).tolist() == list(range(13))
     assert products == [13]
 
 

@@ -142,6 +142,14 @@ def test_maxsolv_q5_inverts_one_matrix_per_candidate(monkeypatch, capsys):
     assert products == []
 
 
+def test_induced_example_multiplies_no_matrix(monkeypatch):
+    # the induced images, their homomorphism check and the scan's word are
+    # products of stacks
+    products = count_calls(monkeypatch, Matrix.__mul__)
+    assert induced_example_report(7).passed
+    assert products == []
+
+
 def test_maximal_solvable_witness_rejects_other_fields():
     with pytest.raises(BadModulus):
         maximal_solvable_witness(7)

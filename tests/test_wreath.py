@@ -4,6 +4,9 @@ The library generates H wr K from one copy of H per K-orbit of blocks.
 wreath_product_oracle and perm_wreath_oracle are the constructions it
 replaced, with a copy of H at every block; they are kept here, and only
 here, as the references the reduced generator sets are checked against.
+block_permutation_matrix, the oracle's block permutations built entry by
+entry, checks the one product (kron of K's permutation matrices with I_d)
+the library forms them with.
 lambda_classes_oracle is the linear search for a square root of -1 that a
 power of the primitive root replaced.
 """
@@ -38,7 +41,6 @@ from imprimlab.verify import (
 from imprimlab.wreath import (
     WreathSpec,
     _lambda_classes,
-    block_permutation_matrix,
     check_hypotheses,
     embed_at_block,
     expected_exceptional_systems,
@@ -50,6 +52,18 @@ from conftest import count_calls, matrix_groups, perm, sign_group
 
 # Largest group the oracle tests close: |H|^k * k! stays under it.
 ORACLE_ORDER = 2**13
+
+
+def block_permutation_matrix(perm: Permutation, d: int, p: int) -> Matrix:
+    """Matrix sending block-coordinate slot i to slot perm(i), row action."""
+    k = perm.degree
+    n = d * k
+    out = np.zeros((n, n), dtype=np.int64)
+    for i in range(k):
+        j = perm(i)
+        for s in range(d):
+            out[i * d + s, j * d + s] = 1
+    return Matrix(out, p)
 
 
 def wreath_product_oracle(spec):
@@ -83,6 +97,11 @@ def perm_groups(draw, max_degree=4):
     degree = draw(st.integers(1, max_degree))
     images = draw(st.lists(st.permutations(range(degree)), min_size=1, max_size=2))
     return PermGroup([Permutation(g) for g in images])
+
+
+@given(perm_groups(max_degree=6))
+def test_perm_group_from_its_stack_has_the_same_generators(k):
+    assert PermGroup.from_stack(k._generator_stack).gens == k.gens
 
 
 def max_block_count(block_order):
@@ -321,3 +340,37 @@ def test_structural_conditions_with_intransitive_stabilizer_action(monkeypatch):
     assert stab_actions and not any(x.is_transitive() for x in stab_actions)
     for _, group, oracle in built:
         assert np.array_equal(group.sorted_keys, oracle.sorted_keys)
+
+
+def test_structural_conditions_relabel_blocks_out_of_order(monkeypatch):
+    # K = <(1 2 3)(4 5 6), (1 4)(2 5)(3 6)> is regular C6; its one system of
+    # pairs is {1,4},{2,5},{3,6}.  Moving each block to consecutive points is
+    # sigma: 1,4,2,5,3,6 -> 1..6, which is not its own inverse, so only the
+    # right relabeling puts K's generators in C2 wr C3.
+    k = PermGroup([perm(2, 3, 1, 5, 6, 4), perm(4, 5, 6, 1, 2, 3)])
+    sigma = np.array([0, 2, 4, 1, 3, 5])
+    wreaths, tested = [], []
+
+    def record(*args):
+        wreaths.append(perm_wreath(*args))
+        return wreaths[-1]
+
+    member_mask = PermGroup.member_mask
+
+    def spy(self, stack):
+        if any(self is w for w in wreaths):
+            tested.append(np.array(stack))
+        return member_mask(self, stack)
+
+    monkeypatch.setattr(verify, "perm_wreath", record)
+    monkeypatch.setattr(PermGroup, "member_mask", spy)
+    h2 = wreath_product_oracle(WreathSpec(sign_group(3), symmetric_group(2)))
+    holds, witness = _structural_conditions(WreathSpec(sign_group(3), k), h2, cyclic_group(3))
+    assert holds and witness.blocks == ((0, 3), (1, 4), (2, 5))
+    # the stack tested is K's generators relabeled: g^sigma(sigma(i)) = sigma(g(i))
+    [relabeled] = tested
+    gens = k._generator_stack
+    assert np.array_equal(relabeled[:, sigma], sigma[gens])
+    for g, r in zip(k.gens, relabeled):
+        for i in range(6):
+            assert r[sigma[i]] == sigma[g(i)]
