@@ -8,13 +8,19 @@ sifting; it never lists the group.  The closure (mulclose) lists every
 element.  It is built where elements are read (the GL(2, q) double-coset
 scan of the maximal-solvable report, sorted_keys, positions, characters,
 induced modules, setwise stabilizers of permutation groups) and for groups
-inside an ambient GL_n(p) or S_k of at most LIST_AMBIENT elements, which
-it lists at least as fast as their chain is built.  Once a group's elements
-are listed, its order is their count and membership a lookup among them,
-so no group pays for both descriptions unless both are read.  Both count
-against the element cap that errors.limits sets for the run: the closure
-its elements (phase "group closure"), the chain its orbit points beyond
-the base points, which never exceed |G| - 1 (phase "stabilizer chain").
+whose order_bound is at most LIST_AMBIENT, which it lists at least as fast
+as their chain is built.  The bound is known before any work: the order of
+the ambient GL_n(p) or S_k, or a smaller one the constructor supplies,
+|H|^k * |K| for a wreath product H wr K (wreath.wreath_product) and
+|source| for an induced image (reprs.InducedRep), so a small group in a
+large GL_n(p) is listed too.  The bound only picks the route: the order is
+still the count of the listed elements or the chain's product.  Once a
+group's elements are listed, its order is their count and membership a
+lookup among them, so no group pays for both descriptions unless both are
+read.  Both count against the element cap that errors.limits sets for the
+run: the closure its elements (phase "group closure"), the chain its orbit
+points beyond the base points, which never exceed |G| - 1 (phase
+"stabilizer chain").
 Solvability follows the derived series, each derived subgroup the normal
 closure of its group's generator commutators, with membership and orders
 read as above.  A group is its generator stack, which the library
@@ -91,11 +97,16 @@ from .linalg import Matrix, check_product_modulus, entry_dtype, is_prime, mul_mo
 # every generator), and the most images, Schreier generators or sifted
 # matrices a stabilizer chain handles in one step.
 CLOSE_PRODUCTS = 8192
-# A group inside GL_n(p) or S_k with at most this many elements is listed
-# for its order and membership as well.  On a 2-vCPU x86 host with Python
-# 3.11 (best of 25), listing S_6 with its sorted keys took 1.3 ms against
-# 1.8 ms for its stabilizer chain and GL_2(5) 1.0 ms against 1.0 ms, but
-# S_7 5.4 ms against 2.6 ms and GL_2(7) 2.9 ms against 1.2 ms.
+# A group whose order_bound (an upper bound on its order: its ambient
+# GL_n(p) or S_k, or a smaller bound from its constructor) is at most this
+# is listed for its order and membership as well.  On a 2-vCPU x86 host
+# with Python 3.11 (best of 25), listing S_6 with its sorted keys took
+# 1.3 ms against 1.8 ms for its stabilizer chain and GL_2(5) 1.0 ms against
+# 1.0 ms, but S_7 5.4 ms against 2.6 ms and GL_2(7) 2.9 ms against 1.2 ms.
+# Wreath products in GL_3(3) or GL_4(p) went the same way: sign wr S_3 (48
+# elements) 0.31 ms against 0.99 ms, C_3 wr C_4 over GF(7) (324) 0.83 ms
+# against 1.29 ms and (C_3 wr C_2) wr C_2 (648) 1.30 ms against 1.91 ms,
+# but GL(2, 3) wr C_2 (4 608) 7.7 ms against 2.7 ms.
 LIST_AMBIENT = 720
 
 
@@ -479,19 +490,30 @@ class _ElementArray:
     for permutations), _ambient_order (of GL_n(p) or S_k), chain and
     _matrices, which turns a stack of group-shaped arrays into the matrices
     the chain acts with.  The order and membership read the listed elements
-    when element_array has been built or the ambient group has at most
-    LIST_AMBIENT elements, and the stabilizer chain otherwise, so no group
-    pays for both unless both are read.
+    when element_array has been built or order_bound is at most
+    LIST_AMBIENT, and the stabilizer chain otherwise, so no group pays for
+    both unless both are read.
     """
+
+    # a zero-argument callable a constructor may set: an upper bound on |G|
+    _bound = None
 
     @cached_property
     def element_array(self) -> np.ndarray:
         """Every element, in discovery order, as one stack."""
         return mulclose(self._generator_stack, self._modulus)
 
+    @cached_property
+    def order_bound(self) -> int:
+        """An upper bound on |G|, known before G is listed or chained: the
+        ambient group's order, or the smaller bound its constructor
+        supplied, which is read the first time it is asked for."""
+        ambient = self._ambient_order
+        return ambient if self._bound is None else min(ambient, self._bound())
+
     @property
     def _listed(self) -> bool:
-        return "element_array" in self.__dict__ or self._ambient_order <= LIST_AMBIENT
+        return "element_array" in self.__dict__ or self.order_bound <= LIST_AMBIENT
 
     @property
     def _key_base(self) -> int:
@@ -579,12 +601,14 @@ class MatrixGroup(_ElementArray):
         self._set_stacks(np.stack([g.a for g in gens]), np.stack(inverses), p)
 
     @classmethod
-    def from_stacks(cls, gens, inverses, p: int) -> "MatrixGroup":
+    def from_stacks(cls, gens, inverses, p: int, order_bound=None) -> "MatrixGroup":
         """The group of an (m, n, n) generator stack whose inverses, stacked
         in the same order, are known: gens @ inverses = I mod p, checked by
         one batched product, proves every generator invertible.  Raises
         ValidationError when the stacks are empty or differ in shape, or
-        when an inverse is wrong."""
+        when an inverse is wrong.  order_bound, if given, is a zero-argument
+        callable returning an upper bound on the group's order; it is
+        called only when the listing rule first reads order_bound."""
         gens = np.asarray(gens, dtype=np.int64)
         inverses = np.asarray(inverses, dtype=np.int64)
         if gens.ndim != 3 or gens.shape[1] != gens.shape[2] or gens.shape != inverses.shape:
@@ -598,6 +622,7 @@ class MatrixGroup(_ElementArray):
             raise ValidationError("the inverses given are not the generators' inverses")
         group = cls.__new__(cls)
         group._set_stacks(gens, inverses, p)
+        group._bound = order_bound
         return group
 
     def _set_stacks(self, gens: np.ndarray, inverses: np.ndarray, p: int) -> None:

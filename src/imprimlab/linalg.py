@@ -364,10 +364,12 @@ class SubspaceLayout:
     array, digit_cells[c, k] the flat cell (i * n + j) of block c's base-p
     digit k, and offsets, weights, pivot_array and digit_cells are read-only
     int64 arrays.  heads and columns, which invariant_indices reads, are
-    built on first use.
+    built on first use.  A modulus that is not a prime below 2^31 raises
+    ValidationError, so no scan runs over Z/m for composite m.
     """
 
     def __init__(self, n: int, d: int, p: int):
+        p = _check_modulus(p)
         if gaussian_binomial(n, d, p) >= 2**63:
             raise CapError(f"the {d}-subspaces of GF({p})^{n} are too many to index in int64")
         self.p, self.combos = p, tuple(itertools.combinations(range(n), d))
@@ -454,7 +456,7 @@ subspace_layout = functools.lru_cache(maxsize=64)(SubspaceLayout)
 def subspace_array(n: int, d: int, p: int) -> np.ndarray:
     """Every d-dimensional subspace of GF(p)^n as an (N, d, n) RREF stack, in
     subspace_layout order; entries in entry_dtype(p) keep large scans small."""
-    layout = subspace_layout(n, d, _check_modulus(p))
+    layout = subspace_layout(n, d, p)
     return layout.unrank(np.arange(layout.offsets[-1]))
 
 

@@ -36,6 +36,7 @@ from .groups import MatrixGroup, first_occurrences
 from .linalg import (
     Matrix,
     Subspace,
+    _check_modulus,
     echelon_subspace,
     gaussian_binomial,
     invariant_indices,
@@ -216,7 +217,9 @@ class InducedRep:
     H's element array of the h with u = h t_j, so the entry of image(x) in
     row i is the character's value at the h of t_i x.  image(x) is defined
     for every element of the ambient group.  The images of the generator and
-    inverse stacks form a MatrixGroup.from_stacks, so no image is inverted.
+    inverse stacks form a MatrixGroup.from_stacks, so no image is inverted;
+    the image group is a homomorphic image of the source, so |source| bounds
+    its order.
     """
 
     def __init__(self, source: MatrixGroup, subgroup: MatrixGroup, character: Character):
@@ -235,7 +238,8 @@ class InducedRep:
         self.degree = len(self._reps)
         images = self._images(source._generator_stack)
         self._check_homomorphism(images)
-        self.group = MatrixGroup.from_stacks(images, self._images(source.inverse_stack), self.modulus)
+        self.group = MatrixGroup.from_stacks(images, self._images(source.inverse_stack),
+                                             self.modulus, order_bound=lambda: source.order)
 
     def _coset_table(self):
         """(reps, coset, inner): the representatives as an (m, n, n) stack,
@@ -325,9 +329,11 @@ def invariant_subspaces(gens, n: int, p: int, dims=None) -> list[Subspace]:
     layout, each later one tests only the subspaces the earlier ones left
     invariant (among), and only the survivors of all are unranked.  A
     dimension with more subspaces than the subspace cap raises
-    PhaseCapExceeded ("subspace scan") before anything is allocated.
+    PhaseCapExceeded ("subspace scan") before anything is allocated.  A
+    modulus that is not a prime below 2^31 raises ValidationError, with or
+    without generators.
     """
-    gens = _matrix_stack(gens, n, p)
+    gens = _matrix_stack(gens, n, _check_modulus(p))
     dims = range(1, n) if dims is None else list(dims)
     if not all(0 < d < n for d in dims):
         raise ValidationError(f"dims {list(dims)} are not all in 1..{n - 1}")

@@ -68,7 +68,9 @@ def wreath_product(spec: WreathSpec) -> MatrixGroup:
     block permutation matrices in one product, kron(P, I_d) for the
     permutation matrices P (row i the basis vector of i's image), which
     send the coordinates of block i to block g(i); their inverses are their
-    transposes, so no matrix is inverted by elimination.
+    transposes, so no matrix is inverted by elimination.  Every generator
+    lies in H wr K, so |H|^k * |K| bounds the group's order; |H| and |K| are
+    read only when the listing rule first asks for that bound.
     """
     d, k, h = spec.block_dim, spec.block_count, spec.h
     blocks = spec.k.orbit_representatives()
@@ -76,7 +78,8 @@ def wreath_product(spec: WreathSpec) -> MatrixGroup:
     gens = [embed_at_block(h._generator_stack, i, k) for i in blocks]
     inverses = [embed_at_block(h.inverse_stack, i, k) for i in blocks]
     return MatrixGroup.from_stacks(np.concatenate([*gens, perms]),
-                                   np.concatenate([*inverses, perms.transpose(0, 2, 1)]), spec.p)
+                                   np.concatenate([*inverses, perms.transpose(0, 2, 1)]), spec.p,
+                                   order_bound=lambda: h.order**k * spec.k.order)
 
 
 @dataclass

@@ -36,6 +36,8 @@ from imprimlab.groups import (
     symmetric_group,
 )
 from imprimlab.linalg import Matrix
+from imprimlab.reprs import Character, InducedRep
+from imprimlab.verify import regression_theorem_instances
 from imprimlab.wreath import WreathSpec, wreath_product
 
 from conftest import (
@@ -43,6 +45,7 @@ from conftest import (
     matrix_groups,
     perm_group_gens,
     reducible_matrix_groups,
+    regression_inclusion_instances,
     sign_group,
 )
 
@@ -268,10 +271,46 @@ def test_small_ambient_groups_are_listed_and_large_ones_sifted():
     small = [symmetric_group(6), general_linear_group(2, 5)]
     large = [symmetric_group(7), general_linear_group(2, 7), symmetric_group(8),
              general_linear_group(3, 3)]
+    # a wreath product's bound |H|^k |K| routes it, whatever its ambient: the
+    # regression theorem and inclusion groups (48 to 648 elements in GL_3(3)
+    # or GL_4(p)) are listed, GL(2, 3) wr C_2 (4 608) and sign wr S_6
+    # (46 080) chained
+    for name, spec in regression_theorem_instances():
+        (large if name == "gl23-wr-c2-p3" else small).append(wreath_product(spec))
+    for _, h1, k1, h2, k2, _ in regression_inclusion_instances():
+        small += [h2, wreath_product(WreathSpec(h1, k1)), wreath_product(WreathSpec(h2, k2))]
+    large.append(wreath_product(WreathSpec(sign_group(3), symmetric_group(6))))
     for group in small + large:
-        assert group.contains(group.gens[0])
+        assert group.order > 1 and group.contains(group.gens[0])
     assert all("element_array" in g.__dict__ and "chain" not in g.__dict__ for g in small)
     assert all("chain" in g.__dict__ and "element_array" not in g.__dict__ for g in large)
+    # building H wr K reads neither |H| nor |K|
+    spec = WreathSpec(sign_group(3), symmetric_group(9))
+    wreath_product(spec)
+    assert not {"element_array", "chain"} & spec.k.__dict__.keys()
+
+
+@given(matrix_groups(max_n=2), perm_group_gens(max_degree=4))
+def test_wreath_order_bound_is_the_order_formula(gens, k_gens):
+    spec = WreathSpec(MatrixGroup(gens), PermGroup(k_gens))
+    group = wreath_product(spec)
+    bound = group.order_bound
+    assert bound == spec.h.order**spec.block_count * spec.k.order
+    try:
+        with limits(elements=CAP):
+            assert bound >= len(mulclose(group._generator_stack, group.p))
+    except PhaseCapExceeded:
+        assert bound > CAP
+
+
+@given(matrix_groups(max_n=2, primes=(2, 3)), st.data())
+def test_induced_order_bound_is_at_least_the_image_order(gens, data):
+    # induced from the trivial character of a subgroup, over another field
+    source = MatrixGroup(gens)
+    subgroup = MatrixGroup(gens[: data.draw(st.integers(1, len(gens)))])
+    q = data.draw(st.sampled_from((2, 5, 7)))
+    rep = InducedRep(source, subgroup, Character(subgroup, [1] * len(subgroup.gens), q))
+    assert source.order >= rep.group.order_bound >= len(mulclose(rep.group._generator_stack, q))
 
 
 @pytest.mark.parametrize("kind", ["matrix", "perm"])

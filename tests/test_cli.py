@@ -7,9 +7,11 @@ import pytest
 from imprimlab.cli import main
 from imprimlab.descriptions import matrix_group_description, parse_group
 from imprimlab.errors import ParseError, ValidationError
-from imprimlab.groups import MatrixGroup
+from imprimlab.groups import MatrixGroup, StabilizerChain
 from imprimlab.linalg import Matrix
 from imprimlab.wreath import WreathSpec
+
+from conftest import count_calls
 
 DATA = Path(__file__).parent / "data"
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -394,15 +396,31 @@ def test_cap_below_one_is_usage_error(tmp_path, capsys, flag, value):
 
 
 def test_chain_over_the_cap_exit_code(tmp_path, capsys):
-    # sign wr S_6 has 2^6 * 6! = 46 080 elements and a chain of 36 orbit
-    # points, so a cap of 35 stops the chain itself; with a cap of 720 the
-    # report runs (S_6 itself is listed, 720 elements)
-    argv = ["theorem", "--h", str(DATA / "sign_p3.json"), "--k", str(DATA / "s6.json")]
-    code, payload, err = run(capsys, *argv, "--cap-elements", "35")
+    # sign wr C_7 over GF(3) has 2^7 * 7 = 896 elements, past LIST_AMBIENT, so
+    # it is chained, and its chain has 19 orbit points: a cap of 18 stops the
+    # chain itself, and a cap of 19 lets the report run (C_7 and the sign
+    # group are listed, 7 and 2 elements)
+    k = write(tmp_path, "c7.json", {"kind": "perm", "degree": 7,
+                                    "generators": [[2, 3, 4, 5, 6, 7, 1]]})
+    argv = ["theorem", "--h", str(DATA / "sign_p3.json"), "--k", k]
+    code, payload, err = run(capsys, *argv, "--cap-elements", "18")
     assert code == 3
     assert payload is None
-    assert err.startswith("error: stabilizer chain: 36 orbit points exceed the cap of 35")
-    assert main([*argv, "--cap-elements", "720", "--json-only"]) == 0
+    assert err.startswith("error: stabilizer chain: 19 orbit points exceed the cap of 18")
+    assert main([*argv, "--cap-elements", "19", "--json-only"]) == 0
+
+
+def test_reports_chain_only_the_groups_past_the_listing_bound(monkeypatch, capsys):
+    # by their order bounds the regression wreath products and the induced
+    # images have at most LIST_AMBIENT elements and are listed; GL(2, 3) wr
+    # C_2, with 4 608, is the one group chained
+    chains = count_calls(monkeypatch, StabilizerChain.__init__)
+    assert main(["theorem", "--regression", "--json-only"]) == 0
+    assert len(chains) == 1
+    for q in ("7", "13"):
+        assert main(["example21", "--q", q, "--json-only"]) == 0
+    assert len(chains) == 1
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize(

@@ -20,7 +20,7 @@ from imprimlab.errors import (
 )
 from imprimlab.groups import MatrixGroup, cyclic_group, general_linear_group, symmetric_group
 from imprimlab.imprim import is_primitive_linear
-from imprimlab.linalg import Matrix, Subspace, mul_mod, subspace_array
+from imprimlab.linalg import Matrix, Subspace, mul_mod, subspace_array, subspace_layout
 from imprimlab.reprs import (
     Character,
     algebra_dimension,
@@ -445,6 +445,15 @@ def test_invariant_subspaces_rejects_dimensions_outside_the_proper_range(dims):
     with pytest.raises(ValidationError, match=r"not all in 1\.\.1"):
         invariant_subspaces(gens, 2, 3, dims=dims)
     assert len(invariant_subspaces(gens, 2, 3, dims=[1])) == 2
+
+
+@pytest.mark.parametrize("p", [4, 1, 0])
+def test_subspace_scans_refuse_a_modulus_that_is_not_prime(p):
+    # with no generator to carry a field, the scan ran over Z/4 (5
+    # "subspaces"), divided by zero for 1 and warned for 0
+    for call in (lambda: invariant_subspaces([], 2, p), lambda: subspace_layout(2, 1, p)):
+        with pytest.raises(ValidationError, match=f"^modulus {p} is not prime$"):
+            call()
 
 
 def test_invariant_subspace_scan_counts_against_the_subspace_cap():
