@@ -84,8 +84,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument(
         "--cap-subspaces", type=positive_int, default=DEFAULT_CAP_SUBSPACES,
-        help="maximum subspaces scanned per dimension, and projective points "
-             "spun by the irreducibility fallback (default %(default)s)",
+        help="maximum subspaces scanned per dimension (default %(default)s)",
     )
     common.add_argument(
         "--json-only", action="store_true",

@@ -5,8 +5,7 @@ can distinguish our failures from genuine bugs.  Cap overruns get their own
 branch of the hierarchy because they map to a dedicated exit code.
 
 Every exhaustive loop checks its count with check_cap and names its phase:
-"group closure", "stabilizer chain", "subspace scan", "irreducibility spin"
-or "block systems".  The element and subspace caps are set once for a run
+"group closure", "stabilizer chain", "subspace scan" or "block systems".  The element and subspace caps are set once for a run
 by limits(), which every phase reads when it checks; the block-system
 search counts its nodes against the constant DEFAULT_CAP_PARTITIONS.
 """
@@ -22,7 +21,7 @@ DEFAULT_CAP_PARTITIONS = 10**6
 
 class Limits(NamedTuple):
     elements: int  # elements a closure lists, orbit points of a stabilizer chain
-    subspaces: int  # subspaces scanned per dimension, projective points spun
+    subspaces: int  # subspaces scanned per dimension
 
 
 _LIMITS = contextvars.ContextVar(

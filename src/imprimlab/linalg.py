@@ -207,11 +207,6 @@ class Matrix:
             raise Singular("matrix is singular")
         return Matrix(r[:, n:], self.p)
 
-    def is_identity(self) -> bool:
-        return self.rows == self.cols and np.array_equal(
-            self.a, np.eye(self.rows, dtype=np.int64)
-        )
-
     def is_invertible(self) -> bool:
         if self.rows != self.cols:
             return False
@@ -250,9 +245,9 @@ class Subspace:
         arr = np.array(list(rows), dtype=np.int64)
         if arr.size == 0:
             arr = arr.reshape(0, ambient)
-        if arr.shape[1] != ambient:
+        if arr.ndim != 2 or arr.shape[1] != ambient:
             raise ShapeMismatch(
-                f"rows of length {arr.shape[1]} in ambient dimension {ambient}"
+                f"rows of shape {arr.shape} in ambient dimension {ambient}"
             )
         r, rank, pivots = rref(arr, p)
         return cls(r[:rank].copy(), pivots, p, ambient)

@@ -1,19 +1,21 @@
 """Representation-theoretic operations on matrix groups.
 
-Irreducibility is first decided by a certificate (Burnside's theorem, as
-in Holt & Rees's irreducibility test, without its random choices): if the
-products of the generators span all of M_n(GF(p)), every invariant
-subspace is invariant under every matrix, so the group is irreducible.
-The certificate multiplies only generators, never the group's elements.
-When the span is smaller, the group is reducible or irreducible but not
-absolutely irreducible, and irreducibility is decided by spinning: a
-group is irreducible iff every nonzero vector generates the full space,
-and it suffices to spin one representative per 1-dimensional subspace.
-That spin counts against the subspace cap (errors.limits, phase
-"irreducibility spin").  Induced modules are built from
-a linear character of a subgroup via an explicit coset table; the images
-are monomial matrices over the (possibly different) target field, formed
-for whole stacks of ambient elements at once.
+Irreducibility is decided from two linear systems, never by a loop over
+vectors or subspaces.  The enveloping algebra A is the span of the
+generators' products; the commutant E = End_G(V) is the kernel of the
+intertwining system of the generators against themselves.  G is
+irreducible iff E is a field and dim A * dim E = n^2: then A is all of
+End_E(V), and conversely Schur's lemma, Wedderburn's theorem and the
+density theorem give both.  E is a field iff it is commutative and its
+Frobenius map x -> x^p is injective with a 1-dimensional fixed space (the
+Berlekamp subalgebra argument).  The case dim E = 1 is Burnside's
+certificate (dim A = n^2, as in Holt & Rees's irreducibility test, without
+its random choices), and only below it is E computed.
+
+Induced modules are built from a linear character of a subgroup via an
+explicit coset table; the images are monomial matrices over the (possibly
+different) target field, formed for whole stacks of ambient elements at
+once.
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ from .linalg import (
     invariant_indices,
     mul_mod,
     rref,
-    subspace_array,
     subspace_layout,
 )
 
@@ -101,19 +102,34 @@ def algebra_dimension(g: MatrixGroup) -> int:
 def is_irreducible(g: MatrixGroup) -> bool:
     """True iff no proper nonzero subspace is invariant under g.
 
-    An enveloping algebra of dimension n^2 certifies irreducibility.  Below
-    that, one vector per projective point is spun, which raises
-    PhaseCapExceeded ("irreducibility spin") when the points outnumber the
-    subspace cap.
+    An enveloping algebra A of dimension n^2 certifies irreducibility.
+    Below that, g is irreducible iff its commutant E, of dimension e, is a
+    field and dim A * e = n^2.  A field's dimension divides n, since V is a
+    vector space over it, so e <= n bounds the e^2 products that decide
+    commutativity.  E is then a field iff the matrix F of its Frobenius map
+    (row i: the coordinates of the p-th power of basis element i, formed
+    by repeated squaring) is invertible and F - I has rank e - 1.
     """
-    if algebra_dimension(g) == g.n * g.n:
+    n, p = g.n, g.p
+    dim = algebra_dimension(g)
+    if dim == n * n:
         return True
-    points = gaussian_binomial(g.n, 1, g.p)
-    check_cap("irreducibility spin", points, "projective points", current_limits().subspaces)
-    for v in subspace_array(g.n, 1, g.p)[:, 0]:
-        if spin(g, v).rank < g.n:
-            return False
-    return True
+    basis, columns = _intertwiners(g._generator_stack, g._generator_stack, p)
+    e = len(basis)
+    if dim * e != n * n or n % e:
+        return False
+    x = basis.reshape(e, n, n)
+    products = mul_mod(x[:, None], x, p)
+    if not np.array_equal(products, products.swapaxes(0, 1)):
+        return False
+    power = x
+    for bit in bin(p)[3:]:  # the binary digits of p after the leading 1
+        power = mul_mod(power, power, p)
+        if bit == "1":
+            power = mul_mod(power, x, p)
+    frobenius = power.reshape(e, -1)[:, columns]
+    return (rref(frobenius, p)[1] == e
+            and rref(frobenius - np.eye(e, dtype=np.int64), p)[1] == e - 1)
 
 
 def _matrix_stack(gens, n: int, p: int) -> np.ndarray:
@@ -128,6 +144,26 @@ def _matrix_stack(gens, n: int, p: int) -> np.ndarray:
     return np.array([g.a for g in gens], dtype=np.int64).reshape(len(gens), n, n)
 
 
+def _intertwiners(a: np.ndarray, b: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """The matrices X with a_i @ X = X @ b_i for the matched (m, na, na) and
+    (m, nb, nb) stacks, as (basis, columns): a kernel basis of the stacked
+    row-major system, one row of length na * nb per free column of its
+    RREF, and those columns.  Each row is 1 in its own column and 0 in the
+    others, so a solution's coordinates are its entries in the columns."""
+    na, nb = a.shape[1], b.shape[1]
+    # row-major vec: vec(A X) = (A kron I) x, vec(X B) = (I kron B^T) x
+    left = np.kron(a, np.eye(nb, dtype=np.int64))
+    right = np.kron(np.eye(na, dtype=np.int64), b.transpose(0, 2, 1))
+    reduced, rank, pivots = rref(((left - right) % p).reshape(-1, na * nb), p)
+    free = np.ones(na * nb, dtype=bool)
+    free[list(pivots)] = False
+    columns = np.flatnonzero(free)
+    basis = np.zeros((len(columns), na * nb), dtype=np.int64)
+    basis[np.arange(len(columns)), columns] = 1
+    basis[:, list(pivots)] = -reduced[:rank, columns].T % p
+    return basis, columns
+
+
 def hom_dimension(gens_a, gens_b, p: int) -> int:
     """Dimension of the space of matrices intertwining two matched actions.
 
@@ -139,13 +175,9 @@ def hom_dimension(gens_a, gens_b, p: int) -> int:
     gens_a, gens_b = list(gens_a), list(gens_b)
     if len(gens_a) != len(gens_b) or not gens_a:
         raise LengthMismatch("generator lists must be nonempty and matched")
-    na, nb = gens_a[0].rows, gens_b[0].rows
-    a, b = _matrix_stack(gens_a, na, p), _matrix_stack(gens_b, nb, p)
-    # row-major vec: vec(A X) = (A kron I) x, vec(X B) = (I kron B^T) x
-    left = np.kron(a, np.eye(nb, dtype=np.int64))
-    right = np.kron(np.eye(na, dtype=np.int64), b.transpose(0, 2, 1))
-    rank = rref(((left - right) % p).reshape(-1, na * nb), p)[1]
-    return na * nb - rank
+    a = _matrix_stack(gens_a, gens_a[0].rows, p)
+    b = _matrix_stack(gens_b, gens_b[0].rows, p)
+    return len(_intertwiners(a, b, p)[0])
 
 
 class Character:
@@ -154,9 +186,11 @@ class Character:
     Values are assigned on the generators and extended along the Cayley
     graph; every (element, generator) edge is checked, so construction
     fails with InconsistentCharacter unless the extension is well defined.
+    A modulus that is not a prime below 2^31 raises ValidationError.
     """
 
     def __init__(self, group: MatrixGroup, values, modulus: int):
+        modulus = _check_modulus(modulus)
         values = [int(v) % modulus for v in values]
         if len(values) != len(group._generator_stack):
             raise LengthMismatch("one value per generator required")

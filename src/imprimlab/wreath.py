@@ -140,8 +140,8 @@ def check_hypotheses(spec: WreathSpec) -> ExceptionalCensus | None:
     Raises HypothesisViolation naming the first hypothesis that fails.
     Returns the census of the exceptional shape (d = 1, even point degree,
     |H| = 2, K preserving a pair partition), or None outside it.  The
-    irreducibility spin and the primitivity scan of H count against the
-    subspace cap of errors.limits.
+    primitivity scan of H counts against the subspace cap of errors.limits;
+    its irreducibility is decided by linear algebra, with no cap.
     """
     if spec.block_count < 2:
         raise HypothesisViolation("k > 1")

@@ -51,3 +51,24 @@ def test_public_callables_take_no_cap_parameter():
         offenders += [f"{name}({p})" for p in inspect.signature(target).parameters
                       if "cap" in p.lower()]
     assert inspected > 30 and offenders == []
+
+
+def test_cap_phases_are_documented_where_they_are_checked():
+    # every phase name given to check_cap in the package, and only those, is
+    # a row of the README's "Scope and caps" table and is named in the
+    # errors module's docstring
+    source = Path(imprimlab.__file__).parent
+    checked = set()
+    for path in source.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "check_cap"):
+                phase = node.args[0]
+                assert isinstance(phase, ast.Constant), f"{path.name}: a phase that is not a literal"
+                checked.add(phase.value)
+    scope = README.read_text(encoding="utf-8").split("## Scope and caps", 1)[1]
+    table = re.search(r"\| phase \| counts \| cap \|\n\| --- .*?\n((?:\|.*\n)+)", scope).group(1)
+    in_readme = set(re.findall(r"^\| `([^`]+)` \|", table, re.M))
+    in_errors = set(re.findall(r'"([^"]+)"', imprimlab.errors.__doc__))
+    assert checked == in_readme == in_errors
+    assert checked == {"group closure", "stabilizer chain", "subspace scan", "block systems"}

@@ -343,10 +343,14 @@ def test_description_of_wrong_kind_is_usage_error(tmp_path, capsys, argv, wrong)
           "--json-only"], "theorem_gl23_wr_s3_p3.json"),
         (["theorem", "--h", str(DATA / "sign_p3.json"), "--k", str(DATA / "s7.json"),
           "--json-only"], "theorem_sign_wr_s7_p3.json"),
+        # H = C_26, a Singer cycle of GF(27) in GL(3, 3): irreducible, but not
+        # absolutely, so its commutant GF(27) decides the hypothesis
+        (["theorem", "--h", str(DATA / "singer26_p3.json"), "--k", str(DATA / "s2.json"),
+          "--json-only"], "theorem_singer26_wr_s2_p3.json"),
     ],
     ids=["theorem-regression", "example21-q7", "example21-q13", "maxsolv-q3", "maxsolv-q5",
          "theorem-sign-wr-s6-p3", "systems-sign-wr-c4-p3", "theorem-gl23-wr-s3-p3",
-         "theorem-sign-wr-s7-p3"],
+         "theorem-sign-wr-s7-p3", "theorem-singer26-wr-s2-p3"],
 )
 def test_report_matches_recorded_output(capsys, argv, recorded):
     # the canonical reports must stay byte-identical to these recordings
@@ -431,22 +435,28 @@ def test_reports_chain_only_the_groups_past_the_listing_bound(monkeypatch, capsy
     ids=["theorem", "census", "inclusion"],
 )
 @pytest.mark.parametrize(
-    "cap,code,message",
+    "p,generator,cap,code,message",
     [
-        ([], 3, "error: irreducibility spin: 1000004 projective points exceed"),
-        (["--cap-subspaces", "2000000"], 2, "error: hypothesis violated: H irreducible"),
+        (1000003, [[1000002, 0], [0, 1]], [], 2, "error: hypothesis violated: H irreducible"),
+        (1000003, [[1000002, 0], [0, 1]], ["--cap-subspaces", "2000000"], 2,
+         "error: hypothesis violated: H irreducible"),
+        (7, [[0, 1], [6, 0]], ["--cap-subspaces", "7"], 3,
+         "error: subspace scan: 8 subspaces of dimension 1 exceed the cap of 7"),
+        (7, [[0, 1], [6, 0]], ["--cap-subspaces", "8"], 2,
+         "error: hypothesis violated: H primitive"),
     ],
-    ids=["default-cap", "raised-cap"],
+    ids=["default-cap", "raised-cap", "primitivity-at-cap", "primitivity-above-cap"],
 )
-def test_cap_subspaces_reaches_the_hypothesis_checks(tmp_path, capsys, command, cap,
-                                                     code, message):
-    # <diag(-1, 1)> over GF(1000003) is reducible; its certificate fails, and
-    # its 1000004 projective points may be spun only under the raised cap,
-    # where the first one (e_1) already spans an invariant line
-    p = 1000003
+def test_cap_subspaces_reaches_the_hypothesis_checks(tmp_path, capsys, command, p, generator,
+                                                     cap, code, message):
+    # <diag(-1, 1)> over GF(1000003) is reducible, and its commutant (the
+    # diagonal matrices, no field) says so under any cap.  <[[0, 1], [-1, 0]]>
+    # over GF(7) is irreducible, as x^2 + 1 is, and permutes the lines <e_1>
+    # and <e_2>; the scan for that system runs over the 8 lines of GF(7)^2,
+    # so only a cap of 8 lets it find H imprimitive
     files = {
         "{h}": write(tmp_path, "h.json", {"kind": "matrix", "p": p, "n": 2,
-                                          "generators": [[[p - 1, 0], [0, 1]]]}),
+                                          "generators": [generator]}),
         "{k}": write(tmp_path, "k.json", C2),
     }
     argv = [files.get(a, a) for a in command]

@@ -56,7 +56,7 @@ def commutator_oracle(elements, p):
     for a in elements:
         for b in elements:
             c = a.inv() * b.inv() * a * b
-            if not c.is_identity():
+            if not np.array_equal(c.a, np.eye(c.rows, dtype=np.int64)):
                 seen.setdefault(c.key, c)
     return list(seen.values())
 

@@ -138,16 +138,81 @@ def test_spin_matches_reference(gens, data):
     assert spin(g, v) == spin_reference(g, v)
 
 
-def companion_group(coefficients, p):
-    """The cyclic group of the companion matrix of x^n - sum c_i x^i, row action."""
+def companion_matrix(coefficients, p):
+    """The companion matrix of x^n - sum c_i x^i, for the row action."""
     n = len(coefficients)
     a = np.zeros((n, n), dtype=np.int64)
     a[np.arange(n - 1), np.arange(1, n)] = 1
     a[n - 1] = coefficients
-    return MatrixGroup([Matrix(a, p)])
+    return a % p
 
 
-@given(matrix_groups(max_n=4))
+def companion_group(coefficients, p):
+    """The cyclic group of the companion matrix of x^n - sum c_i x^i."""
+    return MatrixGroup([Matrix(companion_matrix(coefficients, p), p)])
+
+
+def is_irreducible_polynomial(coefficients, p):
+    """x^n - sum c_i x^i has no monic factor of degree 1..n/2 over GF(p), by
+    trial division; coefficients run from x^0 up."""
+    n = len(coefficients)
+    f = [-c % p for c in coefficients] + [1]
+    for d in range(1, n // 2 + 1):
+        for low in itertools.product(range(p), repeat=d):
+            rest, factor = list(f), [*low, 1]
+            for shift in range(n - d, -1, -1):
+                lead = rest[shift + d]
+                for i, c in enumerate(factor):
+                    rest[shift + i] = (rest[shift + i] - lead * c) % p
+            if not any(rest):
+                return False
+    return True
+
+
+@st.composite
+def irreducible_companions(draw, max_n=4):
+    """(A, p): the companion matrix of an irreducible polynomial of degree
+    1..max_n over GF(p).  For degree >= 2 its group is irreducible but not
+    absolutely irreducible: the commutant is GF(p^n)."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    n = draw(st.integers(1, max_n))
+    coefficients = draw(st.tuples(st.integers(1, p - 1),
+                                  *[st.integers(0, p - 1)] * (n - 1))
+                        .filter(lambda c: is_irreducible_polynomial(c, p)))
+    return companion_matrix(coefficients, p), p
+
+
+@st.composite
+def constructed_groups(draw):
+    """Generators of four families the random strategy rarely meets:
+    - a power of an irreducible companion matrix, a subgroup of a Singer
+      cycle, often irreducible but not absolutely irreducible;
+    - U + ... + U, k >= 2 copies of one irreducible companion block A on
+      the diagonal;
+    - a uniserial group: k >= 2 copies of one irreducible companion block A
+      on the diagonal, identities just above it, [[A, I], [0, A]] for k = 2;
+    - a random group with a trivial summand, diag(g, I).
+    Every group has degree at most 4."""
+    family = draw(st.sampled_from(["singer", "repeated", "uniserial", "trivial-summand"]))
+    if family == "trivial-summand":
+        g = MatrixGroup(draw(matrix_groups(max_n=3)))
+        trivial = MatrixGroup([Matrix.identity(draw(st.integers(1, 4 - g.n)), g.p)])
+        return list(block_diagonal_product([g, trivial])[0].gens)
+    a, p = draw(irreducible_companions(max_n=4 if family == "singer" else 2))
+    d = len(a)
+    if family == "singer":
+        power = np.eye(d, dtype=np.int64)
+        for _ in range(draw(st.integers(1, p ** d - 1))):
+            power = power @ a % p
+        return [Matrix(power, p)]
+    k = draw(st.integers(2, 4 // d))
+    m = np.kron(np.eye(k, dtype=np.int64), a)
+    if family == "uniserial":
+        m += np.kron(np.eye(k, k=1, dtype=np.int64), np.eye(d, dtype=np.int64))
+    return [Matrix(m, p)]
+
+
+@given(st.one_of(matrix_groups(max_n=4), constructed_groups()))
 def test_irreducible_matches_spin_oracle(gens):
     g = MatrixGroup(gens)
     assert is_irreducible(g) == spin_oracle(g)
@@ -177,16 +242,28 @@ def test_block_triangular_groups_are_reducible(factor_gens, data):
         (companion_group([2, 0], 3), True),  # x^2 + 1 over GF(3)
         (companion_group([1, 1, 0], 3), True),  # x^3 - x - 1 over GF(3)
         (diag_group(), False),
+        (MatrixGroup([Matrix([[1, 1], [0, 1]], 3)]), False),
+        # order 72, with one invariant subspace, of dimension 2
+        (MatrixGroup([Matrix([[0, 0, 1, 1], [2, 2, 1, 2], [2, 2, 0, 0], [2, 1, 2, 2]], 3),
+                      Matrix([[0, 2, 1, 0], [1, 1, 2, 2], [0, 1, 2, 2], [1, 0, 1, 0]], 3)]),
+         False),
     ],
-    ids=["x2+1", "x3-x-1", "diagonal"],
+    ids=["x2+1", "x3-x-1", "diagonal", "jordan-block", "noncommutative-commutant"],
 )
-def test_uncertified_groups_fall_back_to_the_spin(monkeypatch, g, irreducible):
+def test_uncertified_groups_are_decided_without_a_spin(monkeypatch, g, irreducible):
     # irreducible but not absolutely irreducible, or reducible: the
-    # enveloping algebra is smaller than M_n, so the points are spun
+    # enveloping algebra is smaller than M_n, and the commutant, of dimension
+    # n in each case, decides.  It is GF(p^n); or the diagonal matrices, no
+    # field, as x -> x^p fixes each one; or the polynomials in the Jordan
+    # block J, where (J - I)^p = 0; or, for the group of order 72, a
+    # local ring with 72 units that is not commutative.  The p-th powers of
+    # that ring's basis happen to be independent, so only the commutativity
+    # check rejects it.
     assert algebra_dimension(g) == g.n < g.n * g.n
+    assert hom_dimension(g.gens, g.gens, g.p) == g.n
     spins = count_calls(monkeypatch, spin)
     assert is_irreducible(g) is irreducible
-    assert spins
+    assert spins == []
 
 
 def test_algebra_products_do_not_overflow_for_large_moduli():
@@ -196,12 +273,15 @@ def test_algebra_products_do_not_overflow_for_large_moduli():
     assert (mul_mod(rows, rows.T, p) == 16).all()
 
 
-def test_spin_fallback_counts_against_the_subspace_cap():
-    with limits(subspaces=3):
-        with pytest.raises(PhaseCapExceeded,
-                           match="^irreducibility spin: 4 projective points exceed the cap of 3$"):
-            is_irreducible(companion_group([2, 0], 3))
-        # a certified group spins nothing, so the cap does not apply
+def test_uncertified_groups_are_decided_under_any_subspace_cap():
+    # the criterion loops over no subspaces, so the smallest cap does not
+    # stop it; a spin over the 4, 13 and 9 841 projective points would
+    singer = wreath_product(WreathSpec(companion_group([2, 1, 0], 3), symmetric_group(3)))
+    assert algebra_dimension(singer) == 27 < 81
+    with limits(subspaces=1):
+        assert is_irreducible(companion_group([2, 0], 3))
+        assert is_irreducible(companion_group([1, 1, 0], 3))
+        assert is_irreducible(singer)
         assert is_irreducible(general_linear_group(2, 3))
 
 
@@ -421,10 +501,16 @@ def test_restricted_group_lists_under_the_element_cap():
     # a subspace of GF(3)^1, and a numpy ValueError
     (lambda: spin(general_linear_group(2, 3), [1]), ShapeMismatch),
     (lambda: spin(general_linear_group(2, 3), [1, 0, 0]), ShapeMismatch),
+    # a ZeroDivisionError, and a character "into" Z/4
+    (lambda: Character(MatrixGroup([Matrix([[2]], 3)]), [1], 0), ValidationError),
+    (lambda: Character(MatrixGroup([Matrix([[2]], 3)]), [2], 4), ValidationError),
 ])
 def test_representation_functions_refuse_another_field_or_shape(call, error):
-    with pytest.raises(error):
+    # the exact class: an InconsistentCharacter over Z/4 is no answer about
+    # the modulus, though it is a ValidationError too
+    with pytest.raises(error) as caught:
         call()
+    assert caught.type is error
     assert issubclass(error, ValidationError)
 
 
