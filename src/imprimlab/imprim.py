@@ -32,9 +32,12 @@ ImprimitivitySystem alone validates a list of parts, and one part table
 (part_table: each part's image under each generator, as a part index or -1,
 from the same image_table) acts on it; is_system and the stabilizer
 criterion's transversal read it, and it refuses parts outside the group's
-space.  Nonrefinability is decided by brute force (no other enumerated
-system properly refines it) and by the stabilizer criterion (a part's
-setwise stabilizer acts irreducibly and primitively on it).
+space.  Nonrefinability is decided by brute force (no enumerated system
+with more parts refines it; a proper refinement always has more parts) and
+by the stabilizer criterion (a part's setwise stabilizer acts irreducibly
+and primitively on it).  On a part of rank 1 every group is irreducible and
+primitive, so a system of lines meets the criterion exactly when the group
+permutes its parts transitively, which its part table decides.
 """
 
 from __future__ import annotations
@@ -309,11 +312,23 @@ def is_refinement(delta: ImprimitivitySystem, gamma: ImprimitivitySystem) -> boo
 
 
 def nonrefinable(systems) -> list[ImprimitivitySystem]:
-    """The systems that no other system in the list properly refines."""
+    """The systems that no other system in the list properly refines, in
+    list order.
+
+    Only systems with more parts are compared (part-count lemma): if delta
+    refines gamma, each part of gamma is a sum of parts of delta, and no part
+    of delta lies in two parts of gamma, which meet only in 0; so delta has
+    at least as many parts as gamma, and as many only when delta = gamma.
+    Systems from different spaces raise AmbientMismatch, whatever their part
+    counts.
+    """
+    if len({(s.ambient, s.p) for s in systems}) > 1:
+        raise AmbientMismatch("systems live in different ambient spaces")
     return [
         gamma
         for gamma in systems
-        if not any(delta != gamma and is_refinement(delta, gamma) for delta in systems)
+        if not any(delta.component_count > gamma.component_count
+                   and is_refinement(delta, gamma) for delta in systems)
     ]
 
 
@@ -321,6 +336,20 @@ def nonrefinable_systems(g: MatrixGroup, *,
                          stats: dict | None = None) -> list[ImprimitivitySystem]:
     """Systems admitting no proper refinement among all enumerated systems."""
     return nonrefinable(all_systems(g, stats=stats))
+
+
+def _transitive_part_table(g: MatrixGroup, parts) -> np.ndarray:
+    """part_table of parts that g permutes transitively; raises
+    NotTransitiveOnParts when the list is empty, the generators map a part
+    outside it or it holds several orbits."""
+    if not len(parts):
+        raise NotTransitiveOnParts("there are no parts to permute")
+    table = part_table(g, parts)
+    if (table < 0).any():
+        raise NotTransitiveOnParts("the group does not permute the parts")
+    if orbit_labels(table).any():
+        raise NotTransitiveOnParts("the parts fall into several orbits")
+    return table
 
 
 def part_stabilizer_elements(g: MatrixGroup, parts) -> np.ndarray:
@@ -336,13 +365,7 @@ def part_stabilizer_elements(g: MatrixGroup, parts) -> np.ndarray:
     in one batched product and kept once each, parts in breadth-first order
     and generators within a part, the identity only if nothing else is left.
     """
-    if not len(parts):
-        raise NotTransitiveOnParts("there are no parts to permute")
-    table = part_table(g, parts)
-    if (table < 0).any():
-        raise NotTransitiveOnParts("the group does not permute the parts")
-    if orbit_labels(table).any():
-        raise NotTransitiveOnParts("the parts fall into several orbits")
+    table = _transitive_part_table(g, parts)
     p, n, eye = g.p, g.n, np.eye(g.n, dtype=np.int64)
     gens = g._generator_stack
     trans, trans_inv = np.tile(eye, (2, len(parts), 1, 1))
@@ -365,10 +388,15 @@ def nonrefinable_via_stabilizer(g: MatrixGroup, gamma: ImprimitivitySystem) -> b
 
     Requires the group to permute the parts transitively; rejects systems
     with several part orbits rather than guessing a convention for them.
-    The stabilizer enters through its Schreier generators only; the
-    restriction to the part and the primitivity test both work from
+    Any group on a part of rank 1 is irreducible and primitive, so a system
+    of lines is decided by that transitivity alone, read off its part table.
+    Otherwise the stabilizer enters through its Schreier generators only;
+    the restriction to the part and the primitivity test both work from
     generators.
     """
+    if gamma.parts[0].rank == 1:
+        _transitive_part_table(g, gamma.parts)
+        return True
     stab = part_stabilizer_elements(g, gamma.parts)
     return is_primitive_linear(restrict_to_block(stab, gamma.parts[0]))
 

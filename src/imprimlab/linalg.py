@@ -260,7 +260,7 @@ class Subspace:
     def key(self):
         # computed lazily: enumeration scans build many short-lived subspaces
         if self._key is None:
-            self._key = (self.rank,) + tuple(int(x) for x in self.basis.ravel())
+            self._key = (self.rank, *self.basis.ravel().tolist())
         return self._key
 
     def __hash__(self):
@@ -458,7 +458,7 @@ def subspace_array(n: int, d: int, p: int) -> np.ndarray:
 def echelon_subspace(rows: np.ndarray, p: int) -> Subspace:
     """The Subspace whose RREF basis is rows (one entry of subspace_array)."""
     basis = rows.astype(np.int64)
-    pivots = tuple(int(j) for j in (basis != 0).argmax(axis=1))
+    pivots = tuple((basis != 0).argmax(axis=1).tolist())
     return Subspace(basis, pivots, p, basis.shape[1])
 
 

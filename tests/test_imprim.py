@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given
 
 from imprimlab.errors import (
     AmbientMismatch,
@@ -22,6 +23,7 @@ from imprimlab.imprim import (
     all_systems,
     coordinate_system,
     image_table,
+    is_primitive_linear,
     is_refinement,
     is_system,
     nonrefinable,
@@ -32,7 +34,8 @@ from imprimlab.imprim import (
     subspace_orbit,
 )
 from imprimlab.linalg import Matrix, Subspace
-from imprimlab.reprs import invariant_subspaces
+from imprimlab.reprs import Character, induced_module, invariant_subspaces, restrict_to_block
+from imprimlab.verify import regression_theorem_instances
 from imprimlab.wreath import WreathSpec, wreath_product
 
 from conftest import (
@@ -40,6 +43,7 @@ from conftest import (
     block_diagonal_product,
     count_calls,
     fixed_by,
+    matrix_groups,
     perm,
     sign_group,
     subspace_sum,
@@ -264,6 +268,87 @@ def test_nonrefinable_keeps_unrefined_systems_in_order():
     assert nonrefinable([planes, skew, lines]) == [skew, lines]
     assert nonrefinable([planes]) == [planes]
     assert nonrefinable([]) == []
+
+
+def test_nonrefinable_refuses_systems_from_different_spaces():
+    # equal part counts, so no pair of them is ever compared
+    for other in (coordinate_system(2, 1, 5), coordinate_system(4, 2, 3)):
+        with pytest.raises(AmbientMismatch):
+            nonrefinable([coordinate_system(2, 1, 3), other])
+
+
+def all_pairs_nonrefinable(systems):
+    """nonrefinable as it compared every ordered pair of distinct systems."""
+    return [
+        gamma
+        for gamma in systems
+        if not any(delta != gamma and is_refinement(delta, gamma) for delta in systems)
+    ]
+
+
+def schreier_criterion(g, parts):
+    """The stabilizer criterion by restriction to parts[0], at every rank."""
+    return is_primitive_linear(restrict_to_block(part_stabilizer_elements(g, parts), parts[0]))
+
+
+def outcome(call, *args):
+    """The value of call(*args), or the type and message of its error."""
+    try:
+        return call(*args)
+    except ValidationError as exc:
+        return type(exc), str(exc)
+
+
+def check_nonrefinability_against_the_old_routes(g):
+    systems = all_systems(g)
+    assert nonrefinable(systems) == all_pairs_nonrefinable(systems)
+    for delta, gamma in itertools.product(systems, repeat=2):
+        assert ((delta.component_count > gamma.component_count and is_refinement(delta, gamma))
+                == (delta != gamma and is_refinement(delta, gamma)))
+    # the scan's line systems, and coordinate lines the group may not permute
+    # or that live over another field
+    lines = [s for s in systems if s.component_dim == 1]
+    if g.n > 1:
+        lines += [coordinate_system(g.n, 1, q) for q in (g.p, 3 if g.p != 3 else 5)]
+    for system in lines:
+        assert (outcome(nonrefinable_via_stabilizer, g, system)
+                == outcome(schreier_criterion, g, list(system.parts)))
+
+
+@given(matrix_groups(max_n=4))
+def test_nonrefinability_matches_the_old_routes(gens):
+    check_nonrefinability_against_the_old_routes(MatrixGroup(gens))
+
+
+def example21_image(q):
+    dihedral = MatrixGroup([Matrix([[1, 0], [0, -1]], 3), Matrix([[-1, 1], [0, -1]], 3)])
+    return induced_module(general_linear_group(2, 3), dihedral,
+                          Character(dihedral, [1, q - 1], q)).group
+
+
+@pytest.mark.parametrize("name", ["sign-wr-klein-p5", "sign-wr-c4-p5", "example21-q7"])
+def test_nonrefinability_matches_the_old_routes_on_regression_groups(name):
+    specs = dict(regression_theorem_instances())
+    g = example21_image(7) if name == "example21-q7" else wreath_product(specs[name])
+    check_nonrefinability_against_the_old_routes(g)
+
+
+def test_the_schreier_route_still_decides_both_ways(monkeypatch):
+    # criteria_agreement is not vacuous on systems of planes: the stabilizer
+    # criterion restricts to a part there and answers True and False
+    specs = dict(regression_theorem_instances())
+    schreier = count_calls(monkeypatch, part_stabilizer_elements)
+    gl = wreath_product(specs["gl23-wr-c2-p3"])
+    planes = coordinate_system(4, 2, 3)
+    assert planes in all_systems(gl)
+    assert nonrefinable_via_stabilizer(gl, planes)
+    c4 = wreath_product(specs["sign-wr-c4-p3"])
+    pairs = ImprimitivitySystem(
+        [Subspace.span([basis_row(i, 4), basis_row(i + 2, 4)], 4, 3) for i in (0, 1)]
+    )
+    assert pairs in all_systems(c4)
+    assert not nonrefinable_via_stabilizer(c4, pairs)
+    assert len(schreier) == 2
 
 
 def test_nonrefinable_via_stabilizer_examples():
