@@ -573,6 +573,14 @@ class _ElementArray:
         rows, valid = self._rows(stack)
         return valid & self.chain.sifts(self._matrices(rows))
 
+    def is_subgroup_of(self, other: "_ElementArray") -> bool:
+        """True iff other acts on the same space, with the same modulus and
+        element shape, and holds every generator of self."""
+        if (self._modulus != other._modulus
+                or self._generator_stack.shape[1:] != other._generator_stack.shape[1:]):
+            return False
+        return bool(other.member_mask(self._generator_stack).all())
+
 
 class MatrixGroup(_ElementArray):
     """A subgroup of GL_n(p) given by invertible generators.
@@ -662,12 +670,6 @@ class MatrixGroup(_ElementArray):
             raise ValidationError("element has the wrong modulus or degree")
         return bool(self.member_mask(m.a[None])[0])
 
-    def is_subgroup_of(self, other: "MatrixGroup") -> bool:
-        """True iff every generator of self lies in other's element set."""
-        if self.p != other.p or self.n != other.n:
-            return False
-        return bool(other.member_mask(self._generator_stack).all())
-
     def derived_subgroup(self) -> "MatrixGroup":
         """[G, G] as the normal closure of the generators' commutators.
 
@@ -754,21 +756,20 @@ def primitive_root(p: int) -> int:
 
 
 def general_linear_group(n: int, p: int) -> MatrixGroup:
-    """GL_n(p) from a diagonal unit, a coordinate cycle, and a transvection."""
+    """GL_n(p) from a diagonal unit, a coordinate cycle, and a transvection,
+    each with its inverse in closed form: diag(zeta^(p-2), 1, ...), the
+    cycle's transpose, and the transvection with p - 1 for its 1."""
     if n < 1:
         raise ValidationError(f"degree {n} must be positive")
     zeta = primitive_root(p)
-    diag = np.eye(n, dtype=np.int64)
-    diag[0, 0] = zeta
-    gens = [Matrix(diag, p)]
+    gens = np.tile(np.eye(n, dtype=np.int64), (3 if n > 1 else 1, 1, 1))
+    inverses = gens.copy()
+    gens[0, 0, 0], inverses[0, 0, 0] = zeta, pow(zeta, p - 2, p)
     if n > 1:
-        cycle = np.zeros((n, n), dtype=np.int64)
-        for i in range(n):
-            cycle[i, (i + 1) % n] = 1
-        trans = np.eye(n, dtype=np.int64)
-        trans[0, 1] = 1
-        gens += [Matrix(cycle, p), Matrix(trans, p)]
-    return MatrixGroup(gens)
+        gens[1] = np.roll(gens[1], 1, axis=1)
+        inverses[1] = gens[1].T
+        gens[2, 0, 1], inverses[2, 0, 1] = 1, p - 1
+    return MatrixGroup.from_stacks(gens, inverses, p)
 
 
 class Permutation:
@@ -875,11 +876,6 @@ class PermGroup(_ElementArray):
 
     def contains(self, perm: Permutation) -> bool:
         return perm.degree == self.degree and bool(self.member_mask([perm.images])[0])
-
-    def is_subgroup_of(self, other: "PermGroup") -> bool:
-        if self.degree != other.degree:
-            return False
-        return bool(other.member_mask(self._generator_stack).all())
 
     def is_transitive(self) -> bool:
         return not orbit_labels(self._generator_stack).any()

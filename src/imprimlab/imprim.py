@@ -34,8 +34,9 @@ from the same image_table) acts on it; is_system and the stabilizer
 criterion's transversal read it, and it refuses parts outside the group's
 space.  Nonrefinability is decided by brute force (no enumerated system
 with more parts refines it; a proper refinement always has more parts) and
-by the stabilizer criterion (a part's setwise stabilizer acts irreducibly
-and primitively on it).  On a part of rank 1 every group is irreducible and
+by the stabilizer criterion (a part's setwise stabilizer, a group of
+Schreier generators formed with their inverses, acts irreducibly and
+primitively on it).  On a part of rank 1 every group is irreducible and
 primitive, so a system of lines meets the criterion exactly when the group
 permutes its parts transitively, which its part table decides.
 """
@@ -332,10 +333,9 @@ def nonrefinable(systems) -> list[ImprimitivitySystem]:
     ]
 
 
-def nonrefinable_systems(g: MatrixGroup, *,
-                         stats: dict | None = None) -> list[ImprimitivitySystem]:
+def nonrefinable_systems(g: MatrixGroup) -> list[ImprimitivitySystem]:
     """Systems admitting no proper refinement among all enumerated systems."""
-    return nonrefinable(all_systems(g, stats=stats))
+    return nonrefinable(all_systems(g))
 
 
 def _transitive_part_table(g: MatrixGroup, parts) -> np.ndarray:
@@ -352,22 +352,23 @@ def _transitive_part_table(g: MatrixGroup, parts) -> np.ndarray:
     return table
 
 
-def part_stabilizer_elements(g: MatrixGroup, parts) -> np.ndarray:
-    """Generators of the stabilizer of parts[0] in g, as one (s, n, n) stack.
+def part_stabilizer_elements(g: MatrixGroup, parts) -> MatrixGroup:
+    """The stabilizer of parts[0] in g, as a group of Schreier generators.
 
     parts is the whole orbit of parts[0], in any order; NotTransitiveOnParts
     is raised when the list is empty, the generators map a part outside it
-    or it holds several orbits.  Not the stabilizer's elements: its Schreier
-    generators, at most |parts| * |gens| of them whatever |G| is.  Each part
-    x is reached along the part table by a transversal element u_x that maps
-    parts[0] to it; the products u_x s u_(x s)^-1, over every part x and
-    generator s, generate the stabilizer (Schreier's lemma).  They are formed
-    in one batched product and kept once each, parts in breadth-first order
-    and generators within a part, the identity only if nothing else is left.
+    or it holds several orbits.  The group has at most |parts| * |gens|
+    generators whatever |G| is.  Each part x is reached along the part table
+    by a transversal element u_x that maps parts[0] to it; the products
+    u_x s u_(x s)^-1, over every part x and generator s, generate the
+    stabilizer (Schreier's lemma).  They and their inverses
+    u_(x s) s^-1 u_x^-1 are formed in one batched product, so nothing is
+    inverted, and kept once each, parts in breadth-first order and
+    generators within a part, the identity only if nothing else is left.
     """
     table = _transitive_part_table(g, parts)
     p, n, eye = g.p, g.n, np.eye(g.n, dtype=np.int64)
-    gens = g._generator_stack
+    gens, gens_inv = g._generator_stack, g.inverse_stack
     trans, trans_inv = np.tile(eye, (2, len(parts), 1, 1))
     reached = [0]
     for x in reached:
@@ -375,12 +376,14 @@ def part_stabilizer_elements(g: MatrixGroup, parts) -> np.ndarray:
             if y not in reached:
                 reached.append(y)
                 trans[y] = trans[x] @ gens[s] % p
-                trans_inv[y] = g.inverse_stack[s] @ trans_inv[x] % p
-    products = trans[reached, None] @ gens % p @ trans_inv[table.T[reached]] % p
-    stack = products.reshape(-1, n, n)
+                trans_inv[y] = gens_inv[s] @ trans_inv[x] % p
+    ends = np.stack(np.broadcast_arrays(np.array(reached)[:, None], table.T[reached]))
+    words = trans[ends] @ np.stack([gens, gens_inv])[:, None] % p @ trans_inv[ends[::-1]] % p
+    stack, inverses = words.reshape(2, -1, n, n)
     moving = (stack != eye).any(axis=(1, 2))
-    stack = stack[moving] if moving.any() else stack[:1]
-    return stack[first_occurrences(stack, p)]
+    keep = np.flatnonzero(moving) if moving.any() else np.arange(1)
+    keep = keep[first_occurrences(stack[keep], p)]
+    return MatrixGroup.from_stacks(stack[keep], inverses[keep], p)
 
 
 def nonrefinable_via_stabilizer(g: MatrixGroup, gamma: ImprimitivitySystem) -> bool:
@@ -390,9 +393,9 @@ def nonrefinable_via_stabilizer(g: MatrixGroup, gamma: ImprimitivitySystem) -> b
     with several part orbits rather than guessing a convention for them.
     Any group on a part of rank 1 is irreducible and primitive, so a system
     of lines is decided by that transitivity alone, read off its part table.
-    Otherwise the stabilizer enters through its Schreier generators only;
-    the restriction to the part and the primitivity test both work from
-    generators.
+    Otherwise the stabilizer enters through its Schreier generators and
+    their inverses only; the restriction to the part and the primitivity
+    test both work from those stacks.
     """
     if gamma.parts[0].rank == 1:
         _transitive_part_table(g, gamma.parts)

@@ -448,23 +448,17 @@ class SubspaceLayout:
 subspace_layout = functools.lru_cache(maxsize=64)(SubspaceLayout)
 
 
-def subspace_array(n: int, d: int, p: int) -> np.ndarray:
-    """Every d-dimensional subspace of GF(p)^n as an (N, d, n) RREF stack, in
-    subspace_layout order; entries in entry_dtype(p) keep large scans small."""
-    layout = subspace_layout(n, d, p)
-    return layout.unrank(np.arange(layout.offsets[-1]))
-
-
 def echelon_subspace(rows: np.ndarray, p: int) -> Subspace:
-    """The Subspace whose RREF basis is rows (one entry of subspace_array)."""
+    """The Subspace whose RREF basis is rows (one unranked layout entry)."""
     basis = rows.astype(np.int64)
     pivots = tuple((basis != 0).argmax(axis=1).tolist())
     return Subspace(basis, pivots, p, basis.shape[1])
 
 
 def all_subspaces(n: int, d: int, p: int):
-    """Yield every d-dimensional subspace of GF(p)^n in subspace_array order."""
-    for rows in subspace_array(n, d, p):
+    """Yield every d-dimensional subspace of GF(p)^n in subspace_layout order."""
+    layout = subspace_layout(n, d, p)
+    for rows in layout.unrank(np.arange(layout.offsets[-1])):
         yield echelon_subspace(rows, p)
 
 

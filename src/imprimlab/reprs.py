@@ -16,6 +16,11 @@ Induced modules are built from a linear character of a subgroup via an
 explicit coset table; the images are monomial matrices over the (possibly
 different) target field, formed for whole stacks of ambient elements at
 once.
+
+Every function takes MatrixGroups and reads the field, the degree and the
+generator stacks from them.  Restrictions (restrict_to_block) and induced
+images (InducedRep.image_group) map the generator and inverse stacks
+together, so they invert nothing and keep generators matched.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from .errors import (
     check_cap,
     current_limits,
 )
-from .groups import MatrixGroup, first_occurrences
+from .groups import MatrixGroup
 from .linalg import (
     Matrix,
     Subspace,
@@ -132,18 +137,6 @@ def is_irreducible(g: MatrixGroup) -> bool:
             and rref(frobenius - np.eye(e, dtype=np.int64), p)[1] == e - 1)
 
 
-def _matrix_stack(gens, n: int, p: int) -> np.ndarray:
-    """Matrix generators over GF(p) as an (m, n, n) int64 stack; ModulusMismatch
-    or ShapeMismatch for one over another field or not n x n."""
-    gens = list(gens)
-    for g in gens:
-        if g.p != p:
-            raise ModulusMismatch(f"a generator over GF({g.p}) is not over GF({p})")
-        if g.a.shape != (n, n):
-            raise ShapeMismatch(f"a {g.rows} x {g.cols} generator is not {n} x {n}")
-    return np.array([g.a for g in gens], dtype=np.int64).reshape(len(gens), n, n)
-
-
 def _intertwiners(a: np.ndarray, b: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     """The matrices X with a_i @ X = X @ b_i for the matched (m, na, na) and
     (m, nb, nb) stacks, as (basis, columns): a kernel basis of the stacked
@@ -164,20 +157,20 @@ def _intertwiners(a: np.ndarray, b: np.ndarray, p: int) -> tuple[np.ndarray, np.
     return basis, columns
 
 
-def hom_dimension(gens_a, gens_b, p: int) -> int:
+def hom_dimension(a: MatrixGroup, b: MatrixGroup) -> int:
     """Dimension of the space of matrices intertwining two matched actions.
 
-    The generator lists describe the same abstract generators in two
-    representations over GF(p); counts X with a_i @ X = X @ b_i for every
-    i, via the kernel of the stacked row-major linear system.  Raises
-    LengthMismatch unless the lists are nonempty and matched.
+    The groups' generator stacks describe the same abstract generators in
+    two representations over one field; counts X with a_i @ X = X @ b_i for
+    every i, via the kernel of the stacked row-major linear system.  Raises
+    ModulusMismatch for groups over different fields and LengthMismatch
+    unless the stacks hold as many generators.
     """
-    gens_a, gens_b = list(gens_a), list(gens_b)
-    if len(gens_a) != len(gens_b) or not gens_a:
-        raise LengthMismatch("generator lists must be nonempty and matched")
-    a = _matrix_stack(gens_a, gens_a[0].rows, p)
-    b = _matrix_stack(gens_b, gens_b[0].rows, p)
-    return len(_intertwiners(a, b, p)[0])
+    if a.p != b.p:
+        raise ModulusMismatch(f"groups over GF({a.p}) and GF({b.p}) do not intertwine")
+    if len(a._generator_stack) != len(b._generator_stack):
+        raise LengthMismatch("the groups' generators must be matched")
+    return len(_intertwiners(a._generator_stack, b._generator_stack, a.p)[0])
 
 
 class Character:
@@ -250,10 +243,9 @@ class InducedRep:
     Every ambient element u is recorded with its coset j and the index in
     H's element array of the h with u = h t_j, so the entry of image(x) in
     row i is the character's value at the h of t_i x.  image(x) is defined
-    for every element of the ambient group.  The images of the generator and
-    inverse stacks form a MatrixGroup.from_stacks, so no image is inverted;
-    the image group is a homomorphic image of the source, so |source| bounds
-    its order.
+    for every element of the ambient group.  The image of any subgroup,
+    the source's own image group among them, is formed from its generator
+    and inverse stacks (image_group).
     """
 
     def __init__(self, source: MatrixGroup, subgroup: MatrixGroup, character: Character):
@@ -270,10 +262,19 @@ class InducedRep:
         self.modulus = character.modulus
         self._reps, self._coset, self._inner = self._coset_table()
         self.degree = len(self._reps)
-        images = self._images(source._generator_stack)
-        self._check_homomorphism(images)
-        self.group = MatrixGroup.from_stacks(images, self._images(source.inverse_stack),
-                                             self.modulus, order_bound=lambda: source.order)
+        self.group = self.image_group(source)
+        self._check_homomorphism()
+
+    def image_group(self, h: MatrixGroup) -> MatrixGroup:
+        """The image of a subgroup h of the source: the images of h's
+        generator and inverse stacks make it by MatrixGroup.from_stacks, so
+        no image is inverted, and |h| bounds its order.  NotASubgroup for a
+        group over another space, ValidationError for a generator outside
+        the source."""
+        if h.p != self.source.p or h.n != self.source.n:
+            raise NotASubgroup("the group lives in a different ambient group")
+        return MatrixGroup.from_stacks(self._images(h._generator_stack), self._images(h.inverse_stack),
+                                       self.modulus, order_bound=lambda: h.order)
 
     def _coset_table(self):
         """(reps, coset, inner): the representatives as an (m, n, n) stack,
@@ -311,10 +312,11 @@ class InducedRep:
         out[element, np.arange(self.degree), self._coset[u]] = self.character._table[self._inner[u]]
         return out
 
-    def _check_homomorphism(self, images: np.ndarray):
+    def _check_homomorphism(self):
         """image(a) image(b) = image(a b) for every pair of generators, all
         pairs in one batched product."""
         gens, p = self.source._generator_stack.astype(np.int64), self.source.p
+        images = self.group._generator_stack.astype(np.int64)
         expected = self._images((gens[:, None] @ gens % p).reshape(-1, *gens.shape[1:]))
         found = mul_mod(images[:, None], images, self.modulus).reshape(expected.shape)
         if not np.array_equal(found, expected):
@@ -326,36 +328,29 @@ def induced_module(source: MatrixGroup, subgroup: MatrixGroup,
     return InducedRep(source, subgroup, character)
 
 
-def restrict_matrix(g: Matrix, w: Subspace) -> Matrix:
-    """The action of one stabilizing matrix over w's space on w, in w's echelon coordinates."""
-    images = w.basis @ _matrix_stack([g], w.ambient, w.p)[0] % w.p
-    if not w.contains_rows(images):
-        raise NotStabilized("the matrix moves the subspace")
-    # RREF coordinates of a member are its pivot-column entries
-    return Matrix(images[:, list(w.pivots)], w.p)
+def restrict_to_block(g: MatrixGroup, w: Subspace) -> MatrixGroup:
+    """The action of a group that stabilizes w on w, as a rank(w)-degree group.
 
-
-def restrict_to_block(stab_gens, w: Subspace) -> MatrixGroup:
-    """Action of stabilizing matrices on w, as a rank(w)-degree group.
-
-    stab_gens is an (s, n, n) stack or a list of Matrix over w's space.  The
-    restrictions are the pivot-column coordinates of the images of w's basis,
-    taken for all matrices at once and kept once each, in first-occurrence order.
+    A matrix's restriction is the pivot-column coordinates of the images of
+    w's basis; both stacks are restricted, in generator order, and make the
+    group by MatrixGroup.from_stacks.  ModulusMismatch or ShapeMismatch for
+    a subspace of another field or space, NotStabilized when a generator
+    moves w.
     """
-    if not isinstance(stab_gens, np.ndarray):
-        stab_gens = _matrix_stack(stab_gens, w.ambient, w.p)
-    elif stab_gens.shape[1:] != (w.ambient, w.ambient):
-        raise ShapeMismatch(f"a stack of shape {stab_gens.shape} does not act on GF(p)^{w.ambient}")
-    images = mul_mod(w.basis, stab_gens, w.p)
-    if not w.contains_rows(images):
-        raise NotStabilized("a matrix moves the subspace")
-    coords = images[:, :, list(w.pivots)]
-    return MatrixGroup([Matrix(c, w.p) for c in coords[first_occurrences(coords, w.p)]])
+    if g.p != w.p:
+        raise ModulusMismatch(f"a group over GF({g.p}) does not act on a subspace over GF({w.p})")
+    if g.n != w.ambient:
+        raise ShapeMismatch(f"a group of degree {g.n} does not act on GF({w.p})^{w.ambient}")
+    images = mul_mod(w.basis, np.stack([g._generator_stack, g.inverse_stack]), w.p)
+    if not w.contains_rows(images[0]):
+        raise NotStabilized("a generator moves the subspace")
+    gens, inverses = images[..., list(w.pivots)]
+    return MatrixGroup.from_stacks(gens, inverses, w.p)
 
 
-def invariant_subspaces(gens, n: int, p: int, dims=None) -> list[Subspace]:
-    """All proper nonzero invariant subspaces of n x n Matrix generators
-    over GF(p), by exhaustive scan.
+def invariant_subspaces(g: MatrixGroup, dims=None) -> list[Subspace]:
+    """All proper nonzero subspaces of GF(p)^n that g maps into themselves,
+    by exhaustive scan.
 
     dims restricts the scan to some of the dimensions 1..n-1 (all by default).
     Each dimension is scanned by linalg.invariant_indices, one generator at
@@ -363,11 +358,9 @@ def invariant_subspaces(gens, n: int, p: int, dims=None) -> list[Subspace]:
     layout, each later one tests only the subspaces the earlier ones left
     invariant (among), and only the survivors of all are unranked.  A
     dimension with more subspaces than the subspace cap raises
-    PhaseCapExceeded ("subspace scan") before anything is allocated.  A
-    modulus that is not a prime below 2^31 raises ValidationError, with or
-    without generators.
+    PhaseCapExceeded ("subspace scan") before anything is allocated.
     """
-    gens = _matrix_stack(gens, n, _check_modulus(p))
+    n, p = g.n, g.p
     dims = range(1, n) if dims is None else list(dims)
     if not all(0 < d < n for d in dims):
         raise ValidationError(f"dims {list(dims)} are not all in 1..{n - 1}")
@@ -376,8 +369,8 @@ def invariant_subspaces(gens, n: int, p: int, dims=None) -> list[Subspace]:
         check_cap("subspace scan", gaussian_binomial(n, d, p), f"subspaces of dimension {d}",
                   current_limits().subspaces)
         layout = subspace_layout(n, d, p)
-        kept = np.arange(layout.offsets[-1]) if not len(gens) else None
-        for a in gens:
+        kept = None
+        for a in g._generator_stack:
             kept = invariant_indices(layout, a, kept)
         found.extend(echelon_subspace(rows, p) for rows in layout.unrank(kept))
     return found

@@ -42,7 +42,7 @@ from .reprs import (
     induced_module,
     invariant_subspaces,
     is_irreducible,
-    restrict_matrix,
+    restrict_to_block,
 )
 from .wreath import WreathSpec, check_hypotheses, wreath_product
 
@@ -248,27 +248,24 @@ def induced_example_report(q: int) -> VerificationReport:
     # restriction to the index-2 subgroup of the source
     special = _special_linear_2_3()
     claims.append(Claim("index_two_subgroup", 2, ambient.order // special.order))
-    restricted_gens = [rep.image(g) for g in special.gens]
-    inv_planes = invariant_subspaces(restricted_gens, rep.degree, q, dims=[2])
+    restricted = rep.image_group(special)
+    inv_planes = invariant_subspaces(restricted, dims=[2])
     claims.append(Claim("restriction_invariant_planes", 2, len(inv_planes)))
     splits = len(inv_planes) == 2 and direct_sum_check(inv_planes)
     claims.append(Claim("restriction_splits", True, splits))
     if splits:
-        w1, w2 = inv_planes
-        rest1 = [restrict_matrix(m, w1) for m in restricted_gens]
-        rest2 = [restrict_matrix(m, w2) for m in restricted_gens]
+        rest1, rest2 = (restrict_to_block(restricted, w) for w in inv_planes)
         claims.append(
             Claim("restriction_summands_irreducible", True,
-                  is_irreducible(MatrixGroup(rest1))
-                  and is_irreducible(MatrixGroup(rest2)))
+                  is_irreducible(rest1) and is_irreducible(rest2))
         )
         claims.append(
             Claim("summands_nonisomorphic_hom_dim", 0,
-                  hom_dimension(rest1, rest2, q))
+                  hom_dimension(rest1, rest2))
         )
         claims.append(
             Claim("splitting_field_endomorphism_dim", 1,
-                  hom_dimension(rest1, rest1, q))
+                  hom_dimension(rest1, rest1))
         )
     report = VerificationReport(
         scenario="induced-example", instance=instance, claims=claims, stats=stats

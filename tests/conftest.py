@@ -11,7 +11,7 @@ from imprimlab import Matrix, MatrixGroup, PermGroup, Permutation, Subspace
 from imprimlab.descriptions import parse_group
 from imprimlab.errors import ShapeMismatch
 from imprimlab.groups import general_linear_group, primitive_root
-from imprimlab.linalg import mul_mod, rref
+from imprimlab.linalg import mul_mod, rref, subspace_layout
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -91,6 +91,22 @@ def fixed_space(g):
     # v @ (g - I) = 0  <=>  (g - I)^T @ v^T = 0
     rows = nullspace_rows(delta.T, g.p)
     return Subspace.span(rows, n, g.p)
+
+
+def subspace_array(n, d, p):
+    """Every d-dimensional subspace of GF(p)^n as an (N, d, n) RREF stack, in
+    subspace_layout order: the unranking of every index."""
+    layout = subspace_layout(n, d, p)
+    return layout.unrank(np.arange(layout.offsets[-1]))
+
+
+def restricted_matrix(a, w):
+    """The action on the Subspace w of one (n, n) array a that maps w into
+    itself, as a Matrix in w's echelon coordinates: the pivot-column entries
+    of the images of w's basis."""
+    images = w.basis @ np.asarray(a, dtype=np.int64) % w.p
+    assert w.contains_rows(images)
+    return Matrix(images[:, list(w.pivots)], w.p)
 
 
 def fixed_by(w, stack):

@@ -162,7 +162,7 @@ def test_criterion_5_submodule_and_part_count_bounds():
                 for extra in combo[1:]:
                     total = subspace_sum(total, extra)
                 expected.add(total.key)
-        found = {s.key for s in invariant_subspaces(group.gens, n, p)}
+        found = {s.key for s in invariant_subspaces(group)}
         ok = ok and found == expected
         ok = ok and is_system(group, summands)
         for system in all_systems(group):

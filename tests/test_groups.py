@@ -125,6 +125,21 @@ def test_is_subgroup():
     assert gl23.is_subgroup_of(gl23)
     assert monomial.is_subgroup_of(gl23)
     assert not gl23.is_subgroup_of(monomial)
+    # a group over another space is no subgroup, whatever its generators
+    assert not general_linear_group(2, 5).is_subgroup_of(gl23)
+    assert not MatrixGroup([Matrix.identity(3, 3)]).is_subgroup_of(gl23)
+    assert not symmetric_group(3).is_subgroup_of(symmetric_group(4))
+    assert not symmetric_group(2).is_subgroup_of(gl23)
+    assert not gl23.is_subgroup_of(symmetric_group(2))
+
+
+def test_general_linear_group_builds_and_inverts_no_matrix(monkeypatch):
+    # every generator's inverse is known in closed form
+    built = count_calls(monkeypatch, Matrix.__init__)
+    inversions = count_calls(monkeypatch, Matrix.inv)
+    for n, p in ((1, 2), (1, 7), (2, 2), (2, 3), (3, 5), (2, 13)):
+        assert general_linear_group(n, p).order == general_linear_order(n, p)
+    assert built == [] and inversions == []
 
 
 def test_derived_series_and_solvability():

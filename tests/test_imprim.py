@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from imprimlab.errors import (
     AmbientMismatch,
@@ -15,6 +16,7 @@ from imprimlab.groups import (
     MatrixGroup,
     PermGroup,
     cyclic_group,
+    first_occurrences,
     general_linear_group,
     symmetric_group,
 )
@@ -33,7 +35,7 @@ from imprimlab.imprim import (
     part_table,
     subspace_orbit,
 )
-from imprimlab.linalg import Matrix, Subspace
+from imprimlab.linalg import Matrix, Subspace, echelon_subspace
 from imprimlab.reprs import Character, induced_module, invariant_subspaces, restrict_to_block
 from imprimlab.verify import regression_theorem_instances
 from imprimlab.wreath import WreathSpec, wreath_product
@@ -46,6 +48,7 @@ from conftest import (
     matrix_groups,
     perm,
     sign_group,
+    subspace_array,
     subspace_sum,
     summand_subspaces,
 )
@@ -151,7 +154,7 @@ def test_part_table_has_no_subspace_count_bound(n, p):
     parts = coordinate_system(n, half, p).parts
     assert is_system(swap, parts)
     assert part_table(swap, parts).tolist() == [[1, 0]]
-    assert part_stabilizer_elements(swap, parts).tolist() == [np.eye(n, dtype=int).tolist()]
+    assert part_stabilizer_elements(swap, parts)._generator_stack.tolist() == [np.eye(n, dtype=int).tolist()]
     assert not nonrefinable_via_stabilizer(swap, coordinate_system(n, half, p))
 
 
@@ -351,6 +354,47 @@ def test_the_schreier_route_still_decides_both_ways(monkeypatch):
     assert len(schreier) == 2
 
 
+def test_the_stabilizer_criterion_inverts_no_matrix(monkeypatch):
+    # the Schreier generators are formed with their inverses, and the
+    # restriction to a plane restricts both stacks
+    gl = wreath_product(dict(regression_theorem_instances())["gl23-wr-c2-p3"])
+    inversions = count_calls(monkeypatch, Matrix.inv)
+    assert nonrefinable_via_stabilizer(gl, coordinate_system(4, 2, 3))
+    assert inversions == []
+
+
+def schreier_stack_oracle(g, parts):
+    """The Schreier generators u_x s u_(x s)^-1 of the stabilizer of
+    parts[0] as one stack, formed one part and generator at a time: parts
+    in breadth-first order and generators within a part, identities dropped
+    unless nothing else is left, then repeats."""
+    table = part_table(g, parts)
+    p, n = g.p, g.n
+    gens, eye = g._generator_stack.astype(np.int64), np.eye(n, dtype=np.int64)
+    trans, trans_inv = {0: eye}, {0: eye}
+    reached = [0]
+    for x in reached:
+        for s, y in enumerate(table[:, x]):
+            if y not in trans:
+                reached.append(y)
+                trans[y] = trans[x] @ gens[s] % p
+                trans_inv[y] = g.inverse_stack[s] @ trans_inv[x] % p
+    stack = np.array([trans[x] @ gens[s] % p @ trans_inv[table[s, x]] % p
+                      for x in reached for s in range(len(gens))])
+    moving = (stack != eye).any(axis=(1, 2))
+    stack = stack[moving] if moving.any() else stack[:1]
+    return stack[first_occurrences(stack, p)]
+
+
+@given(matrix_groups(), st.data())
+def test_part_stabilizer_keeps_the_schreier_generators(gens, data):
+    g = MatrixGroup(gens)
+    subs = subspace_array(g.n, data.draw(st.integers(1, g.n)), g.p)
+    orbit = subspace_orbit(g, echelon_subspace(subs[data.draw(st.integers(0, len(subs) - 1))], g.p))
+    stab = part_stabilizer_elements(g, orbit)
+    assert np.array_equal(stab._generator_stack, schreier_stack_oracle(g, orbit))
+
+
 def test_nonrefinable_via_stabilizer_examples():
     s3 = sign_wreath(symmetric_group(3), 3)
     assert nonrefinable_via_stabilizer(s3, coordinate_system(3, 1, 3))
@@ -418,7 +462,7 @@ def test_part_stabilizer_is_a_subgroup_slice():
     g = sign_wreath(cyclic_group(4), 3)
     w = coordinate_system(4, 1, 3).parts[0]
     orbit = subspace_orbit(g, w)
-    stab = MatrixGroup([Matrix(a, 3) for a in part_stabilizer_elements(g, orbit)])
+    stab = part_stabilizer_elements(g, orbit)
     slice_ = g.element_array[fixed_by(w, g.element_array)]
     assert {Matrix(a, 3) for a in stab.element_array} == {Matrix(a, 3) for a in slice_}
     assert stab.order * len(orbit) == g.order
@@ -455,7 +499,7 @@ def test_invariant_subspaces_are_sums_of_summands(factories, p):
             for extra in combo[1:]:
                 total = subspace_sum(total, extra)
             expected.add(total.key)
-    found = {s.key for s in invariant_subspaces(group.gens, n, p)}
+    found = {s.key for s in invariant_subspaces(group)}
     assert found == expected
 
 

@@ -26,7 +26,6 @@ from imprimlab.linalg import (
     mul_mod,
     rref,
     rref_batch,
-    subspace_array,
     subspace_layout,
 )
 from imprimlab.imprim import image_table
@@ -36,6 +35,7 @@ from conftest import (
     fixed_by,
     fixed_space,
     intersect,
+    subspace_array,
     subspace_sum,
 )
 

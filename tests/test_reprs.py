@@ -20,7 +20,7 @@ from imprimlab.errors import (
 )
 from imprimlab.groups import MatrixGroup, cyclic_group, general_linear_group, symmetric_group
 from imprimlab.imprim import is_primitive_linear
-from imprimlab.linalg import Matrix, Subspace, mul_mod, subspace_array, subspace_layout
+from imprimlab.linalg import Matrix, Subspace, mul_mod, rref, subspace_layout
 from imprimlab.reprs import (
     Character,
     algebra_dimension,
@@ -28,7 +28,6 @@ from imprimlab.reprs import (
     induced_module,
     invariant_subspaces,
     is_irreducible,
-    restrict_matrix,
     restrict_to_block,
     spin,
 )
@@ -43,7 +42,10 @@ from conftest import (
     elements,
     is_monomial,
     matrix_groups,
+    reducible_matrix_groups,
+    restricted_matrix,
     sign_group,
+    subspace_array,
     transpose,
 )
 
@@ -260,7 +262,7 @@ def test_uncertified_groups_are_decided_without_a_spin(monkeypatch, g, irreducib
     # that ring's basis happen to be independent, so only the commutativity
     # check rejects it.
     assert algebra_dimension(g) == g.n < g.n * g.n
-    assert hom_dimension(g.gens, g.gens, g.p) == g.n
+    assert hom_dimension(g, g) == g.n
     spins = count_calls(monkeypatch, spin)
     assert is_irreducible(g) is irreducible
     assert spins == []
@@ -304,19 +306,19 @@ def test_is_primitive_linear():
 
 
 def test_hom_dimension_trivial_group():
-    eye = Matrix.identity(2, 5)
-    assert hom_dimension([eye], [eye], 5) == 4
+    trivial = MatrixGroup([Matrix.identity(2, 5)])
+    assert hom_dimension(trivial, trivial) == 4
 
 
 def test_hom_dimension_self_hom_contains_identity():
     gl = general_linear_group(2, 3)
-    assert hom_dimension(list(gl.gens), list(gl.gens), 3) >= 1
+    assert hom_dimension(gl, gl) >= 1
 
 
 def test_hom_dimension_length_mismatch():
     eye = Matrix.identity(2, 5)
     with pytest.raises(LengthMismatch):
-        hom_dimension([eye], [eye, eye], 5)
+        hom_dimension(MatrixGroup([eye]), MatrixGroup([eye, eye]))
 
 
 def test_hom_dimension_transpose_symmetry():
@@ -336,9 +338,9 @@ def test_hom_dimension_transpose_symmetry():
 
         gens_a = [draw(na) for _ in range(2)]
         gens_b = [draw(nb) for _ in range(2)]
-        forward = hom_dimension(gens_a, gens_b, p)
+        forward = hom_dimension(MatrixGroup(gens_a), MatrixGroup(gens_b))
         backward = hom_dimension(
-            [transpose(b) for b in gens_b], [transpose(a) for a in gens_a], p
+            MatrixGroup([transpose(b) for b in gens_b]), MatrixGroup([transpose(a) for a in gens_a])
         )
         assert forward == backward
 
@@ -452,53 +454,97 @@ def test_induced_module_rejects_non_subgroup():
         induced_module(d12, lower, Character(lower, [1], 7))
 
 
+def test_image_group_maps_both_stacks_of_a_subgroup():
+    gl = general_linear_group(2, 3)
+    d12 = MatrixGroup([Matrix([[1, 0], [0, -1]], 3), Matrix([[-1, 1], [0, -1]], 3)])
+    rep = induced_module(gl, d12, Character(d12, [1, 6], 7))
+    special = MatrixGroup([Matrix([[1, 1], [0, 1]], 3), Matrix([[1, 0], [1, 1]], 3)])
+    image = rep.image_group(special)
+    assert image.gens == tuple(rep.image(x) for x in special.gens)
+    assert image.inverse_stack.tolist() == [rep.image(x.inv()).a.tolist() for x in special.gens]
+    assert image.order == special.order == 24
+    assert rep.group.gens == tuple(rep.image(x) for x in gl.gens)
+    with pytest.raises(NotASubgroup):
+        rep.image_group(general_linear_group(2, 5))
+    # a generator outside the source
+    with pytest.raises(ValidationError, match="not in the ambient group"):
+        induced_module(d12, d12, Character(d12, [1, 6], 7)).image_group(gl)
+
+
 def test_restrict_to_block_examples():
     gl = general_linear_group(2, 3)
     full = Subspace.full(2, 3)
-    same = restrict_to_block(list(gl.gens), full)
-    assert {m.key for m in same.gens} == {m.key for m in gl.gens}
+    same = restrict_to_block(gl, full)
+    assert [m.key for m in same.gens] == [m.key for m in gl.gens]
 
     wr = sign_wreath(cyclic_group(2), 3)
     e1 = Subspace.span([basis_row(0, 2)], 2, 3)
     base_gens = [g for g in wr.gens if e1.contains_rows(e1.basis @ g.a % 3)]
-    restricted = restrict_to_block(base_gens, e1)
+    restricted = restrict_to_block(MatrixGroup(base_gens), e1)
     assert restricted.n == 1
     assert restricted.order == 2
 
-    swap = Matrix([[0, 1], [1, 0]], 3)
+    swap = MatrixGroup([Matrix([[0, 1], [1, 0]], 3)])
     with pytest.raises(NotStabilized):
-        restrict_matrix(swap, e1)
+        restrict_to_block(swap, e1)
 
 
 def test_restricted_group_lists_under_the_element_cap():
     gl = general_linear_group(2, 3)
     with limits(elements=10):
-        same = restrict_to_block(list(gl.gens), Subspace.full(2, 3))
+        same = restrict_to_block(gl, Subspace.full(2, 3))
         with pytest.raises(PhaseCapExceeded, match="^group closure: .* the cap of 10$"):
             same.element_array
 
 
+def invariant_parts(g, data):
+    """A subspace g maps into itself, drawn from its proper invariant
+    subspaces and the whole space."""
+    return data.draw(st.sampled_from(invariant_subspaces(g) + [Subspace.full(g.n, g.p)]))
+
+
+@given(st.one_of(matrix_groups(), reducible_matrix_groups()), st.data())
+def test_restriction_is_the_per_matrix_restriction(gens, data):
+    # generator for generator, with the inverses restricted alongside
+    g = MatrixGroup(gens)
+    w = invariant_parts(g, data)
+    restricted = restrict_to_block(g, w)
+    assert [m.key for m in restricted.gens] == [
+        restricted_matrix(a, w).key for a in g._generator_stack]
+    assert restricted.inverse_stack.tolist() == [
+        restricted_matrix(a, w).a.tolist() for a in g.inverse_stack]
+
+
+def hom_dimension_of_lists(gens_a, gens_b, p):
+    """hom_dimension as it read two matched Matrix lists and a modulus: the
+    nullity of the stacked row-major system a_i X - X b_i = 0."""
+    na, nb = gens_a[0].rows, gens_b[0].rows
+    system = [np.kron(a.a, np.eye(nb, dtype=np.int64)) - np.kron(np.eye(na, dtype=np.int64), b.a.T)
+              for a, b in zip(gens_a, gens_b)]
+    return na * nb - rref(np.concatenate(system) % p, p)[1]
+
+
+@given(st.one_of(matrix_groups(), reducible_matrix_groups()), st.data())
+def test_hom_dimension_matches_the_list_route(gens, data):
+    # restrictions of one group to two invariant subspaces are matched groups
+    g = MatrixGroup(gens)
+    a, b = (restrict_to_block(g, invariant_parts(g, data)) for _ in range(2))
+    assert hom_dimension(a, b) == hom_dimension_of_lists(a.gens, b.gens, g.p)
+    assert hom_dimension(g, g) == hom_dimension_of_lists(g.gens, g.gens, g.p)
+
+
 @pytest.mark.parametrize("call, error", [
-    # two GF(3) lines were found for a GF(5) generator
-    (lambda: invariant_subspaces([Matrix([[0, 1], [4, 0]], 5)], 2, 3), ModulusMismatch),
-    (lambda: invariant_subspaces([Matrix.identity(3, 3)], 2, 3), ShapeMismatch),
     # a GF(3) group came back
-    (lambda: restrict_to_block([Matrix.diagonal([1, 4], 5)],
+    (lambda: restrict_to_block(MatrixGroup([Matrix.diagonal([1, 4], 5)]),
                                Subspace.span([[1, 0]], 2, 3)), ModulusMismatch),
-    (lambda: restrict_to_block([Matrix.identity(3, 3)], Subspace.span([[1, 0]], 2, 3)),
-     ShapeMismatch),
-    (lambda: restrict_to_block(np.eye(4, dtype=np.int64)[None],
+    (lambda: restrict_to_block(MatrixGroup([Matrix.identity(3, 3)]),
                                Subspace.span([[1, 0]], 2, 3)), ShapeMismatch),
-    # a GF(3) matrix came back
-    (lambda: restrict_matrix(Matrix.diagonal([1, 4], 5), Subspace.span([[1, 0]], 2, 3)),
+    # groups over different fields have no common field to intertwine over
+    (lambda: hom_dimension(MatrixGroup([Matrix([[3]], 5)]), MatrixGroup([Matrix([[2]], 3)])),
      ModulusMismatch),
-    # 1, where over GF(5) the answer is 0
-    (lambda: hom_dimension([Matrix([[3]], 5)], [Matrix([[0]], 5)], 3), ModulusMismatch),
-    (lambda: hom_dimension([Matrix.identity(2, 3)], [Matrix.identity(2, 3), Matrix.identity(1, 3)],
-                           3), LengthMismatch),
-    (lambda: hom_dimension([Matrix.identity(2, 3), Matrix.identity(1, 3)],
-                           [Matrix.identity(2, 3)] * 2, 3), ShapeMismatch),
-    (lambda: hom_dimension([], [], 3), LengthMismatch),
+    (lambda: hom_dimension(MatrixGroup([Matrix.identity(2, 3)]),
+                           MatrixGroup([Matrix.identity(2, 3), Matrix.identity(2, 3)])),
+     LengthMismatch),
     # a subspace of GF(3)^1, and a numpy ValueError
     (lambda: spin(general_linear_group(2, 3), [1]), ShapeMismatch),
     (lambda: spin(general_linear_group(2, 3), [1, 0, 0]), ShapeMismatch),
@@ -515,12 +561,13 @@ def test_representation_functions_refuse_another_field_or_shape(call, error):
     assert issubclass(error, ValidationError)
 
 
-def test_hom_dimension_over_the_generators_field():
-    assert hom_dimension([Matrix([[3]], 5)], [Matrix([[0]], 5)], 5) == 0
+def test_hom_dimension_over_the_groups_field():
+    # 3x = x holds only for x = 0 over GF(5)
+    assert hom_dimension(MatrixGroup([Matrix([[3]], 5)]), MatrixGroup([Matrix([[1]], 5)])) == 0
 
 
 def test_invariant_subspaces_of_diagonal_group():
-    found = invariant_subspaces(diag_group().gens, 2, 3)
+    found = invariant_subspaces(diag_group())
     assert sorted(s.basis.tolist() for s in found) == [[[0, 1]], [[1, 0]]]
 
 
@@ -528,26 +575,25 @@ def test_invariant_subspaces_of_diagonal_group():
 def test_invariant_subspaces_rejects_dimensions_outside_the_proper_range(dims):
     # only 1..n-1: dims=[2] used to return the full space, [0] a numpy
     # ValueError, and [3] an empty list
-    gens = diag_group().gens
+    g = diag_group()
     with pytest.raises(ValidationError, match=r"not all in 1\.\.1"):
-        invariant_subspaces(gens, 2, 3, dims=dims)
-    assert len(invariant_subspaces(gens, 2, 3, dims=[1])) == 2
+        invariant_subspaces(g, dims=dims)
+    assert len(invariant_subspaces(g, dims=[1])) == 2
 
 
 @pytest.mark.parametrize("p", [4, 1, 0])
 def test_subspace_scans_refuse_a_modulus_that_is_not_prime(p):
-    # with no generator to carry a field, the scan ran over Z/4 (5
-    # "subspaces"), divided by zero for 1 and warned for 0
-    for call in (lambda: invariant_subspaces([], 2, p), lambda: subspace_layout(2, 1, p)):
-        with pytest.raises(ValidationError, match=f"^modulus {p} is not prime$"):
-            call()
+    # the layout of a scan over Z/4 held 5 "subspaces"; 1 divided by zero
+    # and 0 warned
+    with pytest.raises(ValidationError, match=f"^modulus {p} is not prime$"):
+        subspace_layout(2, 1, p)
 
 
 def test_invariant_subspace_scan_counts_against_the_subspace_cap():
-    gens = general_linear_group(4, 5).gens
+    gl = general_linear_group(4, 5)
     with limits(elements=10, subspaces=10):
         with pytest.raises(PhaseCapExceeded, match="^subspace scan: 806 subspaces of "
                            "dimension 2 exceed the cap of 10$"):
-            invariant_subspaces(gens, 4, 5, dims=[2])
+            invariant_subspaces(gl, dims=[2])
     with limits(subspaces=806):
-        assert invariant_subspaces(gens, 4, 5, dims=[2]) == []
+        assert invariant_subspaces(gl, dims=[2]) == []

@@ -40,13 +40,12 @@ from imprimlab.linalg import (
     gaussian_binomial,
     invariant_indices,
     mul_mod,
-    subspace_array,
     subspace_layout,
 )
 from imprimlab.reprs import invariant_subspaces
 from imprimlab.wreath import WreathSpec, wreath_product
 
-from conftest import block_diagonal_product, matrix_groups, perm, sign_group
+from conftest import block_diagonal_product, matrix_groups, perm, sign_group, subspace_array
 
 
 def scan_oracle(g, stats=None):
@@ -96,7 +95,7 @@ def assert_scan_matches_oracle(g):
         s.key for s in scan_oracle(g, stats=oracle_stats)
     ]
     assert stats == oracle_stats
-    assert [w.key for w in invariant_subspaces(g.gens, g.n, g.p)] == [
+    assert [w.key for w in invariant_subspaces(g)] == [
         w.key for w in invariant_oracle(g.gens, g.n, g.p)
     ]
 
@@ -347,9 +346,8 @@ def test_part_tables_of_the_sign_wreath_systems():
     for system in systems:
         stab = part_stabilizer_elements(g, list(system.parts))
         first = system.parts[0]
-        assert all(first.contains_rows(first.basis @ a % 5) for a in stab)
-        order = MatrixGroup([Matrix(a, 5) for a in stab]).order
-        assert order * system.component_count == g.order
+        assert all(first.contains_rows(first.basis @ a % 5) for a in stab._generator_stack)
+        assert stab.order * system.component_count == g.order
 
 
 # (n, d, p) shapes with more than SCAN_CHUNK subspaces

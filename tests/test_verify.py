@@ -132,13 +132,14 @@ def test_maxsolv_q5_closes_one_candidate_per_double_coset(monkeypatch, capsys):
 
 
 def test_maxsolv_q5_inverts_one_matrix_per_candidate(monkeypatch, capsys):
-    # the three generators of GL_2(5) and of M, then a alone for each of the
-    # 3 candidates: their derived series invert and multiply no Matrix
+    # the three generators of M, then a alone for each of the 3 candidates:
+    # GL_2(5) has its inverses in closed form, and the derived series invert
+    # and multiply no Matrix
     inversions = count_calls(monkeypatch, Matrix.inv)
     products = count_calls(monkeypatch, Matrix.__mul__)
     assert main(["maxsolv", "--q", "5", "--json-only"]) == 0
     assert json.loads(capsys.readouterr().out)["pass"] is True
-    assert len(inversions) <= 3 + 3 + 3
+    assert len(inversions) <= 3 + 3
     assert products == []
 
 
